@@ -13,21 +13,24 @@ coeffs.py and rootvalues.py are checked, so none of them may consult those
 closed forms.
 
 Performance notes.  Factor i only touches t^i and above, so factors beyond
-the truncation order are skipped.  The hot loops store a whole coefficient
-row as balanced base-2^B digits of one big int (digit = one integer
-coefficient, or one Laurent coefficient of a fixed q-exponent), turning the
-inner convolutions into big-int shifts and adds.  B is chosen so digits can
-never collide: every intermediate row of every product here is bounded
-coefficientwise by the k-colored partition series prod_i (1 - t^i)^(-k)
-(k = 4 suffices for the quadratic-denominator products, k = sum of |eta
-exponents| for eta quotients), and for 0 < t < 1
+the truncation order are skipped.  Integer-coefficient products are plain
+recurrences on lists of Python ints, one pass per binomial factor; an eta
+factor prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
+~2 sqrt(2N / (3 scale)) nonzero terms below order N.
+
+Only the master product packs each t-row into one big int, its Laurent
+coefficients as balanced base-2^B digits, so that multiplying by q or 1/q
+is a shift.  B is chosen so digits can never collide: every intermediate
+coefficient is bounded by that of prod_i (1 - t^i)^(-k), k = 4, and for
+0 < t < 1
 
     log p_k(m) <= m log(1/t) + k sum_j t^j / (j (1 - t^j))
                <= 2 m (1-t) / t ... choosing 1 - t = sqrt(k pi^2 / (12 m))
                <= 2 pi sqrt(k m / 3),
 
-with the crude cap  m + k pi^2 / 3  covering the small-m regime.  The digit
-width adds 16 guard bits on top.
+with the crude cap  m + k pi^2 / 3  covering the small-m regime.  B adds 16
+guard bits, is rounded up to whole bytes and is computed in integers only;
+unpacking raises ArithmeticError if a digit reaches a quarter of its range.
 """
 
 from __future__ import annotations
@@ -45,51 +48,34 @@ from .series import TruncatedSeries
 ROOT_TRACE = {2: -2, 3: -1, 4: 0, 6: 1}
 
 
-def _digit_bits(order: int, weight: int) -> int:
-    """Digit width certain to hold every intermediate coefficient.
-
-    weight is the exponent k of the majorant prod (1 - t^i)^(-k); see the
-    module docstring for the growth bound.
-    """
-    if order < 1:
-        return 64
-    saddle = 2.0 * math.pi * math.sqrt(weight * order / 3.0)
-    crude = 2.0 * weight * math.pi * math.pi / 3.0
-    return int(max(saddle, crude) / math.log(2.0)) + 16
+def _digit_bits(order: int) -> int:
+    """Digit width B for the master product (k = 4 in the module docstring),
+    in integers only: 2 pi / ln 2 < 9065/1000 puts the saddle bound, in bits,
+    below the isqrt term, and with pi < 22/7 the crude cap below
+    4 * 9065 * 22 / (1000 * 21) < 38."""
+    saddle = math.isqrt(4 * order * 9065 ** 2 // (3 * 1000 ** 2)) + 1
+    bits = max(saddle, 38) + 16
+    return -(-bits // 8) * 8
 
 
-# -- integer-coefficient rows packed along the t direction -----------------
+def _unpack_row(x: int, bits: int, count: int) -> list[int]:
+    """The count balanced base-2^bits digits of x, bits a multiple of 8.
 
-def _packed_mul_binomial(x: int, step: int, bits: int, top: int, sign: int) -> int:
-    """x * (1 + sign * t^step) truncated past t-position top/bits."""
-    shifted = x << (bits * step)
-    return ((x + shifted) if sign > 0 else (x - shifted)) & top
-
-
-def _packed_div_one_minus(x: int, step: int, bits: int, top: int, positions: int) -> int:
-    """x / (1 - t^step): multiply by the geometric series via doubling,
-    1/(1-s) = (1+s)(1+s^2)(1+s^4)..."""
-    j = step
-    while j < positions:
-        x = (x + (x << (bits * j))) & top
-        j <<= 1
-    return x
-
-
-def _packed_to_list(x: int, bits: int, count: int) -> list[int]:
-    """Recover count balanced base-2^bits digits; trailing borrow is discarded."""
-    mask = (1 << bits) - 1
+    Adding half the range to every digit makes them all nonnegative with no
+    carries, so one to_bytes and a byte slice per digit recover them.  Raises
+    ArithmeticError if x does not fit or a digit reaches a quarter of the range."""
+    width = bits // 8
+    biased = x + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
+    if biased < 0 or biased.bit_length() > bits * count:
+        raise ArithmeticError(f"packed row does not fit {count} digits of {bits} bits")
+    raw = biased.to_bytes(width * count, "little")
     half = 1 << (bits - 1)
-    out = [0] * count
-    pos = 0
-    while x and pos < count:
-        d = x & mask
-        if d >= half:
-            d -= 1 << bits
-        out[pos] = d
-        x = (x - d) >> bits
-        pos += 1
-    return out
+    digits = [int.from_bytes(raw[k:k + width], "little") - half
+              for k in range(0, width * count, width)]
+    quarter = half >> 1
+    if max(digits) >= quarter or min(digits) <= -quarter:
+        raise ArithmeticError(f"packed digit reached a quarter of its {bits}-bit range")
+    return digits
 
 
 @functools.lru_cache(maxsize=16)
@@ -134,9 +120,8 @@ def expand_master_product(order: int) -> TruncatedSeries:
     the support bound keeps the bottom digit position empty (e >= -n > -off
     whenever a row is shifted down).
     """
-    bits = _digit_bits(order, 4)
-    off = order + 1
-    n1 = order + 1
+    bits = _digit_bits(order)
+    off = n1 = order + 1
     c = [0] * n1
     c[0] = 1 << (bits * off)
     for i in range(1, n1):
@@ -152,7 +137,7 @@ def expand_master_product(order: int) -> TruncatedSeries:
             c[m] = acc
     rows = []
     for m, packed in enumerate(c):
-        digits = _packed_to_list(packed, bits, 2 * off + 1)
+        digits = _unpack_row(packed, bits, 2 * off + 1)
         rows.append(LaurentPoly({pos - off: v for pos, v in enumerate(digits) if v}))
     return TruncatedSeries(order, rows)
 
@@ -195,18 +180,17 @@ def _denominator_row(order: int, i: int, u: LaurentPoly) -> TruncatedSeries:
 
 @functools.lru_cache(maxsize=4)
 def gauss_series(order: int) -> TruncatedSeries:
-    """prod_{i>=1} (1 - t^i)/(1 + t^i) expanded by factor-by-factor division
-    (1/(1+s) applied as (1-s)/(1-s^2))."""
+    """prod_{i>=1} (1 - t^i)/(1 + t^i) expanded factor by factor: multiply
+    by (1 - t^i) walking down, then divide by (1 + t^i) walking up."""
     n1 = order + 1
-    bits = _digit_bits(order, 4)
-    top = (1 << (bits * n1)) - 1
-    x = 1
+    c = [0] * n1
+    c[0] = 1
     for i in range(1, n1):
-        x = _packed_mul_binomial(x, i, bits, top, -1)   # * (1 - t^i)
-        x = _packed_mul_binomial(x, i, bits, top, -1)   # / (1 + t^i) ...
-        if 2 * i <= order:
-            x = _packed_div_one_minus(x, 2 * i, bits, top, n1)
-    return TruncatedSeries(order, _packed_to_list(x, bits, n1))
+        for m in range(order, i - 1, -1):
+            c[m] -= c[m - i]
+        for m in range(i, n1):
+            c[m] -= c[m - i]
+    return TruncatedSeries(order, c)
 
 
 def gauss_theta_series(order: int) -> TruncatedSeries:
@@ -285,24 +269,38 @@ ROOT_ETA_SPECS = {
 ABS_QUARTIC_ETA_SPEC = EtaQuotientSpec(((2, 3), (4, 3), (1, -2), (8, -2)))
 
 
+def _pentagonal_terms(scale: int, order: int) -> list[tuple[int, int]]:
+    """(exponent, coefficient), ascending, of the terms up to t^order of
+    prod_{n>=1} (1 - t^(scale n)) - 1 = sum_{k != 0} (-1)^k t^(scale k(3k-1)/2)
+    (Euler's pentagonal theorem); k(3k-1)/2 >= k^2 bounds |k|."""
+    return [(scale * g, -1 if k % 2 else 1)
+            for k in range(1, math.isqrt(order // scale) + 1)
+            for g in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2)
+            if scale * g <= order]
+
+
 @functools.lru_cache(maxsize=16)
 def eta_quotient_series(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
     """Expand prod_i prod_{n>=1} (1 - t^(scale n))^exp, shifted by the
-    integer prefactor exponent."""
+    integer prefactor exponent.
+
+    With P = 1 + sum_j p_j t^j a factor's pentagonal series, x * P is taken
+    in place walking down, and x / P walking up by x[m] -= sum_j p_j x[m-j].
+    """
     pre = spec.validate()
     n1 = order + 1
-    weight = max(2, sum(abs(e) for _, e in spec.factors))
-    bits = _digit_bits(order, weight)
-    top = (1 << (bits * n1)) - 1
-    x = 1
+    x = [0] * n1
+    x[0] = 1
     for scale, e in spec.factors:
-        for j in range(scale, n1, scale):
-            if e > 0:
-                for _ in range(e):
-                    x = _packed_mul_binomial(x, j, bits, top, -1)
-            else:
-                for _ in range(-e):
-                    x = _packed_div_one_minus(x, j, bits, top, n1)
-    if pre:
-        x = (x << (bits * pre)) & top
-    return TruncatedSeries(order, _packed_to_list(x, bits, n1))
+        terms = _pentagonal_terms(scale, order)
+        steps = range(order, 0, -1) if e > 0 else range(1, n1)
+        sign = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            for m in steps:
+                acc = 0
+                for j, p in terms:
+                    if j > m:
+                        break
+                    acc += p * x[m - j]
+                x[m] += sign * acc
+    return TruncatedSeries(order, x).shift(pre)

@@ -5,12 +5,14 @@ along genuinely different routes (closed form, polynomial evaluation,
 product expansion, number-theoretic formula) and insisting on exact
 agreement.  Suites raise VerificationError at the first failure with
 enough context to reproduce it; run_suites collects results instead of
-stopping, for the CLI.
+stopping, for the CLI, and reports any other exception a suite raises as
+that suite's failure, named by its type.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -350,7 +352,8 @@ _ORDER_KEYWORD = {
 def run_suites(names: list[str] | None = None,
                max_n: int | None = None,
                order: int | None = None) -> list[SuiteResult]:
-    """Run the named suites (all by default) and collect results."""
+    """Run the named suites (all by default) and collect results; a suite
+    that raises fails alone and the rest still run."""
     chosen = list(SUITES) if names is None else names
     results = []
     for name in chosen:
@@ -368,6 +371,14 @@ def run_suites(names: list[str] | None = None,
             ok = True
         except VerificationError as exc:
             detail = str(exc)
+            ok = False
+        except Exception as exc:  # any other fault fails this suite only
+            tb = exc.__traceback__
+            while tb.tb_next:
+                tb = tb.tb_next
+            code = tb.tb_frame.f_code
+            detail = (f"{type(exc).__name__}: {exc} (raised in {code.co_name}, "
+                      f"{os.path.basename(code.co_filename)}:{tb.tb_lineno})")
             ok = False
         results.append(SuiteResult(name, ok, time.perf_counter() - start, detail))
     return results

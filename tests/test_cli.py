@@ -1,11 +1,11 @@
 """Tests for the command-line interface.
 
 Runs main() in-process with capsys so exit codes and exact output can be
-asserted without subprocess overhead.  One subprocess test at the end
-checks the console script: it always runs the entry point that
-pyproject.toml declares for ``hilbtorus``, the way an installer's wrapper
-calls it, and it also runs the installed ``hilbtorus`` script when one is
-on PATH.
+asserted without subprocess overhead.  Two subprocess tests at the end
+check the entry points: ``python -m hilbtorus``, and the console script,
+for which the entry point that pyproject.toml declares for ``hilbtorus`` is
+always run the way an installer's wrapper calls it, and the installed
+``hilbtorus`` script too when one is on PATH.
 """
 
 import json
@@ -18,6 +18,7 @@ from pathlib import Path
 import pytest
 
 import hilbtorus
+from hilbtorus import verify
 from hilbtorus.bfile import SEQUENCES
 from hilbtorus.cli import main
 
@@ -147,6 +148,21 @@ def test_verify_selected_suites(capsys):
     assert lines[1].startswith("ok   tables")
 
 
+def test_verify_reports_unexpected_exception_as_suite_failure(capsys, monkeypatch):
+    def overflow(**kwargs):
+        raise ArithmeticError("packed digit reached a quarter of its range")
+
+    monkeypatch.setitem(verify.SUITES, "zeta", overflow)
+    code, out, err = run(capsys, "verify", "--suite", "zeta,tables", "--max-n", "30")
+    assert code == 1
+    lines = out.strip().split("\n")
+    assert len(lines) == 2
+    assert lines[0].startswith("FAIL zeta")
+    assert ("ArithmeticError: packed digit reached a quarter of its range "
+            "(raised in overflow, test_cli.py:") in lines[0]
+    assert lines[1].startswith("ok   tables")
+
+
 def test_verify_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
@@ -202,6 +218,15 @@ def test_console_script_installed():
     wrapper = f"import sys; from {module} import {attr}; sys.exit({attr}())"
     src = Path(hilbtorus.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", wrapper, *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "q^2 - 2q + 1\n"
+
+
+def test_python_dash_m_runs_cli():
+    src = Path(hilbtorus.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "hilbtorus", "compute", "cn", "1"],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr

@@ -1,19 +1,29 @@
 """Tests for the exact product expansions.
 
 Small product coefficients are frozen by hand (the first few factors can be
-multiplied out on paper), the packed big-int kernels are cross-checked
-against naive TruncatedSeries arithmetic, and the eta-quotient expander is
-pinned to the classical discriminant-series coefficients.
+multiplied out on paper), every expander is cross-checked against naive
+TruncatedSeries arithmetic, and the eta-quotient expander is pinned to the
+classical discriminant series and to the sparse sums of Euler's and Jacobi's
+identities.  The master product's integer digit width is checked against
+the floating-point bound it replaced, and qseries must import none of the
+closed-form modules it is an oracle for.
 """
+
+import ast
+import math
+from pathlib import Path
 
 import pytest
 
+import hilbtorus.qseries
 from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import (
     ABS_QUARTIC_ETA_SPEC,
     ROOT_ETA_SPECS,
     ROOT_TRACE,
     EtaQuotientSpec,
+    _digit_bits,
+    _unpack_row,
     eta_quotient_series,
     expand_master_product,
     expand_master_product_reference,
@@ -45,6 +55,31 @@ def test_master_product_rows_are_balanced():
 
 def test_master_product_matches_reference():
     assert expand_master_product(12) == expand_master_product_reference(12)
+
+
+def test_master_digit_width_covers_float_bound():
+    # the floating-point width the integer bound replaced, for k = 4
+    for order in range(1, 5001):
+        saddle = 2.0 * math.pi * math.sqrt(4 * order / 3.0)
+        crude = 2.0 * 4 * math.pi * math.pi / 3.0
+        float_bits = int(max(saddle, crude) / math.log(2.0)) + 16
+        bits = _digit_bits(order)
+        assert isinstance(bits, int) and bits % 8 == 0
+        assert bits >= float_bits, order
+
+
+def test_unpack_row_round_trip_and_guard():
+    digits = [3, -5, 0, 1 << 20, -(1 << 20), 7]
+    packed = sum(d << (24 * k) for k, d in enumerate(digits))
+    assert _unpack_row(packed, 24, len(digits)) == digits
+    with pytest.raises(ArithmeticError):
+        _unpack_row(1 << 22, 24, 2)            # a quarter of the range
+    with pytest.raises(ArithmeticError):
+        _unpack_row(-(1 << 22), 24, 2)
+    with pytest.raises(ArithmeticError):
+        _unpack_row(1 << 48, 24, 2)            # wider than two digits
+    with pytest.raises(ArithmeticError):
+        _unpack_row(-(1 << 48), 24, 2)
 
 
 # signed root-sequence prefixes, n = 1..10, multiplied out by hand from the
@@ -151,20 +186,44 @@ def test_eta_discriminant_series():
 
 
 def test_eta_quotient_matches_naive_product():
-    order = 30
-    spec = EtaQuotientSpec(((1, 2), (2, 1), (4, -1)))
-    acc = TruncatedSeries(order, [1])
+    order = 40
     one = TruncatedSeries.monomial(0, order)
-    for scale, e in spec.factors:
-        for j in range(scale, order + 1, scale):
-            factor = one - TruncatedSeries.monomial(j, order)
-            if e > 0:
-                for _ in range(e):
-                    acc = acc * factor
-            else:
-                for _ in range(-e):
-                    acc = acc * factor.invert()
-    assert acc == eta_quotient_series(spec, order)
+    for spec in (*ROOT_ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC,
+                 EtaQuotientSpec(((1, 24),))):
+        acc = TruncatedSeries(order, [1])
+        for scale, e in spec.factors:
+            for j in range(scale, order + 1, scale):
+                factor = one - TruncatedSeries.monomial(j, order)
+                if e > 0:
+                    for _ in range(e):
+                        acc = acc * factor
+                else:
+                    for _ in range(-e):
+                        acc = acc * factor.invert()
+        assert acc.shift(spec.validate()) == eta_quotient_series(spec, order), spec
+
+
+def test_eta_cubed_is_jacobi_sum():
+    # t eta(8z)^3 = sum_{k>=0} (-1)^k (2k+1) t^((2k+1)^2)
+    order = 2000
+    want = [0] * (order + 1)
+    k = 0
+    while (2 * k + 1) ** 2 <= order:
+        want[(2 * k + 1) ** 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    spec = EtaQuotientSpec(((8, 3),))
+    assert eta_quotient_series(spec, order) == TruncatedSeries(order, want)
+
+
+def test_eta_is_euler_sum():
+    # t eta(24z) = sum_{k in Z} (-1)^k t^((6k+1)^2)
+    order = 2000
+    want = [0] * (order + 1)
+    for k in range(-20, 21):
+        if (6 * k + 1) ** 2 <= order:
+            want[(6 * k + 1) ** 2] += (-1) ** k
+    spec = EtaQuotientSpec(((24, 1),))
+    assert eta_quotient_series(spec, order) == TruncatedSeries(order, want)
 
 
 @pytest.mark.parametrize("d", sorted(ROOT_ETA_SPECS))
@@ -179,3 +238,20 @@ def test_abs_quartic_eta_series():
     absolute = eta_quotient_series(ABS_QUARTIC_ETA_SPEC, order)
     for n in range(order + 1):
         assert absolute.coeff(n) == abs(quartic.coeff(n)), n
+
+
+def test_qseries_imports_no_closed_form_module():
+    # the product expansions are the oracle for these modules, so they may
+    # not consult them
+    forbidden = {"coeffs", "rootvalues", "verify", "zeta", "tables"}
+    tree = ast.parse(Path(hilbtorus.qseries.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported.update(alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert imported, "no imports found; is this the qseries source?"
+    assert not imported & forbidden, imported & forbidden
