@@ -5,94 +5,22 @@ variables over F_q is a polynomial C_n(q); this package computes C_n and
 its quotient P_n = C_n / (q - 1)^2 exactly, builds the associated local
 zeta functions, evaluates everything at roots of unity, and cross-checks
 each closed form against independent product expansions.
+
+The top level re-exports the names the README's Library section shows;
+everything else is reached through its module (hilbtorus.qseries, ...).
 """
 
-from .arith import (
-    divisors,
-    is_prime,
-    is_square,
-    lambda_fn,
-    middle_divisors,
-    r2,
-    r_hex,
-    r_prime,
-    sigma,
-)
-from .bfile import compare_bfile, parse_bfile
-from .coeffs import (
-    CoeffTables,
-    central_coeff,
-    count_poly,
-    divisor_coeff,
-    offcentral_coeff,
-    reduced_poly,
-)
-from .cyclotomic import CycInt
-from .errors import BFileError, VerificationError
-from .laurent import LaurentPoly, balanced_power_sum
-from .qseries import (
-    expand_master_product,
-    expand_root_product,
-    eta_quotient_series,
-    gauss_series,
-)
-from .rootvalues import (
-    count_at_root,
-    root_sequence,
-    section_direct,
-    section_formula,
-)
-from .series import TruncatedSeries
-from .tables import render_table, table_data
-from .verify import run_suites
-from .zeta import (
-    ZetaRational,
-    build_local_zeta,
-    functional_equation_check,
-    hasse_weil,
-    zeta_series_check,
-)
+from .coeffs import count_poly, reduced_poly
+from .laurent import LaurentPoly
+from .rootvalues import root_sequence
+from .zeta import build_local_zeta
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BFileError",
-    "CoeffTables",
-    "CycInt",
     "LaurentPoly",
-    "TruncatedSeries",
-    "VerificationError",
-    "ZetaRational",
-    "balanced_power_sum",
     "build_local_zeta",
-    "central_coeff",
-    "compare_bfile",
-    "count_at_root",
     "count_poly",
-    "divisor_coeff",
-    "divisors",
-    "eta_quotient_series",
-    "expand_master_product",
-    "expand_root_product",
-    "functional_equation_check",
-    "gauss_series",
-    "hasse_weil",
-    "is_prime",
-    "is_square",
-    "lambda_fn",
-    "middle_divisors",
-    "offcentral_coeff",
-    "parse_bfile",
-    "r2",
-    "r_hex",
-    "r_prime",
     "reduced_poly",
-    "render_table",
     "root_sequence",
-    "run_suites",
-    "section_direct",
-    "section_formula",
-    "sigma",
-    "table_data",
-    "zeta_series_check",
 ]

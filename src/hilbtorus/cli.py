@@ -170,8 +170,14 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="NAME[,NAME...]",
                             help=f"suites to run (default all): "
                                  f"{', '.join(verify.SUITES)}")
-    verify_cmd.add_argument("--max-n", type=_positive, default=None)
-    verify_cmd.add_argument("--order", type=_positive, default=None)
+    verify_cmd.add_argument(
+        "--max-n", type=_positive, default=None,
+        help="sets max_n of coeffs, roots, zeta, arith, sections and tables; "
+             "qseries ignores it")
+    verify_cmd.add_argument(
+        "--order", type=_positive, default=None,
+        help="sets identity_order of coeffs, expansion_max_n of roots and "
+             "order of qseries; the other suites ignore it")
     verify_cmd.set_defaults(func=_cmd_verify)
 
     oeis = sub.add_parser("oeis-compare",

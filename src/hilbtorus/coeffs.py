@@ -159,8 +159,9 @@ class CoeffTables:
 
     @classmethod
     def build(cls, n: int) -> "CoeffTables":
-        c = [central_coeff(n)] + [offcentral_coeff(n, i) for i in range(1, n + 1)]
-        return cls(n, tuple(c), tuple(divisor_coeff_vector(n)))
+        cn = count_poly(n)
+        c = tuple(cn.coeff(n + i) for i in range(n + 1))
+        return cls(n, c, tuple(divisor_coeff_vector(n)))
 
     def a_at(self, i: int) -> int:
         """a_{n,i} with the boundary convention a_{n,n} = a_{n,n+1} = 0."""

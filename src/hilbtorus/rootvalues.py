@@ -1,24 +1,23 @@
 """Values of C_n and P_n at roots of unity, and section sums of P_n.
 
-The value of C_n at a primitive d-th root of unity (d = 2, 3, 4, 6) is
-determined by lattice representation counts:
+The value of C_n at the primitive d-th root w = omega(d) (d = 2, 3, 4, 6)
+is a_d(n) w^n, where the integer sequence a_d(n) has a closed form in the
+lattice representation counts r (x^2 + y^2), r' (x^2 + 2y^2) and lambda;
+root_sequence is the one place that case analysis lives, and every
+division in it is checked exact, never rounded.  The values of C_n and P_n
+at w derive from it: since (w - 1)^2 = w (w + 1/w - 2),
+P_n(w) = w^(n-1) a_d(n) / (w + 1/w - 2), again an exact integer division.
+Order-6 values live in the order-3 basis since -w3 generates the same
+ring.  evaluate_at_root computes the same values from a polynomial itself.
 
-    C_n(-1) = r(n)                                  r = x^2 + y^2 count
-    C_n(w3) = -3 lambda(n) w3^n
-    C_n(i)  = (-1)^floor((n+1)/2) r'(n) i^n         r' = x^2 + 2y^2 count
-    C_n(-w3) = r(n), (r(n)/4) w3, -(r(n)/2) w3^2    for n = 0, 1, 2 mod 3
-
-with all stated divisions exact (checked, never rounded).  Order-6 values
-live in the order-3 basis since -w3 generates the same ring.
-
-Dividing out the root power gives the integer sequences
-a_d(n) = C_n(w)/w^n; the k-section of P_n (sum of coefficients at exponents
-divisible by k) has closed forms in sigma, r, r', r'' and lambda.
+The k-section of P_n (sum of coefficients at exponents divisible by k) has
+closed forms in sigma, r, r', r'' and lambda.
 """
 
 from __future__ import annotations
 
 from .cyclotomic import CycInt
+from .laurent import LaurentPoly
 from . import arith
 from . import coeffs
 
@@ -34,7 +33,9 @@ def _exact_div(num: int, den: int, what: str) -> int:
 
 
 def omega(d: int) -> int | CycInt:
-    """A primitive d-th root of unity as carried by count_at_root."""
+    """The primitive d-th root of unity w at which C_n and P_n are valued:
+    -1 for d = 2, an order-3 or order-4 cyclotomic integer for d = 3 or 4,
+    and -w3 (in the order-3 ring) for d = 6."""
     if d == 2:
         return -1
     if d == 3:
@@ -46,53 +47,47 @@ def omega(d: int) -> int | CycInt:
     raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
 
 
+# [w^0, ..., w^(d-1)] for w = omega(d)
+_POWERS = {d: [omega(d) ** k for k in range(d)] for d in ROOT_ORDERS}
+
+
+def evaluate_at_root(poly: LaurentPoly, d: int) -> int | CycInt:
+    """poly(w) at w = omega(d), exactly: a plain int for d = 2, else a
+    cyclotomic integer.
+
+    Uses w^d = 1: the integer coefficients are summed by exponent residue
+    mod d (negative exponents included), then combined with the d powers
+    of w in one short cyclotomic sum.
+    """
+    if d not in _POWERS:
+        raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+    powers = _POWERS[d]
+    sums = [0] * d
+    for e, c in poly.items():
+        sums[e % d] += c
+    total = sums[0] * powers[0]
+    for k in range(1, d):
+        if sums[k]:
+            total = total + sums[k] * powers[k]
+    return total
+
+
 def count_at_root(n: int, d: int) -> int | CycInt:
-    """C_n at a primitive d-th root of unity, in closed form.
+    """C_n(w) = a_d(n) w^n at w = omega(d).
 
     Plain int for d = 2, an order-4 cyclotomic integer for d = 4, and an
     order-3 one for d = 3 and d = 6.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d == 2:
-        return arith.r2(n)
-    if d == 3:
-        w = CycInt.root(3)
-        return w ** n * (-3 * arith.lambda_fn(n))
-    if d == 4:
-        w = CycInt.root(4)
-        sign = -1 if ((n + 1) // 2) % 2 else 1
-        return w ** n * (sign * arith.r_prime(n))
-    if d == 6:
-        r = arith.r2(n)
-        w = CycInt.root(3)
-        m = n % 3
-        if m == 0:
-            return CycInt.from_int(r, 3)
-        if m == 1:
-            return w * _exact_div(r, 4, f"C_{n} at order-6 root")
-        return w * w * (-_exact_div(r, 2, f"C_{n} at order-6 root"))
-    raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+    a = root_sequence(n, d)
+    return _POWERS[d][n % d] * a
 
 
 def reduced_at_root(n: int, d: int) -> int | CycInt:
-    """P_n at a primitive d-th root of unity (P_n = C_n/(q-1)^2)."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d == 2:
-        return _exact_div(arith.r2(n), 4, f"P_{n}(-1)")
-    if d == 3:
-        w = CycInt.root(3)
-        return w ** (n - 1) * arith.lambda_fn(n)
-    if d == 4:
-        w = CycInt.root(4)
-        sign = -1 if ((n - 1) // 2) % 2 else 1
-        return w ** (n - 1) * (sign * _exact_div(arith.r_prime(n), 2, f"P_{n}(i)"))
-    if d == 6:
-        w = CycInt.root(3)
-        val = count_at_root(n, 6)
-        return val * (w * w)  # 1/(-w3 - 1)^2 = w3^2
-    raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+    """P_n(w) = w^(n-1) a_d(n) / (w + 1/w - 2) at w = omega(d), since
+    P_n = C_n/(q-1)^2 and (w - 1)^2 = w (w + 1/w - 2)."""
+    a = root_sequence(n, d)
+    t = {2: -4, 3: -3, 4: -2, 6: -1}[d]  # w + 1/w - 2
+    return _POWERS[d][(n - 1) % d] * _exact_div(a, t, f"P_{n} at the order-{d} root")
 
 
 def root_sequence(n: int, d: int) -> int:

@@ -19,7 +19,6 @@ from __future__ import annotations
 from math import isqrt
 
 from . import coeffs, rootvalues
-from .cyclotomic import CycInt
 
 TABLE_NUMBERS = (1, 2, 3, 4)
 DEFAULT_MAX_N = {1: 12, 2: 12, 3: 18, 4: 18}
@@ -51,8 +50,6 @@ def table_data(which: int, max_n: int | None = None) -> dict:
     elif which == 2:
         columns = ("n", "P_n(q)", "P_n(1)", "P_n(-1)",
                    "|P_n(j)|", "|P_n(i)|", "a_{n,0}")
-        omega3 = CycInt.root(3)
-        omega4 = CycInt.root(4)
         rows = []
         for n in range(1, max_n + 1):
             pn = coeffs.reduced_poly(n)
@@ -61,8 +58,8 @@ def table_data(which: int, max_n: int | None = None) -> dict:
                 pn.pretty(),
                 pn.evaluate_int(1),
                 pn.evaluate_int(-1),
-                _abs_cyclotomic(pn.evaluate(omega3)),
-                _abs_cyclotomic(pn.evaluate(omega4)),
+                _abs_cyclotomic(rootvalues.evaluate_at_root(pn, 3)),
+                _abs_cyclotomic(rootvalues.evaluate_at_root(pn, 4)),
                 pn.coeff(n - 1),
             ))
     elif which == 3:

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import arith, coeffs, qseries, rootvalues, tables, zeta
-from .cyclotomic import CycInt
 from .errors import VerificationError
 from .laurent import LaurentPoly
 from .series import TruncatedSeries
@@ -33,28 +32,6 @@ def _require_series_equal(got: TruncatedSeries, want: TruncatedSeries,
         if a != b:
             raise VerificationError(
                 f"{what}: first mismatch at t^{n}: {a!r} != {b!r}")
-
-
-def _root_powers(d: int) -> list:
-    """[w^0, ..., w^(d-1)] for the primitive d-th root used throughout."""
-    w = rootvalues.omega(d)
-    powers = [1 if isinstance(w, int) else CycInt.from_int(1, w.order)]
-    for _ in range(1, d):
-        powers.append(powers[-1] * w)
-    return powers
-
-
-def _eval_at_root(poly: LaurentPoly, d: int, powers: list):
-    """poly(w) using w^d = 1: group integer coefficients by exponent
-    residue, then take one short cyclotomic combination."""
-    sums = [0] * d
-    for e, c in poly.items():
-        sums[e % d] += c
-    total = sums[0] * powers[0]
-    for k in range(1, d):
-        if sums[k]:
-            total = total + sums[k] * powers[k]
-    return total
 
 
 # -- suites ----------------------------------------------------------------
@@ -110,19 +87,14 @@ def verify_roots(max_n: int = 2000, expansion_max_n: int = 500,
     relation_max_n = min(relation_max_n, max_n)
     products = {d: qseries.expand_root_product(d, expansion_max_n)
                 for d in rootvalues.ROOT_ORDERS}
-    powers = {d: _root_powers(d) for d in rootvalues.ROOT_ORDERS}
+    roots = {d: rootvalues.omega(d) for d in rootvalues.ROOT_ORDERS}
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
         pn = coeffs.reduced_poly(n) if n <= relation_max_n else None
         for d in rootvalues.ROOT_ORDERS:
-            closed_value = rootvalues.count_at_root(n, d)
-            evaluated = _eval_at_root(cn, d, powers[d])
-            if evaluated != closed_value:
-                raise VerificationError(
-                    f"C_{n} at the order-{d} root: evaluation {evaluated} "
-                    f"!= closed form {closed_value}")
+            evaluated = rootvalues.evaluate_at_root(cn, d)
             seq = rootvalues.root_sequence(n, d)
-            if evaluated != seq * powers[d][n % d]:
+            if evaluated != seq * roots[d] ** (n % d):
                 raise VerificationError(
                     f"a_{d}({n}) = {seq} inconsistent with C_{n} evaluation")
             if n <= expansion_max_n and products[d].coeff(n) != seq:
@@ -130,8 +102,8 @@ def verify_roots(max_n: int = 2000, expansion_max_n: int = 500,
                     f"a_{d}({n}): product expansion {products[d].coeff(n)} "
                     f"!= closed form {seq}")
             if pn is not None:
-                lhs = (qseries.ROOT_TRACE[d] - 2) * _eval_at_root(pn, d, powers[d])
-                if lhs != seq * powers[d][(n - 1) % d]:
+                lhs = (qseries.ROOT_TRACE[d] - 2) * rootvalues.evaluate_at_root(pn, d)
+                if lhs != seq * roots[d] ** ((n - 1) % d):
                     raise VerificationError(
                         f"(w + 1/w - 2) P_{n}(w) != a_{d}({n}) w^(n-1) "
                         f"for d={d}")
@@ -294,10 +266,9 @@ def verify_tables(max_n: int = 18) -> str:
     for row in tables.table_data(3, max_n)["rows"]:
         n = row[0]
         for d, cell in zip(rootvalues.ROOT_ORDERS, row[1:]):
-            powers = _root_powers(d)
-            value = _eval_at_root(coeffs.count_poly(n), d, powers)
-            expect = rootvalues.root_sequence(n, d) * powers[n % d]
-            if value != expect or abs(rootvalues.root_sequence(n, d)) != cell:
+            value = rootvalues.evaluate_at_root(coeffs.count_poly(n), d)
+            if (value != rootvalues.count_at_root(n, d)
+                    or abs(rootvalues.root_sequence(n, d)) != cell):
                 raise VerificationError(f"|a_{d}({n})| cell is off")
     for row in tables.table_data(4, max_n)["rows"]:
         n = row[0]

@@ -80,18 +80,9 @@ def _factor_string(exponents: list[int]) -> str:
 
 
 def build_local_zeta(n: int) -> ZetaRational:
-    """Assemble Z_n(t) from the closed-form coefficients of C_n."""
-    table = coeffs.CoeffTables.build(n)
-    acc: dict[int, int] = {}
-    if table.c[0]:
-        acc[n] = table.c[0]
-    for i in range(1, n + 1):
-        ci = table.c[i]
-        if ci:
-            acc[n + i] = acc.get(n + i, 0) + ci
-            acc[n - i] = acc.get(n - i, 0) + ci
-    factors = tuple(sorted((e, m) for e, m in acc.items() if m))
-    return ZetaRational(n, factors)
+    """Assemble Z_n(t) from the closed-form coefficients of C_n: m(e) is
+    the coefficient of q^e."""
+    return ZetaRational(n, tuple(sorted(coeffs.count_poly(n).items())))
 
 
 def zeta_series_check(n: int, q0: int, terms: int) -> None:

@@ -163,6 +163,19 @@ def test_verify_reports_unexpected_exception_as_suite_failure(capsys, monkeypatc
     assert lines[1].startswith("ok   tables")
 
 
+def test_verify_help_names_what_each_flag_sets(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    options = " ".join(capsys.readouterr().out.split()).split("options:", 1)[1]
+    max_n_help, order_help = options.split("--max-n MAX_N", 1)[1].split("--order ORDER")
+    for name, keyword in verify._SIZE_KEYWORD.items():
+        want = f"{name} ignores it" if keyword is None else name
+        assert keyword in (None, "max_n") and want in max_n_help, (name, keyword)
+    for name, keyword in verify._ORDER_KEYWORD.items():
+        want = "the other suites ignore it" if keyword is None else f"{keyword} of {name}"
+        assert want in order_help, (name, keyword)
+
+
 def test_verify_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2

@@ -1,19 +1,23 @@
 """Tests for root-of-unity values and section sums.
 
-The closed forms are checked against the one route that cannot be argued
-with: build the count polynomial itself and evaluate it at an exact
-cyclotomic root, power by power.
+The closed forms, and the residue-class fold evaluate_at_root, are checked
+against the one route that cannot be argued with: build the count
+polynomial itself and evaluate it at an exact cyclotomic root, power by
+power (LaurentPoly.evaluate).  Every value must stay exact: an int at
+d = 2, a cyclotomic integer otherwise, never a float.
 """
 
 import pytest
 
 from hilbtorus.coeffs import count_poly, reduced_poly
 from hilbtorus.cyclotomic import CycInt
+from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import expand_root_product
 from hilbtorus.rootvalues import (
     ROOT_ORDERS,
     SECTION_KS,
     count_at_root,
+    evaluate_at_root,
     omega,
     reduced_at_root,
     root_sequence,
@@ -46,6 +50,28 @@ def test_reduced_at_root_matches_direct_evaluation(d):
     w = omega(d)
     for n in range(1, 60):
         assert reduced_at_root(n, d) == reduced_poly(n).evaluate(w), (n, d)
+
+
+@pytest.mark.parametrize("d", ROOT_ORDERS)
+def test_evaluate_at_root_matches_direct_evaluation(d):
+    w = omega(d)
+    for n in range(1, 60):
+        cn = count_poly(n)
+        for poly in (cn, reduced_poly(n), cn.shift(-n), cn.shift(-3 * n - 1)):
+            assert evaluate_at_root(poly, d) == poly.evaluate(w), (n, d)
+    assert evaluate_at_root(LaurentPoly.zero(), d) == 0
+
+
+@pytest.mark.parametrize("d", ROOT_ORDERS)
+def test_root_values_stay_exact(d):
+    kind = int if d == 2 else CycInt
+    for n in range(1, 201):
+        values = (count_at_root(n, d), reduced_at_root(n, d),
+                  evaluate_at_root(count_poly(n).shift(-n), d))
+        for value in values:
+            assert type(value) is kind, (n, d, value)
+            if kind is CycInt:
+                assert type(value.a) is int and type(value.b) is int, (n, d)
 
 
 @pytest.mark.parametrize("d", ROOT_ORDERS)
@@ -91,6 +117,8 @@ def test_input_validation():
             fn(0, 2)
         with pytest.raises(ValueError):
             fn(3, 5)
+    with pytest.raises(ValueError):
+        evaluate_at_root(count_poly(3), 5)
 
 
 def test_section_frozen_values():
