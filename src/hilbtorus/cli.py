@@ -5,8 +5,9 @@ sections; pretty text or JSON), table (the four built-in tables), verify
 (the cross-verification suites), and oeis-compare (check a downloaded
 b-file against the matching generator).
 
-Exit codes: 0 on success, 1 when a verification or comparison fails,
-2 on usage or input-parse errors.
+Exit codes: 0 on success, 1 when a verification or comparison fails or an
+exact division in compute leaves a remainder, 2 on usage or input-parse
+errors.
 """
 
 from __future__ import annotations
@@ -96,8 +97,12 @@ def _cmd_compute(args) -> int:
     if args.d is not None and args.kind != "ad":
         print("--d only applies to 'ad'", file=sys.stderr)
         return 2
-    results = [_compute_one(args.kind, n, args.d, args.format)
-               for n in range(lo, hi + 1)]
+    try:
+        results = [_compute_one(args.kind, n, args.d, args.format)
+                   for n in range(lo, hi + 1)]
+    except ArithmeticError as exc:
+        print(f"compute {args.kind}: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         payload = results[0] if lo == hi else results
         print(json.dumps(payload, indent=2))

@@ -12,33 +12,28 @@ expansions are the independent oracle against which the closed forms in
 coeffs.py and rootvalues.py are checked, so none of them may consult those
 closed forms.
 
-Performance notes.  Factor i only touches t^i and above, so factors beyond
-the truncation order are skipped.  Integer-coefficient products are plain
-recurrences on lists of Python ints, one pass per binomial factor; an eta
-factor prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
+The master product and its root specializations share one recurrence,
+Euler's logarithmic derivative.  With p_j = w^j + w^-j for the roots w, 1/w
+of 1 - u x + x^2, the expansion F = sum c_n t^n has c_0 = 1 and
+
+    n c_n = sum_{k=1..n} b_k c_{n-k},    b_k = sum_{ij=k} i (p_j - 2),
+
+since t F'/F = sum b_k t^k; each division by n is checked exact.  At a root
+of unity p_j is an int from the literal trace u (p_0 = 2, p_1 = u,
+p_j = u p_{j-1} - p_{j-2}), so no eta rewriting enters; for the master
+product p_j = q^j + q^-j, on sparse {exponent: coeff} rows.  An eta factor
+prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
 ~2 sqrt(2N / (3 scale)) nonzero terms below order N.
-
-Only the master product packs each t-row into one big int, its Laurent
-coefficients as balanced base-2^B digits, so that multiplying by q or 1/q
-is a shift.  B is chosen so digits can never collide: every intermediate
-coefficient is bounded by that of prod_i (1 - t^i)^(-k), k = 4, and for
-0 < t < 1
-
-    log p_k(m) <= m log(1/t) + k sum_j t^j / (j (1 - t^j))
-               <= 2 m (1-t) / t ... choosing 1 - t = sqrt(k pi^2 / (12 m))
-               <= 2 pi sqrt(k m / 3),
-
-with the crude cap  m + k pi^2 / 3  covering the small-m regime.  B adds 16
-guard bits, is rounded up to whole bytes and is computed in integers only;
-unpacking raises ArithmeticError if a digit reaches a quarter of its range.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .laurent import LaurentPoly
 from .series import TruncatedSeries
@@ -48,132 +43,70 @@ from .series import TruncatedSeries
 ROOT_TRACE = {2: -2, 3: -1, 4: 0, 6: 1}
 
 
-def _digit_bits(order: int) -> int:
-    """Digit width B for the master product (k = 4 in the module docstring),
-    in integers only: 2 pi / ln 2 < 9065/1000 puts the saddle bound, in bits,
-    below the isqrt term, and with pi < 22/7 the crude cap below
-    4 * 9065 * 22 / (1000 * 21) < 38."""
-    saddle = math.isqrt(4 * order * 9065 ** 2 // (3 * 1000 ** 2)) + 1
-    bits = max(saddle, 38) + 16
-    return -(-bits // 8) * 8
+def _exact_div(x: int, n: int) -> int:
+    q, r = divmod(x, n)
+    if r:
+        raise ArithmeticError(f"log-derivative recurrence: {n} does not divide {x}")
+    return q
 
 
-def _unpack_row(x: int, bits: int, count: int) -> list[int]:
-    """The count balanced base-2^bits digits of x, bits a multiple of 8.
+def _log_derivative_product(b: list, order: int, one, dot) -> list:
+    """c_0..c_order with c_0 = one and n c_n = sum_{k=1..n} b_k c_{n-k}, where
+    dot(bs, cs, n) returns c_n from bs = b_1..b_n and cs = c_{n-1}..c_0."""
+    c = [one]
+    for n in range(1, order + 1):
+        c.append(dot(b[1:n + 1], reversed(c), n))
+    return c
 
-    Adding half the range to every digit makes them all nonnegative with no
-    carries, so one to_bytes and a byte slice per digit recover them.  Raises
-    ArithmeticError if x does not fit or a digit reaches a quarter of the range."""
-    width = bits // 8
-    biased = x + int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
-    if biased < 0 or biased.bit_length() > bits * count:
-        raise ArithmeticError(f"packed row does not fit {count} digits of {bits} bits")
-    raw = biased.to_bytes(width * count, "little")
-    half = 1 << (bits - 1)
-    digits = [int.from_bytes(raw[k:k + width], "little") - half
-              for k in range(0, width * count, width)]
-    quarter = half >> 1
-    if max(digits) >= quarter or min(digits) <= -quarter:
-        raise ArithmeticError(f"packed digit reached a quarter of its {bits}-bit range")
-    return digits
+
+def _laurent_dot(hs, cs, n: int) -> dict:
+    """c_n for Laurent rows, from the halves h_k of b_k = h_k(q) + h_k(1/q):
+    every row is palindromic (F is invariant under q -> 1/q), so b_k c_m is
+    h_k c_m plus its mirror image and only h_k c_m is multiplied out."""
+    acc = defaultdict(int)
+    for h, row in zip(hs, cs):
+        row = row.items()
+        for e1, v1 in h.items():
+            for e2, v2 in row:
+                acc[e1 + e2] += v1 * v2
+    out = {}
+    for e in set(map(abs, acc)):
+        v = acc.get(e, 0) + acc.get(-e, 0)
+        if v:
+            out[e] = out[-e] = _exact_div(v, n)
+    return out
 
 
 @functools.lru_cache(maxsize=16)
 def expand_root_product(d: int, order: int) -> TruncatedSeries:
-    """prod_i (1 - t^i)^2 / (1 - u t^i + t^{2i}) with u = ROOT_TRACE[d].
-
-    The t^n coefficient is the integer sequence a_d(n) = C_n(w)/w^n for w a
-    primitive d-th root of unity.  The denominator is divided out by its
-    literal feedback recurrence, not through any product rewriting, so this
-    stays an independent route from the eta-quotient expansions.
-    """
+    """prod_i (1 - t^i)^2 / (1 - u t^i + t^{2i}) with u = ROOT_TRACE[d]; the
+    t^n coefficient is a_d(n) = C_n(w)/w^n, w a primitive d-th root of unity."""
     if d not in ROOT_TRACE:
         raise ValueError(f"d must be one of {sorted(ROOT_TRACE)}, got {d}")
     u = ROOT_TRACE[d]
-    n1 = order + 1
-    c = [0] * n1
-    c[0] = 1
-    for i in range(1, n1):
-        for _ in range(2):
-            for m in range(order, i - 1, -1):
-                c[m] -= c[m - i]
-        i2 = 2 * i
-        if u:
-            for m in range(i, n1):
-                acc = c[m] + u * c[m - i]
-                if m >= i2:
-                    acc -= c[m - i2]
-                c[m] = acc
-        else:
-            for m in range(i2, n1):
-                c[m] -= c[m - i2]
-    return TruncatedSeries(order, c)
+    p = [2, u]
+    for _ in range(2, order + 1):
+        p.append(u * p[-1] - p[-2])
+    b = [0] * (order + 1)
+    for i in range(1, order + 1):
+        for j in range(1, order // i + 1):
+            b[i * j] += i * (p[j] - 2)
+    return TruncatedSeries(order, _log_derivative_product(
+        b, order, 1, lambda bs, cs, n: _exact_div(sum(map(mul, bs, cs)), n)))
 
 
 @functools.lru_cache(maxsize=4)
 def expand_master_product(order: int) -> TruncatedSeries:
-    """The two-variable master product, coefficients Laurent in q.
-
-    The t^n coefficient equals C_n(q)/q^n (support [-n, n]).  Each t-row is
-    packed along the q direction; position e + (order + 1) holds the q^e
-    digit, so multiplying by q or 1/q is one shift.  1/q never drops bits:
-    the support bound keeps the bottom digit position empty (e >= -n > -off
-    whenever a row is shifted down).
-    """
-    bits = _digit_bits(order)
-    off = n1 = order + 1
-    c = [0] * n1
-    c[0] = 1 << (bits * off)
-    for i in range(1, n1):
-        for _ in range(2):
-            for m in range(order, i - 1, -1):
-                c[m] -= c[m - i]
-        i2 = 2 * i
-        for m in range(i, n1):
-            x = c[m - i]
-            acc = c[m] + (x << bits) + (x >> bits)
-            if m >= i2:
-                acc -= c[m - i2]
-            c[m] = acc
-    rows = []
-    for m, packed in enumerate(c):
-        digits = _unpack_row(packed, bits, 2 * off + 1)
-        rows.append(LaurentPoly({pos - off: v for pos, v in enumerate(digits) if v}))
-    return TruncatedSeries(order, rows)
-
-
-def expand_master_product_reference(order: int) -> TruncatedSeries:
-    """Slow reference expansion by generic series multiply and invert.
-
-    Same mathematical content as expand_master_product, kept as the
-    cross-check for the packed kernel (quadratic coefficient cost per
-    factor; use small orders only).
-    """
-    u = LaurentPoly({1: 1, -1: 1})  # q + 1/q
-    acc = TruncatedSeries(order, [LaurentPoly.one()])
+    """The two-variable master product: the t^n coefficient is C_n(q)/q^n,
+    with b_k = h_k(q) + h_k(1/q) for h_k = sum_{ij=k} i (q^j - 1)."""
+    h = [{} for _ in range(order + 1)]
     for i in range(1, order + 1):
-        num = TruncatedSeries(order, _monomial_row(order, i))
-        den = _denominator_row(order, i, u)
-        acc = acc * num * num * den.invert()
-    return acc
-
-
-def _monomial_row(order: int, i: int) -> list:
-    row: list = [0] * (order + 1)
-    row[0] = LaurentPoly.one()
-    if i <= order:
-        row[i] = -LaurentPoly.one()
-    return row
-
-
-def _denominator_row(order: int, i: int, u: LaurentPoly) -> TruncatedSeries:
-    row: list = [0] * (order + 1)
-    row[0] = LaurentPoly.one()
-    if i <= order:
-        row[i] = -u
-    if 2 * i <= order:
-        row[2 * i] = LaurentPoly.one()
-    return TruncatedSeries(order, row)
+        for j in range(1, order // i + 1):
+            row = h[i * j]
+            row[j] = i
+            row[0] = row.get(0, 0) - i
+    rows = _log_derivative_product(h, order, {0: 1}, _laurent_dot)
+    return TruncatedSeries(order, [LaurentPoly(row) for row in rows])
 
 
 # -- Gauss's product and the theta series ----------------------------------

@@ -90,16 +90,18 @@ def zeta_series_check(n: int, q0: int, terms: int) -> None:
 
     The log-derivative of the factored form is
     sum_e m(e) q0^e t / (1 - q0^e t), whose t^m coefficient is
-    sum_e m(e) q0^(e m); the point count at F_{q0^m} comes from the
-    closed-form polynomial instead.
+    sum_e m(e) q0^(e m); the point count at F_{q0^m} comes from the divisor
+    route instead, C_n(x) = (x - 1)^2 P_n(x), so a wrong trapezoidal factor
+    fails the check.
     """
     if q0 < 2:
         raise ValueError("q0 should be a prime power >= 2")
     z = build_local_zeta(n)
-    cn = coeffs.count_poly(n)
+    pn = coeffs.reduced_poly(n)
     for m in range(1, terms + 1):
-        lhs = sum(mult * q0 ** (e * m) for e, mult in z.factors)
-        rhs = cn.evaluate_int(q0 ** m)
+        x = q0 ** m
+        lhs = sum(mult * x ** e for e, mult in z.factors)
+        rhs = (x - 1) ** 2 * pn.evaluate_int(x)
         if lhs != rhs:
             raise VerificationError(
                 f"zeta log-derivative mismatch for n={n}, q0={q0}, t^{m}: "

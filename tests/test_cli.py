@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import hilbtorus
-from hilbtorus import verify
+from hilbtorus import rootvalues, verify
 from hilbtorus.bfile import SEQUENCES
 from hilbtorus.cli import main
 
@@ -116,6 +116,17 @@ def test_compute_sections(capsys):
                    "s_4(12) = 7, s_6(12) = 5\n")
 
 
+def test_compute_arithmetic_error_exits_1(capsys, monkeypatch):
+    def inexact(n, d):
+        raise ArithmeticError(f"a_{d}({n}): 4 does not divide 5")
+
+    monkeypatch.setattr(rootvalues, "root_sequence", inexact)
+    code, out, err = run(capsys, "compute", "ad", "7", "--d", "6")
+    assert code == 1
+    assert out == ""
+    assert err == "compute ad: a_6(7): 4 does not divide 5\n"
+
+
 def test_d_flag_requires_ad(capsys):
     code, out, err = run(capsys, "compute", "cn", "3", "--d", "2")
     assert code == 2
@@ -150,7 +161,7 @@ def test_verify_selected_suites(capsys):
 
 def test_verify_reports_unexpected_exception_as_suite_failure(capsys, monkeypatch):
     def overflow(**kwargs):
-        raise ArithmeticError("packed digit reached a quarter of its range")
+        raise ArithmeticError("remainder in an exact division")
 
     monkeypatch.setitem(verify.SUITES, "zeta", overflow)
     code, out, err = run(capsys, "verify", "--suite", "zeta,tables", "--max-n", "30")
@@ -158,7 +169,7 @@ def test_verify_reports_unexpected_exception_as_suite_failure(capsys, monkeypatc
     lines = out.strip().split("\n")
     assert len(lines) == 2
     assert lines[0].startswith("FAIL zeta")
-    assert ("ArithmeticError: packed digit reached a quarter of its range "
+    assert ("ArithmeticError: remainder in an exact division "
             "(raised in overflow, test_cli.py:") in lines[0]
     assert lines[1].startswith("ok   tables")
 

@@ -4,13 +4,13 @@ Small product coefficients are frozen by hand (the first few factors can be
 multiplied out on paper), every expander is cross-checked against naive
 TruncatedSeries arithmetic, and the eta-quotient expander is pinned to the
 classical discriminant series and to the sparse sums of Euler's and Jacobi's
-identities.  The master product's integer digit width is checked against
-the floating-point bound it replaced, and qseries must import none of the
-closed-form modules it is an oracle for.
+identities.  The log-derivative recurrence behind the root and master
+products is checked against the literal factor-by-factor feedback kernel it
+replaced (a property test draws the root order and truncation), and qseries
+must import none of the closed-form modules it is an oracle for.
 """
 
 import ast
-import math
 from pathlib import Path
 
 import pytest
@@ -22,18 +22,64 @@ from hilbtorus.qseries import (
     ROOT_ETA_SPECS,
     ROOT_TRACE,
     EtaQuotientSpec,
-    _digit_bits,
-    _unpack_row,
+    _exact_div,
     eta_quotient_series,
     expand_master_product,
-    expand_master_product_reference,
     expand_root_product,
     gauss_series,
     gauss_theta_series,
     phi_series,
     psi_series,
 )
+from hilbtorus.rootvalues import root_sequence
 from hilbtorus.series import TruncatedSeries
+
+
+def _literal_feedback(u, one, order):
+    """prod_i (1 - t^i)^2 / (1 - u t^i + t^{2i}) one factor at a time: multiply
+    by (1 - t^i) twice walking down, then divide out the denominator walking
+    up.  u and one are ints for a root product, LaurentPolys for the master."""
+    c = [one] + [one - one] * order
+    for i in range(1, order + 1):
+        for _ in range(2):
+            for m in range(order, i - 1, -1):
+                c[m] = c[m] - c[m - i]
+        for m in range(i, order + 1):
+            acc = c[m] + u * c[m - i]
+            if m >= 2 * i:
+                acc = acc - c[m - 2 * i]
+            c[m] = acc
+    return TruncatedSeries(order, c)
+
+
+def expand_master_product_reference(order: int) -> TruncatedSeries:
+    """The master product by generic series multiply and invert (quadratic
+    coefficient cost per factor; small orders only)."""
+    u = LaurentPoly({1: 1, -1: 1})  # q + 1/q
+    acc = TruncatedSeries(order, [LaurentPoly.one()])
+    for i in range(1, order + 1):
+        num = TruncatedSeries(order, _monomial_row(order, i))
+        den = _denominator_row(order, i, u)
+        acc = acc * num * num * den.invert()
+    return acc
+
+
+def _monomial_row(order: int, i: int) -> list:
+    row: list = [0] * (order + 1)
+    row[0] = LaurentPoly.one()
+    if i <= order:
+        row[i] = -LaurentPoly.one()
+    return row
+
+
+def _denominator_row(order: int, i: int, u: LaurentPoly) -> TruncatedSeries:
+    row: list = [0] * (order + 1)
+    row[0] = LaurentPoly.one()
+    if i <= order:
+        row[i] = -u
+    if 2 * i <= order:
+        row[2 * i] = LaurentPoly.one()
+    return TruncatedSeries(order, row)
 
 
 def test_master_product_first_rows():
@@ -57,29 +103,11 @@ def test_master_product_matches_reference():
     assert expand_master_product(12) == expand_master_product_reference(12)
 
 
-def test_master_digit_width_covers_float_bound():
-    # the floating-point width the integer bound replaced, for k = 4
-    for order in range(1, 5001):
-        saddle = 2.0 * math.pi * math.sqrt(4 * order / 3.0)
-        crude = 2.0 * 4 * math.pi * math.pi / 3.0
-        float_bits = int(max(saddle, crude) / math.log(2.0)) + 16
-        bits = _digit_bits(order)
-        assert isinstance(bits, int) and bits % 8 == 0
-        assert bits >= float_bits, order
-
-
-def test_unpack_row_round_trip_and_guard():
-    digits = [3, -5, 0, 1 << 20, -(1 << 20), 7]
-    packed = sum(d << (24 * k) for k, d in enumerate(digits))
-    assert _unpack_row(packed, 24, len(digits)) == digits
-    with pytest.raises(ArithmeticError):
-        _unpack_row(1 << 22, 24, 2)            # a quarter of the range
-    with pytest.raises(ArithmeticError):
-        _unpack_row(-(1 << 22), 24, 2)
-    with pytest.raises(ArithmeticError):
-        _unpack_row(1 << 48, 24, 2)            # wider than two digits
-    with pytest.raises(ArithmeticError):
-        _unpack_row(-(1 << 48), 24, 2)
+def test_master_product_matches_literal_feedback():
+    order = 40
+    q_trace = LaurentPoly({1: 1, -1: 1})
+    assert expand_master_product(order) == _literal_feedback(
+        q_trace, LaurentPoly.one(), order)
 
 
 # signed root-sequence prefixes, n = 1..10, multiplied out by hand from the
@@ -115,6 +143,33 @@ def test_root_product_matches_naive_series():
                    + TruncatedSeries.monomial(2 * i, order))
             acc = acc * num * num * den.invert()
         assert acc == expand_root_product(d, order), d
+
+
+def test_recurrence_division_is_checked():
+    assert _exact_div(-12, 4) == -3
+    with pytest.raises(ArithmeticError):
+        _exact_div(7, 2)
+
+
+def test_root_product_matches_literal_feedback():
+    for d, u in ROOT_TRACE.items():
+        assert expand_root_product(d, 300) == _literal_feedback(u, 1, 300), d
+
+
+def test_root_product_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=20, deadline=None)
+    @hypothesis.given(d=st.sampled_from(sorted(ROOT_TRACE)),
+                      order=st.integers(0, 400))
+    def check(d, order):
+        s = expand_root_product(d, order)
+        assert s == _literal_feedback(ROOT_TRACE[d], 1, order)
+        assert [s.coeff(n) for n in range(1, order + 1)] == [
+            root_sequence(n, d) for n in range(1, order + 1)]
+
+    check()
 
 
 def test_gauss_series_is_signed_square_theta():
