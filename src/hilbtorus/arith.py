@@ -18,7 +18,13 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
-@functools.lru_cache(maxsize=None)
+# Enough for every n <= 10^4 that verify's arith suite factorizes; a bound,
+# so that long runs such as compute sections over a wide range keep a
+# fixed footprint.
+FACTORIZE_CACHE_SIZE = 1 << 14
+
+
+@functools.lru_cache(maxsize=FACTORIZE_CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization as ((p, e), ...) with p ascending.
 

@@ -7,7 +7,9 @@ b-file against the matching generator).
 
 Exit codes: 0 on success, 1 when a verification or comparison fails or an
 exact division in compute leaves a remainder, 2 on usage or input-parse
-errors.
+errors, and for compute pn above PN_MAX_N (P_n has Theta(n) terms, so its
+cost and output grow linearly; the other compute kinds cost O(sqrt n) per
+index and have no limit).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from . import bfile, coeffs, rootvalues, tables, verify, zeta
 from .errors import BFileError
 
 COMPUTE_KINDS = ("cn", "pn", "zeta", "hasse-weil", "ad", "sections")
+PN_MAX_N = 10 ** 6
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -96,6 +99,10 @@ def _cmd_compute(args) -> int:
     lo, hi = args.n
     if args.d is not None and args.kind != "ad":
         print("--d only applies to 'ad'", file=sys.stderr)
+        return 2
+    if args.kind == "pn" and hi > PN_MAX_N:
+        print(f"compute pn: n = {hi} is above the limit {PN_MAX_N}: P_n has "
+              f"2n - 1 coefficients", file=sys.stderr)
         return 2
     try:
         results = [_compute_one(args.kind, n, args.d, args.format)

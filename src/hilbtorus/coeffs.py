@@ -4,8 +4,17 @@ C_n(q) is the number of ideals of codimension n counted by the Hilbert
 scheme of n points on a two-dimensional torus over F_q; it is palindromic
 about q^n with coefficients c_{n,i} at q^(n +- i).  P_n = C_n / (q-1)^2 has
 nonnegative coefficients a_{n,i} at q^(n-1 +- i) counting divisors of n in
-an explicit interval.  Both coefficient families have O(1) closed forms:
-trapezoidal-number tests for c, divisor-interval counts for a.
+an explicit interval.
+
+Each family comes from one divisor enumerator.  c_{n,i} is nonzero only
+where n = k(k + 2i +- 1)/2, that is where 2n = k m with m > k and m - k
+odd (Sylvester's count of the ways to write n as a sum of consecutive
+integers), so count_poly reads its O(d(2n)) terms off the divisors of 2n.
+Each divisor d of n counts towards a_{n,i} on one run lo <= i <= hi, which
+divisor_intervals returns; the dense vector, the coefficient sum and the
+sections of P_n all derive from those runs.  trapezoidal_k, central_coeff,
+offcentral_coeff and divisor_coeff are the per-i scalar forms, kept as the
+independent check of both enumerators.
 """
 
 from __future__ import annotations
@@ -86,16 +95,16 @@ def divisor_coeff(n: int, i: int) -> int:
     return count
 
 
-def divisor_coeff_vector(n: int) -> list[int]:
-    """[a_{n,0}, ..., a_{n,n-1}] in one pass.
+def divisor_intervals(n: int) -> list[tuple[int, int]]:
+    """The run (lo, hi) of indices i on which each divisor d of n counts
+    towards a_{n,i}, for the divisors whose run is not empty.
 
-    Each divisor d contributes to a contiguous range of i (the interval
-    conditions of divisor_coeff are linear in i once squared), so the vector
-    is a sum of interval indicators: O(d(n)) updates plus one prefix sum.
+    The interval conditions of divisor_coeff are linear in i once squared,
+    so each divisor's i form one contiguous run inside 0 <= i <= n-1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    diff = [0] * (n + 1)
+    runs = []
     for d in arith.divisors(n):
         # d > (i + sqrt(2n+i^2))/2  <=>  2di <= 2d^2 - n - 1
         # d <= i + sqrt(2n+i^2)     <=>  2di >= d^2 - 2n
@@ -103,8 +112,17 @@ def divisor_coeff_vector(n: int) -> list[int]:
         lo = max(0, -(-num // (2 * d)))
         hi = min(n - 1, (2 * d * d - n - 1) // (2 * d))
         if lo <= hi:
-            diff[lo] += 1
-            diff[hi + 1] -= 1
+            runs.append((lo, hi))
+    return runs
+
+
+def divisor_coeff_vector(n: int) -> list[int]:
+    """[a_{n,0}, ..., a_{n,n-1}]: the sum of the indicators of the runs of
+    divisor_intervals, by one difference array and one prefix sum."""
+    diff = [0] * (n + 1)
+    for lo, hi in divisor_intervals(n):
+        diff[lo] += 1
+        diff[hi + 1] -= 1
     out = []
     run = 0
     for x in diff[:-1]:
@@ -114,16 +132,29 @@ def divisor_coeff_vector(n: int) -> list[int]:
 
 
 def count_poly(n: int) -> LaurentPoly:
-    """C_n(q) = c_{n,0} q^n + sum_i c_{n,i} (q^(n+i) + q^(n-i))."""
+    """C_n(q) = c_{n,0} q^n + sum_i c_{n,i} (q^(n+i) + q^(n-i)), from the
+    factorizations 2n = k m with m > k and m - k odd.
+
+    Each one is n = k(k + 2u + 1)/2 with u = (m - k - 1)/2: it puts
+    s = (-1)^k at i = u (2s at q^n when u = 0) and -s at i = u + 1.  No two
+    factorizations may land on the same i, which the code asserts rather
+    than assumes, as offcentral_coeff does.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     coeffs = {}
-    c0 = central_coeff(n)
-    if c0:
-        coeffs[n] = c0
-    for i in range(1, n + 1):
-        c = offcentral_coeff(n, i)
-        if c:
+    for k in arith.divisors(2 * n):
+        m = 2 * n // k
+        if m <= k:
+            break
+        if (m - k) % 2 == 0:
+            continue
+        up = (m - k - 1) // 2
+        s = -1 if k % 2 else 1
+        for i, c in ((up, 2 * s if up == 0 else s), (up + 1, -s)):
+            if n + i in coeffs:
+                raise AssertionError(
+                    f"trapezoidal cases collided at n={n}, i={i}")
             coeffs[n + i] = c
             coeffs[n - i] = c
     return LaurentPoly(coeffs)

@@ -11,7 +11,8 @@ Order-6 values live in the order-3 basis since -w3 generates the same
 ring.  evaluate_at_root computes the same values from a polynomial itself.
 
 The k-section of P_n (sum of coefficients at exponents divisible by k) has
-closed forms in sigma, r, r', r'' and lambda.
+closed forms in sigma, r, r', r'' and lambda; section_direct counts the
+same sums on the divisor runs of P_n's coefficients instead.
 """
 
 from __future__ import annotations
@@ -124,12 +125,27 @@ def root_sequence(n: int, d: int) -> int:
 # -- sections of P_n -------------------------------------------------------
 
 def section_direct(n: int, k: int) -> int:
-    """Sum of the coefficients of P_n at exponents divisible by k,
-    straight off the polynomial."""
+    """Sum of the coefficients of P_n at exponents divisible by k, counted
+    on the divisor runs of coeffs.divisor_intervals without building P_n.
+
+    A divisor whose run is lo <= i <= hi puts a one at q^(n-1+i) for each i
+    in it, and another at q^(n-1-i) for each i >= 1 in it; the i that land
+    on multiples of k form one residue class mod k in each case, counted in
+    O(1) per run.
+    """
     if k not in SECTION_KS:
         raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
-    p = coeffs.reduced_poly(n)
-    return sum(c for e, c in p.items() if e % k == 0)
+    up, down = (1 - n) % k, (n - 1) % k
+    total = 0
+    for lo, hi in coeffs.divisor_intervals(n):
+        total += (_residue_count(lo, hi, up, k)
+                  + _residue_count(max(lo, 1), hi, down, k))
+    return total
+
+
+def _residue_count(lo: int, hi: int, r: int, k: int) -> int:
+    """The number of i in lo..hi with i = r mod k (0 when lo > hi)."""
+    return (hi - r) // k - (lo - 1 - r) // k
 
 
 def section_formula(n: int, k: int) -> int:

@@ -40,13 +40,21 @@ def verify_coeffs(max_n: int = 300, identity_order: int = 64,
                   max_i: int = 20) -> str:
     """Triple-oracle agreement: the master product expansion, the
     closed-form coefficients, and the divisor-count route must produce
-    the same polynomials; plus the generating series per coefficient
-    column and the reduced-side generating identity."""
+    the same polynomials; the divisor enumerator behind count_poly must
+    match the per-i closed form at every i; plus the generating series per
+    coefficient column and the reduced-side generating identity."""
     master = qseries.expand_master_product(max_n)
     square = LaurentPoly({2: 1, 1: -2, 0: 1})  # (q - 1)^2
     table_cache = []
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
+        for i in range(n + 1):
+            want = (coeffs.central_coeff(n) if i == 0
+                    else coeffs.offcentral_coeff(n, i))
+            if cn.coeff(n + i) != want:
+                raise VerificationError(
+                    f"c_({n},{i}): divisor enumerator {cn.coeff(n + i)} "
+                    f"!= per-i closed form {want}")
         recentered = cn.shift(-n)
         if master.coeff(n) != recentered:
             raise VerificationError(
@@ -217,8 +225,10 @@ def verify_arith(max_n: int = 10000) -> str:
         if arith.middle_divisors(n) != coeffs.divisor_coeff(n, 0):
             raise VerificationError(
                 f"middle-divisor count disagrees with a_({n},0)")
-        vec = coeffs.divisor_coeff_vector(n)
-        if vec[0] + 2 * sum(vec[1:]) != arith.sigma(n):
+        # P_n(1): a run lo..hi adds 1 at i = 0 and 2 at each i >= 1
+        total = sum(2 * (hi - lo) + (1 if lo == 0 else 2)
+                    for lo, hi in coeffs.divisor_intervals(n))
+        if total != arith.sigma(n):
             raise VerificationError(
                 f"coefficient sum of P_{n} differs from sigma({n})")
     pairs = 0
@@ -235,7 +245,8 @@ def verify_arith(max_n: int = 10000) -> str:
 
 
 def verify_sections(max_n: int = 1000) -> str:
-    """Direct coefficient sums against the closed section formulas."""
+    """Section sums counted on the divisor runs of P_n's coefficients
+    against the closed section formulas in sigma, r, r', r'' and lambda."""
     for n in range(1, max_n + 1):
         for k in rootvalues.SECTION_KS:
             direct = rootvalues.section_direct(n, k)

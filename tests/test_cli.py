@@ -18,9 +18,10 @@ from pathlib import Path
 import pytest
 
 import hilbtorus
-from hilbtorus import rootvalues, verify
+from hilbtorus import coeffs, rootvalues, verify
+from hilbtorus.arith import r2
 from hilbtorus.bfile import SEQUENCES
-from hilbtorus.cli import main
+from hilbtorus.cli import PN_MAX_N, main
 
 
 def run(capsys, *argv):
@@ -125,6 +126,31 @@ def test_compute_arithmetic_error_exits_1(capsys, monkeypatch):
     assert code == 1
     assert out == ""
     assert err == "compute ad: a_6(7): 4 does not divide 5\n"
+
+
+@pytest.mark.parametrize("n", [str(PN_MAX_N + 1), f"1..{PN_MAX_N + 1}"])
+def test_compute_pn_above_limit_exits_2(capsys, monkeypatch, n):
+    def never(n):
+        raise AssertionError("compute pn built P_n above its limit")
+
+    monkeypatch.setattr(coeffs, "reduced_poly", never)
+    code, out, err = run(capsys, "compute", "pn", n)
+    assert code == 2
+    assert out == ""
+    assert err == (f"compute pn: n = {PN_MAX_N + 1} is above the limit "
+                   f"{PN_MAX_N}: P_n has 2n - 1 coefficients\n")
+
+
+def test_compute_cn_at_a_billion(capsys):
+    n = 10 ** 9
+    code, out, _ = run(capsys, "compute", "cn", str(n), "--format", "json")
+    assert code == 0
+    terms = {t["e"]: int(t["v"]) for t in json.loads(out)["coeffs"]}
+    assert min(terms) == 0 and max(terms) == 2 * n
+    assert terms[0] == terms[2 * n] == 1
+    assert all(terms.get(2 * n - e) == c for e, c in terms.items())
+    assert sum(terms.values()) == 0  # C_n(1)
+    assert sum(c if e % 2 == 0 else -c for e, c in terms.items()) == r2(n)
 
 
 def test_d_flag_requires_ad(capsys):

@@ -1,13 +1,14 @@
 """Tests for the closed-form coefficient routines.
 
 The twelve smallest count polynomials and their reduced forms are frozen
-here verbatim; everything else (vectorized routes, generating series,
-linking relations) is checked against those or against the scalar
-closed forms.
+here verbatim; everything else (the divisor enumerators, generating
+series, linking relations) is checked against those or against the scalar
+closed forms, which also build the per-i reference polynomial below.
 """
 
 import pytest
 
+from hilbtorus import arith
 from hilbtorus.coeffs import (
     CoeffTables,
     c_coeff_series,
@@ -17,12 +18,27 @@ from hilbtorus.coeffs import (
     divisor_coeff,
     divisor_coeff_series,
     divisor_coeff_vector,
+    divisor_intervals,
     offcentral_coeff,
     reduced_poly,
     trapezoidal_k,
 )
 from hilbtorus.errors import VerificationError
 from hilbtorus.laurent import LaurentPoly
+
+
+def count_poly_per_i(n):
+    """C_n from the per-i closed form: two isqrt probes for every i <= n."""
+    coeffs = {}
+    c0 = central_coeff(n)
+    if c0:
+        coeffs[n] = c0
+    for i in range(1, n + 1):
+        c = offcentral_coeff(n, i)
+        if c:
+            coeffs[n + i] = c
+            coeffs[n - i] = c
+    return LaurentPoly(coeffs)
 
 
 def ones(exponents):
@@ -136,6 +152,35 @@ def test_divisor_coeff_vector_matches_scalar():
         assert divisor_coeff(n, n + 1) == 0
 
 
+def test_count_poly_matches_per_i_reference():
+    for n in range(1, 1001):
+        assert count_poly(n) == count_poly_per_i(n), n
+    # a prime, a round number and 3 * 2^16 (many even divisors of 2n)
+    for n in (99991, 10 ** 5, 196608):
+        assert count_poly(n) == count_poly_per_i(n), n
+
+
+def test_count_poly_collision_guard(monkeypatch):
+    divisors = arith.divisors
+    monkeypatch.setattr(arith, "divisors", lambda n: [1] + divisors(n))
+    with pytest.raises(AssertionError, match="collided at n=6"):
+        count_poly(6)
+
+
+def test_divisor_intervals_rebuild_vector():
+    for n in range(1, 300):
+        runs = divisor_intervals(n)
+        assert len(runs) <= len(arith.divisors(n))
+        vec = [0] * n
+        for lo, hi in runs:
+            assert 0 <= lo <= hi <= n - 1, (n, lo, hi)
+            for i in range(lo, hi + 1):
+                vec[i] += 1
+        assert vec == divisor_coeff_vector(n), n
+    with pytest.raises(ValueError):
+        divisor_intervals(0)
+
+
 def test_count_is_reduced_times_square():
     square = LaurentPoly({2: 1, 1: -2, 0: 1})
     for n in range(1, 120):
@@ -196,3 +241,33 @@ def test_c_coeff_series():
 
 def test_reduced_generating_identity():
     check_reduced_generating_identity(40)
+
+
+def test_enumerators_property_at_large_n():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(n=st.integers(1, 10 ** 6), data=st.data())
+    def check(n, data):
+        cn = count_poly(n)
+        assert cn.evaluate_int(1) == 0
+        drawn = data.draw(st.lists(st.integers(0, n), max_size=5))
+        for i in {abs(e - n) for e in cn.support()} | set(drawn):
+            want = central_coeff(n) if i == 0 else offcentral_coeff(n, i)
+            assert cn.coeff(n + i) == cn.coeff(n - i) == want, (n, i)
+
+    check()
+
+
+def test_count_is_reduced_times_square_at_integers_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=30, deadline=None)
+    @hypothesis.given(n=st.integers(1, 2000), q0=st.integers(2, 5))
+    def check(n, q0):
+        assert (q0 - 1) ** 2 * reduced_poly(n).evaluate_int(q0) \
+            == count_poly(n).evaluate_int(q0)
+
+    check()

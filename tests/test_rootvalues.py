@@ -141,6 +141,43 @@ def test_sections_direct_equals_formula():
             assert section_direct(n, k) == section_formula(n, k), (n, k)
 
 
+def test_section_direct_matches_reduced_poly_sums():
+    # the sections read straight off the dense polynomial, one P_n per n
+    for n in range(1, 1001):
+        terms = reduced_poly(n).items()
+        sums = {k: 0 for k in SECTION_KS}
+        for e, c in terms:
+            for k in SECTION_KS:
+                if e % k == 0:
+                    sums[k] += c
+        for k in SECTION_KS:
+            assert section_direct(n, k) == sums[k], (n, k)
+
+
+def test_count_poly_at_roots_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(n=st.integers(1, 10 ** 6), d=st.sampled_from(ROOT_ORDERS))
+    def check(n, d):
+        assert evaluate_at_root(count_poly(n), d) == count_at_root(n, d)
+
+    check()
+
+
+def test_section_direct_equals_formula_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
+    @hypothesis.given(n=st.integers(1, 10 ** 6), k=st.sampled_from(SECTION_KS))
+    def check(n, k):
+        assert section_direct(n, k) == section_formula(n, k)
+
+    check()
+
+
 def test_section_input_validation():
     with pytest.raises(ValueError):
         section_formula(0, 2)
@@ -148,6 +185,8 @@ def test_section_input_validation():
         section_formula(4, 5)
     with pytest.raises(ValueError):
         section_direct(4, 5)
+    with pytest.raises(ValueError):
+        section_direct(0, 2)
 
 
 def test_first_section_is_divisor_sum():
