@@ -10,11 +10,17 @@ exact division in compute leaves a remainder, 2 on usage or input-parse
 errors, and for compute pn above PN_MAX_N (P_n has Theta(n) terms, so its
 cost and output grow linearly; the other compute kinds cost O(sqrt n) per
 index and have no limit).
+
+main(argv) may be called any number of times in one process, as the tests
+and the benchmark do: build_parser builds the parser on the first call (not
+at import) and returns the same one afterwards, so later calls pay only for
+parsing and the request itself.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -58,8 +64,11 @@ def _poly_json(n: int, poly) -> dict:
                        for e in sorted(poly.support())]}
 
 
-def _values_json(n: int, keys, value_fn) -> dict:
-    return {"n": n, "values": {str(k): str(value_fn(k)) for k in keys}}
+def _values(n: int, name: str, values: dict, fmt: str):
+    """Pretty "name_k(n) = v, ..." text or the JSON object for {k: v}."""
+    if fmt == "pretty":
+        return ", ".join(f"{name}_{k}({n}) = {v}" for k, v in values.items())
+    return {"n": n, "values": {str(k): str(v) for k, v in values.items()}}
 
 
 def _compute_one(kind: str, n: int, d: int | None, fmt: str):
@@ -82,16 +91,9 @@ def _compute_one(kind: str, n: int, d: int | None, fmt: str):
         return {"n": n, "factors": [{"s0": s0, "m": m} for s0, m in h.exponents]}
     if kind == "ad":
         ds = (d,) if d is not None else rootvalues.ROOT_ORDERS
-        if fmt == "pretty":
-            return ", ".join(
-                f"a_{dd}({n}) = {rootvalues.root_sequence(n, dd)}" for dd in ds)
-        return _values_json(n, ds, lambda dd: rootvalues.root_sequence(n, dd))
+        return _values(n, "a", rootvalues.root_sequences(n, ds), fmt)
     if kind == "sections":
-        ks = rootvalues.SECTION_KS
-        if fmt == "pretty":
-            return ", ".join(
-                f"s_{k}({n}) = {rootvalues.section_formula(n, k)}" for k in ks)
-        return _values_json(n, ks, lambda k: rootvalues.section_formula(n, k))
+        return _values(n, "s", rootvalues.section_formulas(n), fmt)
     raise AssertionError(kind)
 
 
@@ -130,6 +132,10 @@ def _cmd_verify(args) -> int:
     names = None
     if args.suite:
         names = [part for chunk in args.suite for part in chunk.split(",") if part]
+        if not names:
+            print(f"verify: --suite names no suite; known: "
+                  f"{', '.join(verify.SUITES)}", file=sys.stderr)
+            return 2
         unknown = [name for name in names if name not in verify.SUITES]
         if unknown:
             print(f"unknown suite(s): {', '.join(unknown)}; "
@@ -152,7 +158,11 @@ def _cmd_oeis_compare(args) -> int:
     return 0 if report.ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hilbtorus argument parser, built on the first call and the same
+    object afterwards. It is never changed once built: parse_args returns
+    a fresh Namespace each time and the append action copies its default."""
     parser = argparse.ArgumentParser(
         prog="hilbtorus",
         description="Point counts of the Hilbert schemes of the plane torus: "

@@ -3,7 +3,7 @@
 The value of C_n at the primitive d-th root w = omega(d) (d = 2, 3, 4, 6)
 is a_d(n) w^n, where the integer sequence a_d(n) has a closed form in the
 lattice representation counts r (x^2 + y^2), r' (x^2 + 2y^2) and lambda;
-root_sequence is the one place that case analysis lives, and every
+root_sequences is the one place that case analysis lives, and every
 division in it is checked exact, never rounded.  The values of C_n and P_n
 at w derive from it: since (w - 1)^2 = w (w + 1/w - 2),
 P_n(w) = w^(n-1) a_d(n) / (w + 1/w - 2), again an exact integer division.
@@ -11,7 +11,8 @@ Order-6 values live in the order-3 basis since -w3 generates the same
 ring.  evaluate_at_root computes the same values from a polynomial itself.
 
 The k-section of P_n (sum of coefficients at exponents divisible by k) has
-closed forms in sigma, r, r', r'' and lambda; section_direct counts the
+closed forms in sigma, r, r', r'' and lambda (section_formulas, which
+computes each count once for all k asked for); section_direct counts the
 same sums on the divisor runs of P_n's coefficients instead.
 """
 
@@ -92,7 +93,12 @@ def reduced_at_root(n: int, d: int) -> int | CycInt:
 
 
 def root_sequence(n: int, d: int) -> int:
-    """a_d(n) = C_n(w)/w^n as a rational integer.
+    """a_d(n) = C_n(w)/w^n as a rational integer; see root_sequences."""
+    return root_sequences(n, (d,))[d]
+
+
+def root_sequences(n: int, ds=ROOT_ORDERS) -> dict[int, int]:
+    """{d: a_d(n)} for each d in ds, each lattice count computed once.
 
         a_2(n) = (-1)^n r(n)
         a_3(n) = -3 lambda(n)
@@ -102,24 +108,26 @@ def root_sequence(n: int, d: int) -> int:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if d == 2:
-        r = arith.r2(n)
-        return -r if n % 2 else r
-    if d == 3:
-        return -3 * arith.lambda_fn(n)
-    if d == 4:
-        sign = -1 if ((n + 1) // 2) % 2 else 1
-        return sign * arith.r_prime(n)
-    if d == 6:
-        r = arith.r2(n)
-        sign = -1 if n % 2 else 1
-        m = n % 3
-        if m == 0:
-            return sign * r
-        if m == 1:
-            return sign * _exact_div(r, 4, f"a_6({n})")
-        return -sign * _exact_div(r, 2, f"a_6({n})")
-    raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+    for d in ds:
+        if d not in ROOT_ORDERS:
+            raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+    r = arith.r2(n) if 2 in ds or 6 in ds else None
+    sign = -1 if n % 2 else 1
+    values = {}
+    for d in ds:
+        if d == 2:
+            values[d] = sign * r
+        elif d == 3:
+            values[d] = -3 * arith.lambda_fn(n)
+        elif d == 4:
+            values[d] = (-1 if ((n + 1) // 2) % 2 else 1) * arith.r_prime(n)
+        elif n % 3 == 0:
+            values[d] = sign * r
+        elif n % 3 == 1:
+            values[d] = sign * _exact_div(r, 4, f"a_6({n})")
+        else:
+            values[d] = -sign * _exact_div(r, 2, f"a_6({n})")
+    return values
 
 
 # -- sections of P_n -------------------------------------------------------
@@ -149,37 +157,48 @@ def _residue_count(lo: int, hi: int, r: int, k: int) -> int:
 
 
 def section_formula(n: int, k: int) -> int:
-    """The same section sums from the closed formulas.
+    """The k-section of P_n from the closed formulas; see section_formulas."""
+    return section_formulas(n, (k,))[k]
+
+
+def section_formulas(n: int, ks=SECTION_KS) -> dict[int, int]:
+    """{k: s_k(n)} for each k in ks from the closed formulas, computing
+    each of sigma, r, r', r'' and lambda at most once.
 
     Every division is checked exact; a remainder would mean a wrong input
     to the formula and raises instead of rounding.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    if k not in SECTION_KS:
-        raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
+    for k in ks:
+        if k not in SECTION_KS:
+            raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
     sig = arith.sigma(n)
-    if k == 1:
-        return sig
-    if k == 2:
+    if 2 in ks or 4 in ks or 6 in ks:
         quarter = _exact_div(arith.r2(n), 4, f"r({n})/4")
-        return _exact_div(sig + quarter, 2, f"s_2({n})")
-    if k == 3:
-        third = _exact_div(arith.r_hex(n), 3, f"r''({n})/3")
-        return _exact_div(sig + third, 3, f"s_3({n})")
-    if k == 4:
-        quarter = _exact_div(arith.r2(n), 4, f"r({n})/4")
-        # i^(n-1) + i^(1-n) is 2, 0, -2, 0 as n-1 = 0, 1, 2, 3 mod 4
-        trace = (2, 0, -2, 0)[(n - 1) % 4]
-        sign = -1 if ((n - 1) // 2) % 2 else 1
-        term = sign * _exact_div(arith.r_prime(n) * trace, 2, f"r'({n}) term")
-        return _exact_div(sig + quarter + term, 4, f"s_4({n})")
-    # k == 6, by residue of n mod 3
-    lam = arith.lambda_fn(n)
-    three_quarters = 3 * _exact_div(arith.r2(n), 4, f"r({n})/4")
-    m = n % 3
-    if m == 0:
-        return _exact_div(sig - three_quarters - lam, 6, f"s_6({n})")
-    if m == 1:
-        return _exact_div(sig + three_quarters + 2 * lam, 6, f"s_6({n})")
-    return _exact_div(sig + three_quarters - lam, 6, f"s_6({n})")
+    values = {}
+    for k in ks:
+        if k == 1:
+            values[k] = sig
+        elif k == 2:
+            values[k] = _exact_div(sig + quarter, 2, f"s_2({n})")
+        elif k == 3:
+            third = _exact_div(arith.r_hex(n), 3, f"r''({n})/3")
+            values[k] = _exact_div(sig + third, 3, f"s_3({n})")
+        elif k == 4:
+            # i^(n-1) + i^(1-n) is 2, 0, -2, 0 as n-1 = 0, 1, 2, 3 mod 4
+            trace = (2, 0, -2, 0)[(n - 1) % 4]
+            sign = -1 if ((n - 1) // 2) % 2 else 1
+            term = sign * _exact_div(arith.r_prime(n) * trace, 2, f"r'({n}) term")
+            values[k] = _exact_div(sig + quarter + term, 4, f"s_4({n})")
+        else:  # k == 6, by residue of n mod 3
+            lam = arith.lambda_fn(n)
+            m = n % 3
+            if m == 0:
+                total = sig - 3 * quarter - lam
+            elif m == 1:
+                total = sig + 3 * quarter + 2 * lam
+            else:
+                total = sig + 3 * quarter - lam
+            values[k] = _exact_div(total, 6, f"s_6({n})")
+    return values

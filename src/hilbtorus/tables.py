@@ -65,15 +65,14 @@ def table_data(which: int, max_n: int | None = None) -> dict:
     elif which == 3:
         columns = ("n",) + tuple(f"|a_{d}(n)|" for d in rootvalues.ROOT_ORDERS)
         rows = [
-            (n,) + tuple(abs(rootvalues.root_sequence(n, d))
-                         for d in rootvalues.ROOT_ORDERS)
+            (n,) + tuple(abs(a) for a in rootvalues.root_sequences(n).values())
             for n in range(1, max_n + 1)
         ]
     else:
         ks = (2, 3, 4, 6)
         columns = ("n",) + tuple(f"s_{k}(n)" for k in ks)
         rows = [
-            (n,) + tuple(rootvalues.section_formula(n, k) for k in ks)
+            (n,) + tuple(rootvalues.section_formulas(n, ks).values())
             for n in range(1, max_n + 1)
         ]
     return {"columns": columns, "rows": rows}

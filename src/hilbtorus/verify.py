@@ -99,9 +99,10 @@ def verify_roots(max_n: int = 2000, expansion_max_n: int = 500,
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
         pn = coeffs.reduced_poly(n) if n <= relation_max_n else None
+        seqs = rootvalues.root_sequences(n)
         for d in rootvalues.ROOT_ORDERS:
             evaluated = rootvalues.evaluate_at_root(cn, d)
-            seq = rootvalues.root_sequence(n, d)
+            seq = seqs[d]
             if evaluated != seq * roots[d] ** (n % d):
                 raise VerificationError(
                     f"a_{d}({n}) = {seq} inconsistent with C_{n} evaluation")
@@ -115,7 +116,7 @@ def verify_roots(max_n: int = 2000, expansion_max_n: int = 500,
                     raise VerificationError(
                         f"(w + 1/w - 2) P_{n}(w) != a_{d}({n}) w^(n-1) "
                         f"for d={d}")
-        if (rootvalues.root_sequence(n, 6) == 0) != (rootvalues.root_sequence(n, 2) == 0):
+        if (seqs[6] == 0) != (seqs[2] == 0):
             raise VerificationError(
                 f"a_6({n}) and a_2({n}) do not vanish together")
     return (f"n <= {max_n}: closed forms, cyclotomic evaluation and product "
@@ -248,9 +249,10 @@ def verify_sections(max_n: int = 1000) -> str:
     """Section sums counted on the divisor runs of P_n's coefficients
     against the closed section formulas in sigma, r, r', r'' and lambda."""
     for n in range(1, max_n + 1):
+        formulas = rootvalues.section_formulas(n)
         for k in rootvalues.SECTION_KS:
             direct = rootvalues.section_direct(n, k)
-            formula = rootvalues.section_formula(n, k)
+            formula = formulas[k]
             if direct != formula:
                 raise VerificationError(
                     f"s_{k}({n}): direct {direct} != formula {formula}")

@@ -1,11 +1,13 @@
 """Tests for the command-line interface.
 
 Runs main() in-process with capsys so exit codes and exact output can be
-asserted without subprocess overhead.  Two subprocess tests at the end
-check the entry points: ``python -m hilbtorus``, and the console script,
-for which the entry point that pyproject.toml declares for ``hilbtorus`` is
-always run the way an installer's wrapper calls it, and the installed
-``hilbtorus`` script too when one is on PATH.
+asserted without subprocess overhead; main() reuses one parser across
+calls, so consecutive calls are also checked for leaking options.  One
+subprocess test checks that importing the cli builds no parser, and two at
+the end check the entry points: ``python -m hilbtorus``, and the console
+script, for which the entry point that pyproject.toml declares for
+``hilbtorus`` is always run the way an installer's wrapper calls it, and
+the installed ``hilbtorus`` script too when one is on PATH.
 """
 
 import json
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import hilbtorus
-from hilbtorus import coeffs, rootvalues, verify
+from hilbtorus import arith, cli, coeffs, verify
 from hilbtorus.arith import r2
 from hilbtorus.bfile import SEQUENCES
 from hilbtorus.cli import PN_MAX_N, main
@@ -118,14 +120,12 @@ def test_compute_sections(capsys):
 
 
 def test_compute_arithmetic_error_exits_1(capsys, monkeypatch):
-    def inexact(n, d):
-        raise ArithmeticError(f"a_{d}({n}): 4 does not divide 5")
-
-    monkeypatch.setattr(rootvalues, "root_sequence", inexact)
+    # a lattice count that 4 does not divide trips a_6's exact division
+    monkeypatch.setattr(arith, "r2", lambda n: 5)
     code, out, err = run(capsys, "compute", "ad", "7", "--d", "6")
     assert code == 1
     assert out == ""
-    assert err == "compute ad: a_6(7): 4 does not divide 5\n"
+    assert err == "compute ad: a_6(7): 5 is not divisible by 4\n"
 
 
 @pytest.mark.parametrize("n", [str(PN_MAX_N + 1), f"1..{PN_MAX_N + 1}"])
@@ -217,6 +217,58 @@ def test_verify_unknown_suite(capsys):
     code, out, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
     assert "unknown suite" in err
+
+
+@pytest.mark.parametrize("suite", [",", ""])
+def test_verify_empty_suite_selection_is_usage_error(capsys, suite):
+    code, out, err = run(capsys, "verify", "--suite", suite)
+    assert code == 2
+    assert out == ""
+    assert err == f"verify: --suite names no suite; known: {', '.join(verify.SUITES)}\n"
+
+
+@pytest.mark.parametrize("kind", ["sections", "ad"])
+@pytest.mark.parametrize("n", ["1", "12", "999983", "1000000"])
+def test_compute_counts_r2_once_per_n(capsys, monkeypatch, kind, n):
+    calls = []
+
+    def counting_r2(m):
+        calls.append(m)
+        return r2(m)
+
+    monkeypatch.setattr(arith, "r2", counting_r2)
+    code, _, _ = run(capsys, "compute", kind, n)
+    assert code == 0
+    assert calls == [int(n)]
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_import_builds_no_parser():
+    src = Path(hilbtorus.__file__).resolve().parents[1]
+    probe = ("from hilbtorus import cli; "
+             "print(cli.build_parser.cache_info().currsize)")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0\n"
+
+
+def test_consecutive_calls_do_not_share_options(capsys):
+    assert run(capsys, "compute", "ad", "9", "--d", "2")[1] == "a_2(9) = -4\n"
+    assert run(capsys, "compute", "ad", "9")[1] == (
+        "a_2(9) = -4, a_3(9) = 6, a_4(9) = -6, a_6(9) = -4\n")
+    assert json.loads(run(capsys, "compute", "cn", "3", "--format", "json")[1])["n"] == 3
+    assert run(capsys, "compute", "cn", "3")[1] == (
+        "q^6 - q^5 - q^4 + 2q^3 - q^2 - q + 1\n")
+    first = run(capsys, "verify", "--suite", "zeta", "--max-n", "5")[1]
+    assert [line.split()[1] for line in first.splitlines()] == ["zeta"]
+    code, second, _ = run(capsys, "verify", "--suite", "tables", "--max-n", "5")
+    assert code == 0
+    assert [line.split()[1] for line in second.splitlines()] == ["tables"]
 
 
 def test_oeis_compare_ok(capsys, tmp_path):
