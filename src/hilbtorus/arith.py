@@ -18,6 +18,14 @@ def is_square(n: int) -> bool:
     return r * r == n
 
 
+def exact_div(num: int, den: int, what: str) -> int:
+    """num / den, raising ArithmeticError, labelled by what, on a remainder."""
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"{what}: {num} is not divisible by {den}")
+    return q
+
+
 # Enough for every n <= 10^4 that verify's arith suite factorizes; a bound,
 # so that long runs such as compute sections over a wide range keep a
 # fixed footprint.

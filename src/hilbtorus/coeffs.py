@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isqrt
 
-from .errors import VerificationError
+from .errors import expect
 from .laurent import LaurentPoly, balanced_power_sum
 from .series import TruncatedSeries
 from . import arith
@@ -200,17 +200,13 @@ class CoeffTables:
 
     def check_linking(self) -> None:
         """c_{n,0} = -2a_{n,0} + 2a_{n,1} and
-        c_{n,i} = a_{n,i+1} - 2a_{n,i} + a_{n,i-1} for 1 <= i <= n."""
-        lhs0 = self.c[0]
-        rhs0 = -2 * self.a_at(0) + 2 * self.a_at(1)
-        if lhs0 != rhs0:
-            raise VerificationError(f"second difference failed at n={self.n}, i=0: "
-                                    f"{lhs0} != {rhs0}")
-        for i in range(1, self.n + 1):
-            rhs = self.a_at(i + 1) - 2 * self.a_at(i) + self.a_at(i - 1)
-            if self.c[i] != rhs:
-                raise VerificationError(f"second difference failed at n={self.n}, "
-                                        f"i={i}: {self.c[i]} != {rhs}")
+        c_{n,i} = a_{n,i+1} - 2a_{n,i} + a_{n,i-1} for 1 <= i <= n; the
+        first is the second at i = 0, since a_{n,-1} = a_{n,1} (P_n is
+        palindromic about its central coefficient a_{n,0})."""
+        for i in range(self.n + 1):
+            expect("c_(n,i) vs second difference of a_(n,i)",
+                   f"n={self.n}, i={i}", self.c[i],
+                   self.a_at(i + 1) - 2 * self.a_at(i) + self.a_at(abs(i - 1)))
 
 
 # -- generating series along fixed i --------------------------------------
@@ -286,7 +282,4 @@ def check_reduced_generating_identity(order: int) -> None:
         k += 1
     for n in range(1, order + 1):
         lhs = reduced_poly(n).shift(-(n - 1))
-        if lhs != rhs[n]:
-            raise VerificationError(
-                f"reduced generating identity failed at t^{n}: "
-                f"{lhs.pretty()} != {rhs[n].pretty()}")
+        expect("reduced generating identity", f"t^{n}", lhs, rhs[n])

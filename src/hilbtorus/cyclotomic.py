@@ -163,8 +163,3 @@ class CycInt:
         term = "w" if mag == 1 else f"{mag}*w"
         return f"{self.a} {sign} {term}"
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -289,8 +289,3 @@ def balanced_power_sum(k: int) -> LaurentPoly:
         raise ValueError("k must be >= 0")
     return _raw({e: 1 for e in range(-k, k + 1, 2)})
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

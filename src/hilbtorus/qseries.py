@@ -35,19 +35,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from .arith import exact_div
 from .laurent import LaurentPoly
 from .series import TruncatedSeries
 
 # q + 1/q at a primitive d-th root of unity, for the orders with
 # quadratic-integer values
 ROOT_TRACE = {2: -2, 3: -1, 4: 0, 6: 1}
-
-
-def _exact_div(x: int, n: int) -> int:
-    q, r = divmod(x, n)
-    if r:
-        raise ArithmeticError(f"log-derivative recurrence: {n} does not divide {x}")
-    return q
 
 
 def _log_derivative_product(b: list, order: int, one, dot) -> list:
@@ -73,7 +67,7 @@ def _laurent_dot(hs, cs, n: int) -> dict:
     for e in set(map(abs, acc)):
         v = acc.get(e, 0) + acc.get(-e, 0)
         if v:
-            out[e] = out[-e] = _exact_div(v, n)
+            out[e] = out[-e] = exact_div(v, n, "log-derivative recurrence")
     return out
 
 
@@ -92,7 +86,8 @@ def expand_root_product(d: int, order: int) -> TruncatedSeries:
         for j in range(1, order // i + 1):
             b[i * j] += i * (p[j] - 2)
     return TruncatedSeries(order, _log_derivative_product(
-        b, order, 1, lambda bs, cs, n: _exact_div(sum(map(mul, bs, cs)), n)))
+        b, order, 1, lambda bs, cs, n: exact_div(
+            sum(map(mul, bs, cs)), n, "log-derivative recurrence")))
 
 
 @functools.lru_cache(maxsize=4)

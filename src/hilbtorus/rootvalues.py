@@ -22,16 +22,10 @@ from .cyclotomic import CycInt
 from .laurent import LaurentPoly
 from . import arith
 from . import coeffs
+from .arith import exact_div
 
 ROOT_ORDERS = (2, 3, 4, 6)
 SECTION_KS = (1, 2, 3, 4, 6)
-
-
-def _exact_div(num: int, den: int, what: str) -> int:
-    q, r = divmod(num, den)
-    if r:
-        raise ArithmeticError(f"{what}: {num} is not divisible by {den}")
-    return q
 
 
 def omega(d: int) -> int | CycInt:
@@ -89,7 +83,7 @@ def reduced_at_root(n: int, d: int) -> int | CycInt:
     P_n = C_n/(q-1)^2 and (w - 1)^2 = w (w + 1/w - 2)."""
     a = root_sequence(n, d)
     t = {2: -4, 3: -3, 4: -2, 6: -1}[d]  # w + 1/w - 2
-    return _POWERS[d][(n - 1) % d] * _exact_div(a, t, f"P_{n} at the order-{d} root")
+    return _POWERS[d][(n - 1) % d] * exact_div(a, t, f"P_{n} at the order-{d} root")
 
 
 def root_sequence(n: int, d: int) -> int:
@@ -124,9 +118,9 @@ def root_sequences(n: int, ds=ROOT_ORDERS) -> dict[int, int]:
         elif n % 3 == 0:
             values[d] = sign * r
         elif n % 3 == 1:
-            values[d] = sign * _exact_div(r, 4, f"a_6({n})")
+            values[d] = sign * exact_div(r, 4, f"a_6({n})")
         else:
-            values[d] = -sign * _exact_div(r, 2, f"a_6({n})")
+            values[d] = -sign * exact_div(r, 2, f"a_6({n})")
     return values
 
 
@@ -175,22 +169,22 @@ def section_formulas(n: int, ks=SECTION_KS) -> dict[int, int]:
             raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
     sig = arith.sigma(n)
     if 2 in ks or 4 in ks or 6 in ks:
-        quarter = _exact_div(arith.r2(n), 4, f"r({n})/4")
+        quarter = exact_div(arith.r2(n), 4, f"r({n})/4")
     values = {}
     for k in ks:
         if k == 1:
             values[k] = sig
         elif k == 2:
-            values[k] = _exact_div(sig + quarter, 2, f"s_2({n})")
+            values[k] = exact_div(sig + quarter, 2, f"s_2({n})")
         elif k == 3:
-            third = _exact_div(arith.r_hex(n), 3, f"r''({n})/3")
-            values[k] = _exact_div(sig + third, 3, f"s_3({n})")
+            third = exact_div(arith.r_hex(n), 3, f"r''({n})/3")
+            values[k] = exact_div(sig + third, 3, f"s_3({n})")
         elif k == 4:
             # i^(n-1) + i^(1-n) is 2, 0, -2, 0 as n-1 = 0, 1, 2, 3 mod 4
             trace = (2, 0, -2, 0)[(n - 1) % 4]
             sign = -1 if ((n - 1) // 2) % 2 else 1
-            term = sign * _exact_div(arith.r_prime(n) * trace, 2, f"r'({n}) term")
-            values[k] = _exact_div(sig + quarter + term, 4, f"s_4({n})")
+            term = sign * exact_div(arith.r_prime(n) * trace, 2, f"r'({n}) term")
+            values[k] = exact_div(sig + quarter + term, 4, f"s_4({n})")
         else:  # k == 6, by residue of n mod 3
             lam = arith.lambda_fn(n)
             m = n % 3
@@ -200,5 +194,5 @@ def section_formulas(n: int, ks=SECTION_KS) -> dict[int, int]:
                 total = sig + 3 * quarter + 2 * lam
             else:
                 total = sig + 3 * quarter - lam
-            values[k] = _exact_div(total, 6, f"s_6({n})")
+            values[k] = exact_div(total, 6, f"s_6({n})")
     return values

@@ -155,8 +155,3 @@ def _coerce(x, order: int) -> TruncatedSeries | None:
         return TruncatedSeries(order, [x])
     return None
 
-
-if __name__ == "__main__":
-    import doctest
-
-    doctest.testmod()

@@ -3,10 +3,12 @@
 Each suite checks one family of identities by computing the same numbers
 along genuinely different routes (closed form, polynomial evaluation,
 product expansion, number-theoretic formula) and insisting on exact
-agreement.  Suites raise VerificationError at the first failure with
-enough context to reproduce it; run_suites collects results instead of
-stopping, for the CLI, and reports any other exception a suite raises as
-that suite's failure, named by its type.
+agreement.  Every check is errors.expect(identity, index, got, want): a
+suite stops at the first failure with a VerificationError whose message,
+"identity at index: got != want", names the identity, where it failed and
+both values.  run_suites checks the suite names before running any, then
+collects results instead of stopping, for the CLI, and reports any other
+exception a suite raises as that suite's failure, named by its type.
 """
 
 from __future__ import annotations
@@ -18,20 +20,16 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import arith, coeffs, qseries, rootvalues, tables, zeta
-from .errors import VerificationError
+from .errors import VerificationError, expect
 from .laurent import LaurentPoly
 from .series import TruncatedSeries
 
 
 def _require_series_equal(got: TruncatedSeries, want: TruncatedSeries,
                           what: str) -> None:
-    if got.order != want.order:
-        raise VerificationError(
-            f"{what}: order mismatch {got.order} != {want.order}")
+    expect(what, "order", got.order, want.order)
     for n, (a, b) in enumerate(zip(got.coeffs, want.coeffs)):
-        if a != b:
-            raise VerificationError(
-                f"{what}: first mismatch at t^{n}: {a!r} != {b!r}")
+        expect(what, f"t^{n}", a, b)
 
 
 # -- suites ----------------------------------------------------------------
@@ -49,36 +47,25 @@ def verify_coeffs(max_n: int = 300, identity_order: int = 64,
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
         for i in range(n + 1):
-            want = (coeffs.central_coeff(n) if i == 0
-                    else coeffs.offcentral_coeff(n, i))
-            if cn.coeff(n + i) != want:
-                raise VerificationError(
-                    f"c_({n},{i}): divisor enumerator {cn.coeff(n + i)} "
-                    f"!= per-i closed form {want}")
-        recentered = cn.shift(-n)
-        if master.coeff(n) != recentered:
-            raise VerificationError(
-                f"master product t^{n} disagrees with closed-form C_{n}")
-        if square * coeffs.reduced_poly(n) != cn:
-            raise VerificationError(
-                f"(q-1)^2 * P_{n} != C_{n} (closed forms inconsistent)")
+            expect("c_(n,i): divisor enumerator vs per-i closed form",
+                   f"n={n}, i={i}", cn.coeff(n + i),
+                   coeffs.central_coeff(n) if i == 0
+                   else coeffs.offcentral_coeff(n, i))
+        expect("master product t^n vs closed-form C_n / q^n", f"n={n}",
+               master.coeff(n), cn.shift(-n))
+        expect("(q - 1)^2 P_n vs C_n", f"n={n}",
+               square * coeffs.reduced_poly(n), cn)
         table = coeffs.CoeffTables.build(n)
         table.check_linking()
         table_cache.append(table)
     for i in range(0, max_i + 1):
         a_series = coeffs.divisor_coeff_series(i, max_n)
         c_series = coeffs.c_coeff_series(i, max_n)
-        for n in range(1, max_n + 1):
-            table = table_cache[n - 1]
-            if a_series.coeff(n) != table.a_at(i):
-                raise VerificationError(
-                    f"a-generating series disagrees at n={n}, i={i}: "
-                    f"{a_series.coeff(n)} != {table.a_at(i)}")
-            want_c = table.c[i] if i <= n else 0
-            if c_series.coeff(n) != want_c:
-                raise VerificationError(
-                    f"c-generating series disagrees at n={n}, i={i}: "
-                    f"{c_series.coeff(n)} != {want_c}")
+        for n, table in enumerate(table_cache, 1):
+            expect("a-generating series vs a_(n,i)", f"n={n}, i={i}",
+                   a_series.coeff(n), table.a_at(i))
+            expect("c-generating series vs c_(n,i)", f"n={n}, i={i}",
+                   c_series.coeff(n), table.c[i] if i <= n else 0)
     coeffs.check_reduced_generating_identity(identity_order)
     return (f"n <= {max_n}: master product, closed forms, divisor route and "
             f"generating series (i <= {max_i}) agree; reduced generating "
@@ -101,24 +88,18 @@ def verify_roots(max_n: int = 2000, expansion_max_n: int = 500,
         pn = coeffs.reduced_poly(n) if n <= relation_max_n else None
         seqs = rootvalues.root_sequences(n)
         for d in rootvalues.ROOT_ORDERS:
-            evaluated = rootvalues.evaluate_at_root(cn, d)
+            at = f"n={n}, d={d}"
             seq = seqs[d]
-            if evaluated != seq * roots[d] ** (n % d):
-                raise VerificationError(
-                    f"a_{d}({n}) = {seq} inconsistent with C_{n} evaluation")
-            if n <= expansion_max_n and products[d].coeff(n) != seq:
-                raise VerificationError(
-                    f"a_{d}({n}): product expansion {products[d].coeff(n)} "
-                    f"!= closed form {seq}")
+            expect("C_n(w) evaluated vs a_d(n) w^n", at,
+                   rootvalues.evaluate_at_root(cn, d), seq * roots[d] ** (n % d))
+            if n <= expansion_max_n:
+                expect("a_d(n): product expansion vs closed form", at,
+                       products[d].coeff(n), seq)
             if pn is not None:
-                lhs = (qseries.ROOT_TRACE[d] - 2) * rootvalues.evaluate_at_root(pn, d)
-                if lhs != seq * roots[d] ** ((n - 1) % d):
-                    raise VerificationError(
-                        f"(w + 1/w - 2) P_{n}(w) != a_{d}({n}) w^(n-1) "
-                        f"for d={d}")
-        if (seqs[6] == 0) != (seqs[2] == 0):
-            raise VerificationError(
-                f"a_6({n}) and a_2({n}) do not vanish together")
+                expect("(w + 1/w - 2) P_n(w) vs a_d(n) w^(n-1)", at,
+                       (qseries.ROOT_TRACE[d] - 2) * rootvalues.evaluate_at_root(pn, d),
+                       seq * roots[d] ** ((n - 1) % d))
+        expect("a_6(n) = 0 vs a_2(n) = 0", f"n={n}", seqs[6] == 0, seqs[2] == 0)
     return (f"n <= {max_n}: closed forms, cyclotomic evaluation and product "
             f"expansion (n <= {expansion_max_n}) agree for d in 2, 3, 4, 6; "
             f"reduced-polynomial relation holds for n <= {relation_max_n}")
@@ -191,12 +172,10 @@ def verify_qseries(order: int = 2000) -> str:
     )
     for which, block in enumerate(blocks):
         for e, c in enumerate(block.coeffs):
-            if c and e % 4:
-                raise VerificationError(
-                    f"multisection block {which} has a t^{e} term")
-            if c < 0:
-                raise VerificationError(
-                    f"multisection block {which} has negative t^{e} term")
+            at = f"block {which}, t^{e}"
+            if e % 4:
+                expect("multisection block off the exponents 4k", at, c, 0)
+            expect("multisection block vs its absolute value", at, c, abs(c))
     signs = (1, -2, -2, 4)
     signed = [0] * (order + 1)
     unsigned = [0] * (order + 1)
@@ -216,30 +195,26 @@ def verify_qseries(order: int = 2000) -> str:
 def verify_arith(max_n: int = 10000) -> str:
     """Number-theoretic laws used by the closed forms."""
     for n in range(1, max_n + 1):
+        at = f"n={n}"
         m3 = n // 3 if n % 3 == 0 else 0
-        if arith.lambda_fn(n) != arith.excess_e1(n) - 3 * arith.excess_e1(m3):
-            raise VerificationError(f"excess formula fails at n={n}")
-        if arith.r2(n) % 4:
-            raise VerificationError(f"r({n}) = {arith.r2(n)} not divisible by 4")
-        if arith.r_hex(n) != 6 * arith.excess_e1(n):
-            raise VerificationError(f"hexagonal count at n={n} is not 6 E_1")
-        if arith.middle_divisors(n) != coeffs.divisor_coeff(n, 0):
-            raise VerificationError(
-                f"middle-divisor count disagrees with a_({n},0)")
+        expect("lambda(n) vs E_1(n) - 3 E_1(n/3)", at, arith.lambda_fn(n),
+               arith.excess_e1(n) - 3 * arith.excess_e1(m3))
+        expect("r(n) mod 4", at, arith.r2(n) % 4, 0)
+        expect("r''(n) vs 6 E_1(n)", at, arith.r_hex(n), 6 * arith.excess_e1(n))
+        expect("middle divisors vs a_(n,0)", at, arith.middle_divisors(n),
+               coeffs.divisor_coeff(n, 0))
         # P_n(1): a run lo..hi adds 1 at i = 0 and 2 at each i >= 1
         total = sum(2 * (hi - lo) + (1 if lo == 0 else 2)
                     for lo, hi in coeffs.divisor_intervals(n))
-        if total != arith.sigma(n):
-            raise VerificationError(
-                f"coefficient sum of P_{n} differs from sigma({n})")
+        expect("P_n(1) over divisor runs vs sigma(n)", at, total, arith.sigma(n))
     pairs = 0
     for m in range(2, math.isqrt(max_n) + 1):
         for n in range(m + 1, max_n // m + 1):
             if math.gcd(m, n) == 1:
                 pairs += 1
-                if arith.lambda_fn(m * n) != arith.lambda_fn(m) * arith.lambda_fn(n):
-                    raise VerificationError(
-                        f"multiplicativity fails at ({m}, {n})")
+                expect("lambda(mn) vs lambda(m) lambda(n)", f"m={m}, n={n}",
+                       arith.lambda_fn(m * n),
+                       arith.lambda_fn(m) * arith.lambda_fn(n))
     return (f"n <= {max_n}: excess formula, divisibility, hexagonal and "
             f"middle-divisor laws, sigma law; multiplicativity on "
             f"{pairs} coprime pairs")
@@ -251,11 +226,8 @@ def verify_sections(max_n: int = 1000) -> str:
     for n in range(1, max_n + 1):
         formulas = rootvalues.section_formulas(n)
         for k in rootvalues.SECTION_KS:
-            direct = rootvalues.section_direct(n, k)
-            formula = formulas[k]
-            if direct != formula:
-                raise VerificationError(
-                    f"s_{k}({n}): direct {direct} != formula {formula}")
+            expect("s_k(n): divisor runs vs closed formula", f"n={n}, k={k}",
+                   rootvalues.section_direct(n, k), formulas[k])
     return f"n <= {max_n}: direct and closed-form sections agree for k in 1, 2, 3, 4, 6"
 
 
@@ -263,31 +235,29 @@ def verify_tables(max_n: int = 18) -> str:
     """Every table cell recomputed along an independent route."""
     small = min(max_n, 12)
     for (n, _text, at_minus1) in tables.table_data(1, small)["rows"]:
-        if at_minus1 != arith.r2(n):
-            raise VerificationError(f"C_{n}(-1) != r({n})")
+        expect("table 1 C_n(-1) vs r(n)", f"n={n}", at_minus1, arith.r2(n))
     for (n, _text, at1, atm1, absj, absi, central) in tables.table_data(2, small)["rows"]:
-        if at1 != arith.sigma(n):
-            raise VerificationError(f"P_{n}(1) != sigma({n})")
-        if 4 * atm1 != arith.r2(n):
-            raise VerificationError(f"P_{n}(-1) != r({n})/4")
-        if absj != abs(arith.lambda_fn(n)):
-            raise VerificationError(f"|P_{n}| at the third root is off")
-        if 2 * absi != arith.r_prime(n):
-            raise VerificationError(f"|P_{n}| at the fourth root is off")
-        if central != arith.middle_divisors(n):
-            raise VerificationError(f"central coefficient of P_{n} is off")
+        at = f"n={n}"
+        expect("table 2 P_n(1) vs sigma(n)", at, at1, arith.sigma(n))
+        expect("table 2 4 P_n(-1) vs r(n)", at, 4 * atm1, arith.r2(n))
+        expect("table 2 |P_n(j)| vs |lambda(n)|", at, absj, abs(arith.lambda_fn(n)))
+        expect("table 2 2 |P_n(i)| vs r'(n)", at, 2 * absi, arith.r_prime(n))
+        expect("table 2 a_(n,0) vs middle divisors", at, central,
+               arith.middle_divisors(n))
     for row in tables.table_data(3, max_n)["rows"]:
         n = row[0]
         for d, cell in zip(rootvalues.ROOT_ORDERS, row[1:]):
-            value = rootvalues.evaluate_at_root(coeffs.count_poly(n), d)
-            if (value != rootvalues.count_at_root(n, d)
-                    or abs(rootvalues.root_sequence(n, d)) != cell):
-                raise VerificationError(f"|a_{d}({n})| cell is off")
+            at = f"n={n}, d={d}"
+            expect("C_n(w) evaluated vs count_at_root", at,
+                   rootvalues.evaluate_at_root(coeffs.count_poly(n), d),
+                   rootvalues.count_at_root(n, d))
+            expect("table 3 |a_d(n)| vs closed form", at, cell,
+                   abs(rootvalues.root_sequence(n, d)))
     for row in tables.table_data(4, max_n)["rows"]:
         n = row[0]
         for k, cell in zip((2, 3, 4, 6), row[1:]):
-            if cell != rootvalues.section_direct(n, k):
-                raise VerificationError(f"s_{k}({n}) cell is off")
+            expect("table 4 s_k(n) vs divisor runs", f"n={n}, k={k}", cell,
+                   rootvalues.section_direct(n, k))
     return (f"tables 1-2 (n <= {small}) and 3-4 (n <= {max_n}) consistent "
             f"with the independent routes")
 
@@ -312,24 +282,15 @@ SUITES: dict[str, Callable[..., str]] = {
     "tables": verify_tables,
 }
 
-# which keyword each suite understands, for the CLI overrides
-_SIZE_KEYWORD = {
-    "coeffs": "max_n",
-    "roots": "max_n",
-    "zeta": "max_n",
-    "qseries": None,
-    "arith": "max_n",
-    "sections": "max_n",
-    "tables": "max_n",
-}
-_ORDER_KEYWORD = {
-    "coeffs": "identity_order",
-    "roots": "expansion_max_n",
-    "zeta": None,
-    "qseries": "order",
-    "arith": None,
-    "sections": None,
-    "tables": None,
+# the keyword that --max-n and --order set in each suite; None: ignored
+_FLAG_KEYWORDS = {
+    "coeffs": ("max_n", "identity_order"),
+    "roots": ("max_n", "expansion_max_n"),
+    "zeta": ("max_n", None),
+    "qseries": (None, "order"),
+    "arith": ("max_n", None),
+    "sections": ("max_n", None),
+    "tables": ("max_n", None),
 }
 
 
@@ -337,18 +298,19 @@ def run_suites(names: list[str] | None = None,
                max_n: int | None = None,
                order: int | None = None) -> list[SuiteResult]:
     """Run the named suites (all by default) and collect results; a suite
-    that raises fails alone and the rest still run."""
+    that raises fails alone and the rest still run.  Raises ValueError,
+    naming every unknown suite, before any suite runs."""
     chosen = list(SUITES) if names is None else names
+    unknown = [name for name in chosen if name not in SUITES]
+    if unknown:
+        raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "
+                         f"known: {', '.join(SUITES)}")
     results = []
     for name in chosen:
-        if name not in SUITES:
-            raise ValueError(
-                f"unknown suite {name!r}; known: {', '.join(SUITES)}")
         kwargs = {}
-        if max_n is not None and _SIZE_KEYWORD[name]:
-            kwargs[_SIZE_KEYWORD[name]] = max_n
-        if order is not None and _ORDER_KEYWORD[name]:
-            kwargs[_ORDER_KEYWORD[name]] = order
+        for keyword, value in zip(_FLAG_KEYWORDS[name], (max_n, order)):
+            if keyword and value is not None:
+                kwargs[keyword] = value
         start = time.perf_counter()
         try:
             detail = SUITES[name](**kwargs)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import VerificationError
+from .errors import expect
 from . import coeffs
 
 
@@ -102,10 +102,8 @@ def zeta_series_check(n: int, q0: int, terms: int) -> None:
         x = q0 ** m
         lhs = sum(mult * x ** e for e, mult in z.factors)
         rhs = (x - 1) ** 2 * pn.evaluate_int(x)
-        if lhs != rhs:
-            raise VerificationError(
-                f"zeta log-derivative mismatch for n={n}, q0={q0}, t^{m}: "
-                f"{lhs} != {rhs}")
+        expect("zeta log-derivative vs point count", f"n={n}, q0={q0}, t^{m}",
+               lhs, rhs)
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,10 @@ def functional_equation_check(n: int) -> FunctionalEquationCertificate:
         multiplicity_sum=sum(m for _, m in z.factors),
         central_multiplicity=mm.get(n, 0),
     )
-    if not cert.ok:
-        raise VerificationError(
-            f"functional equation certificate failed for n={n}: {cert}")
+    expect("functional-equation certificate (palindromic, sum m(e), m(n) mod 2)",
+           f"n={n}",
+           (cert.palindromic, cert.multiplicity_sum, cert.central_multiplicity % 2),
+           (True, 0, 0))
     return cert
 
 

@@ -205,18 +205,19 @@ def test_verify_help_names_what_each_flag_sets(capsys):
         main(["verify", "--help"])
     options = " ".join(capsys.readouterr().out.split()).split("options:", 1)[1]
     max_n_help, order_help = options.split("--max-n MAX_N", 1)[1].split("--order ORDER")
-    for name, keyword in verify._SIZE_KEYWORD.items():
-        want = f"{name} ignores it" if keyword is None else name
-        assert keyword in (None, "max_n") and want in max_n_help, (name, keyword)
-    for name, keyword in verify._ORDER_KEYWORD.items():
-        want = "the other suites ignore it" if keyword is None else f"{keyword} of {name}"
-        assert want in order_help, (name, keyword)
+    for name, (size, order) in verify._FLAG_KEYWORDS.items():
+        want = f"{name} ignores it" if size is None else name
+        assert size in (None, "max_n") and want in max_n_help, (name, size)
+        want = "the other suites ignore it" if order is None else f"{order} of {name}"
+        assert want in order_help, (name, order)
 
 
 def test_verify_unknown_suite(capsys):
-    code, out, err = run(capsys, "verify", "--suite", "nonsense")
+    code, out, err = run(capsys, "verify", "--suite", "nonsense,zeta", "--suite", "bogus")
     assert code == 2
-    assert "unknown suite" in err
+    assert out == ""
+    assert err == (f"unknown suite(s): nonsense, bogus; "
+                   f"known: {', '.join(verify.SUITES)}\n")
 
 
 @pytest.mark.parametrize("suite", [",", ""])

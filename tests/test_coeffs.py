@@ -214,9 +214,13 @@ def test_coeff_tables_boundaries():
 
 def test_corrupted_linking_detected():
     t = CoeffTables.build(6)
-    bad = CoeffTables(6, tuple([t.c[0] + 1]) + t.c[1:], t.a)
-    with pytest.raises(VerificationError):
-        bad.check_linking()
+    for i in (0, 3):  # the boundary form at i = 0, the interior form at i >= 1
+        bad = CoeffTables(6, t.c[:i] + (t.c[i] + 1,) + t.c[i + 1:], t.a)
+        with pytest.raises(VerificationError) as info:
+            bad.check_linking()
+        exc = info.value
+        assert (exc.index, exc.got, exc.want) == (f"n=6, i={i}", t.c[i] + 1, t.c[i])
+        assert str(exc) == f"{exc.identity} at n=6, i={i}: {t.c[i] + 1} != {t.c[i]}"
 
 
 def test_divisor_coeff_series():

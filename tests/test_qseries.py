@@ -6,8 +6,9 @@ TruncatedSeries arithmetic, and the eta-quotient expander is pinned to the
 classical discriminant series and to the sparse sums of Euler's and Jacobi's
 identities.  The log-derivative recurrence behind the root and master
 products is checked against the literal factor-by-factor feedback kernel it
-replaced (a property test draws the root order and truncation), and qseries
-must import none of the closed-form modules it is an oracle for.
+replaced (a property test draws the root order and truncation), a second
+property test draws (d, n <= 2000) against the closed form a_d(n), and
+qseries must import none of the closed-form modules it is an oracle for.
 """
 
 import ast
@@ -16,13 +17,13 @@ from pathlib import Path
 import pytest
 
 import hilbtorus.qseries
+from hilbtorus.arith import exact_div
 from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import (
     ABS_QUARTIC_ETA_SPEC,
     ROOT_ETA_SPECS,
     ROOT_TRACE,
     EtaQuotientSpec,
-    _exact_div,
     eta_quotient_series,
     expand_master_product,
     expand_root_product,
@@ -146,9 +147,9 @@ def test_root_product_matches_naive_series():
 
 
 def test_recurrence_division_is_checked():
-    assert _exact_div(-12, 4) == -3
-    with pytest.raises(ArithmeticError):
-        _exact_div(7, 2)
+    assert exact_div(-12, 4, "recurrence") == -3
+    with pytest.raises(ArithmeticError, match="^recurrence: 7 is not divisible by 2$"):
+        exact_div(7, 2, "recurrence")
 
 
 def test_root_product_matches_literal_feedback():
@@ -168,6 +169,19 @@ def test_root_product_property():
         assert s == _literal_feedback(ROOT_TRACE[d], 1, order)
         assert [s.coeff(n) for n in range(1, order + 1)] == [
             root_sequence(n, d) for n in range(1, order + 1)]
+
+    check()
+
+
+def test_root_product_matches_closed_form_to_2000():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
+    @hypothesis.given(d=st.sampled_from(sorted(ROOT_TRACE)),
+                      n=st.integers(1, 2000))
+    def check(d, n):
+        assert expand_root_product(d, 2000).coeff(n) == root_sequence(n, d)
 
     check()
 

@@ -1,0 +1,77 @@
+"""Tests for the check primitive and the verify harness around it.
+
+expect is the one place a VerificationError is raised, so a failed
+identity always carries its name, index and both values.  Each mutation
+test below puts one route off by one and checks the witness the suite
+raises; the harness must reject unknown suite names before running any
+suite, and every keyword the --max-n/--order table names must be a
+parameter of its suite.
+"""
+
+import inspect
+
+import pytest
+
+from hilbtorus import arith, rootvalues, verify
+from hilbtorus.errors import VerificationError, expect
+from hilbtorus.laurent import LaurentPoly
+
+
+def assert_witness(exc, identity, index):
+    assert (exc.identity, exc.index) == (identity, index)
+    assert exc.got != exc.want
+    assert str(exc) == f"{identity} at {index}: {exc.got!r} != {exc.want!r}"
+
+
+def test_expect_raises_only_on_inequality():
+    expect("x vs y", "n=1", LaurentPoly({1: 2}), LaurentPoly({1: 2}))
+    with pytest.raises(VerificationError) as info:
+        expect("x vs y", "n=3", LaurentPoly({1: 2}), LaurentPoly({1: 3}))
+    assert str(info.value) == (
+        "x vs y at n=3: LaurentPoly({1: 2}) != LaurentPoly({1: 3})")
+    assert info.value.args == ("x vs y", "n=3", LaurentPoly({1: 2}),
+                               LaurentPoly({1: 3}))
+
+
+def test_sigma_off_by_one_fails_arith(monkeypatch):
+    good = arith.sigma
+    monkeypatch.setattr(arith, "sigma", lambda n: good(n) + (n == 7))
+    with pytest.raises(VerificationError) as info:
+        verify.verify_arith(max_n=10)
+    assert_witness(info.value, "P_n(1) over divisor runs vs sigma(n)", "n=7")
+    assert (info.value.got, info.value.want) == (8, 9)
+    [result] = verify.run_suites(["arith"], max_n=10)
+    assert not result.ok
+    assert result.detail == str(info.value)
+
+
+def test_table_cell_off_by_one_fails_tables(monkeypatch):
+    good = rootvalues.section_formulas
+
+    def shifted(n, ks=rootvalues.SECTION_KS):
+        values = good(n, ks)
+        if n == 5:
+            values[4] += 1
+        return values
+
+    monkeypatch.setattr(rootvalues, "section_formulas", shifted)
+    with pytest.raises(VerificationError) as info:
+        verify.verify_tables(max_n=6)
+    assert_witness(info.value, "table 4 s_k(n) vs divisor runs", "n=5, k=4")
+    assert info.value.got == info.value.want + 1
+
+
+def test_run_suites_rejects_unknown_names_before_running(monkeypatch):
+    ran = []
+    monkeypatch.setitem(verify.SUITES, "zeta", lambda **kwargs: ran.append("zeta"))
+    with pytest.raises(ValueError, match=r"^unknown suite\(s\): nope, bad; known: "):
+        verify.run_suites(["zeta", "nope", "tables", "bad"])
+    assert ran == []
+
+
+def test_flag_keywords_are_suite_parameters():
+    assert list(verify._FLAG_KEYWORDS) == list(verify.SUITES)
+    for name, keywords in verify._FLAG_KEYWORDS.items():
+        params = inspect.signature(getattr(verify, f"verify_{name}")).parameters
+        for keyword in keywords:
+            assert keyword is None or keyword in params, (name, keyword)

@@ -82,8 +82,13 @@ def test_series_check_detects_corruption(monkeypatch):
         return good(n) + LaurentPoly({n + 1: 1, n - 1: 1})
 
     monkeypatch.setattr(zeta.coeffs, "count_poly", corrupted)
-    with pytest.raises(VerificationError):
+    with pytest.raises(VerificationError) as info:
         zeta_series_check(5, 2, 3)
+    exc = info.value
+    assert (exc.identity, exc.index) == ("zeta log-derivative vs point count",
+                                         "n=5, q0=2, t^1")
+    assert exc.got - exc.want == 2 ** 6 + 2 ** 4  # the two corrupted factors
+    assert str(exc) == f"{exc.identity} at {exc.index}: {exc.got!r} != {exc.want!r}"
 
 
 def test_functional_equation_certificates():
