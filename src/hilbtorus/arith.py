@@ -1,21 +1,18 @@
 """Elementary arithmetic functions used by the closed-form counts.
 
-Everything here is exact integer arithmetic; square roots go through
-math.isqrt and lattice counts enumerate actual representations, so these
-functions double as independent oracles for the q-series identities.
+Everything here is exact integer arithmetic.  factorize is the one
+primitive: divisors, sigma, lambda and the lattice counts r, r', r'' are
+read off the factorization, the counts as products over split and inert
+primes (Jacobi's two-square theorem and its analogues for x^2 + 2y^2 and
+x^2 + xy + y^2).  lattice_counts enumerates the lattice points themselves;
+it is the independent route that verify's arith suite checks those
+products against.
 """
 
 from __future__ import annotations
 
 import functools
 from math import isqrt
-
-
-def is_square(n: int) -> bool:
-    if n < 0:
-        return False
-    r = isqrt(n)
-    return r * r == n
 
 
 def exact_div(num: int, den: int, what: str) -> int:
@@ -26,9 +23,10 @@ def exact_div(num: int, den: int, what: str) -> int:
     return q
 
 
-# Enough for every n <= 10^4 that verify's arith suite factorizes; a bound,
-# so that long runs such as compute sections over a wide range keep a
-# fixed footprint.
+# Enough for every n <= 10^4 that verify's arith suite factorizes, which
+# covers the 2n <= 4000 that count_poly factorizes for the roots suite; a
+# bound, so that long runs such as compute sections over a wide range keep
+# a fixed footprint.
 FACTORIZE_CACHE_SIZE = 1 << 14
 
 
@@ -67,18 +65,17 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(n: int) -> list[int]:
-    """All positive divisors, ascending."""
+    """All positive divisors, ascending: the products of n's prime powers."""
     if n < 1:
         raise ValueError("divisors expects n >= 1")
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    out = [1]
+    for p, e in factorize(n):
+        power = out
+        for _ in range(e):
+            power = [d * p for d in power]
+            out += power
+    out.sort()
+    return out
 
 
 def sigma(n: int) -> int:
@@ -89,61 +86,51 @@ def sigma(n: int) -> int:
     return total
 
 
-def r2(n: int) -> int:
-    """Number of (x, y) in Z^2 with x^2 + y^2 = n."""
+def _form_count(n: int, name: str, units: int, modulus: int, split) -> int:
+    """units * prod (e + 1) over the split primes p^e || n (p mod modulus in
+    split), or 0 if an inert prime has an odd exponent e.  The one prime
+    dividing modulus ramifies and contributes 1; every other prime is inert."""
     if n < 0:
-        raise ValueError("r2 expects n >= 0")
+        raise ValueError(f"{name} expects n >= 0")
     if n == 0:
         return 1
-    count = 0
-    for x in range(isqrt(n) + 1):
-        rem = n - x * x
-        if rem == 0:
-            count += 1 if x == 0 else 2
-        elif is_square(rem):
-            count += 2 if x == 0 else 4
-    return count
+    total = units
+    for p, e in factorize(n):
+        if p % modulus in split:
+            total *= e + 1
+        elif modulus % p and e % 2:
+            return 0
+    return total
+
+
+def r2(n: int) -> int:
+    """Number of (x, y) in Z^2 with x^2 + y^2 = n; split p = 1 mod 4."""
+    return _form_count(n, "r2", 4, 4, (1,))
 
 
 def r_prime(n: int) -> int:
-    """Number of (x, y) in Z^2 with x^2 + 2 y^2 = n."""
-    if n < 0:
-        raise ValueError("r_prime expects n >= 0")
-    if n == 0:
-        return 1
-    count = 0
-    y = 0
-    while 2 * y * y <= n:
-        rem = n - 2 * y * y
-        if rem == 0:
-            count += 1 if y == 0 else 2
-        elif is_square(rem):
-            count += 2 if y == 0 else 4
-        y += 1
-    return count
+    """Number of (x, y) in Z^2 with x^2 + 2 y^2 = n; split p = 1, 3 mod 8."""
+    return _form_count(n, "r_prime", 2, 8, (1, 3))
 
 
 def r_hex(n: int) -> int:
-    """Number of (x, y) in Z^2 with x^2 + x y + y^2 = n.
+    """Number of (x, y) in Z^2 with x^2 + x y + y^2 = n; split p = 1 mod 3."""
+    return _form_count(n, "r_hex", 6, 3, (1,))
 
-    For fixed x the equation is quadratic in y with discriminant 4n - 3x^2,
-    so one pass over x with an exact square test covers the whole lattice.
-    """
-    if n < 0:
-        raise ValueError("r_hex expects n >= 0")
-    if n == 0:
-        return 1
-    count = 0
-    x = 0
-    while 3 * x * x <= 4 * n:
-        disc = 4 * n - 3 * x * x
-        d = isqrt(disc)
-        if d * d == disc:
-            for s in ((d,) if d == 0 else (d, -d)):
-                if (s - x) % 2 == 0:
-                    count += 1 if x == 0 else 2  # x and -x give distinct pairs
-        x += 1
-    return count
+
+def lattice_counts(b: int, c: int, limit: int) -> list[int]:
+    """[#{(x, y) in Z^2 : x^2 + b x y + c y^2 = m} for m in 0..limit] for a
+    positive definite form, visiting each point of the ellipse once: with
+    D = 4c - b^2 > 0, 4 (x^2 + bxy + cy^2) = (2x + by)^2 + D y^2."""
+    disc = 4 * c - b * b
+    counts = [0] * (limit + 1)
+    ymax = isqrt(4 * limit // disc)
+    for y in range(-ymax, ymax + 1):
+        s = isqrt(4 * limit - disc * y * y)  # |2x + by| <= s
+        cy2 = c * y * y
+        for x in range(-((s + b * y) // 2), (s - b * y) // 2 + 1):
+            counts[x * (x + b * y) + cy2] += 1
+    return counts
 
 
 def excess_e1(n: int) -> int:

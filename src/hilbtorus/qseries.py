@@ -12,16 +12,19 @@ expansions are the independent oracle against which the closed forms in
 coeffs.py and rootvalues.py are checked, so none of them may consult those
 closed forms.
 
-The master product and its root specializations share one recurrence,
-Euler's logarithmic derivative.  With p_j = w^j + w^-j for the roots w, 1/w
-of 1 - u x + x^2, the expansion F = sum c_n t^n has c_0 = 1 and
+The master product, its root specializations and Gauss's product share one
+recurrence, Euler's logarithmic derivative.  With p_j = w^j + w^-j for the
+roots w, 1/w of 1 - u x + x^2, the expansion F = sum c_n t^n has c_0 = 1 and
 
     n c_n = sum_{k=1..n} b_k c_{n-k},    b_k = sum_{ij=k} i (p_j - 2),
 
 since t F'/F = sum b_k t^k; each division by n is checked exact.  At a root
 of unity p_j is an int from the literal trace u (p_0 = 2, p_1 = u,
-p_j = u p_{j-1} - p_{j-2}), so no eta rewriting enters; for the master
-product p_j = q^j + q^-j, on sparse {exponent: coeff} rows.  An eta factor
+p_j = u p_{j-1} - p_{j-2}), so no eta rewriting enters, and the scalar
+recurrence pushes each nonzero c_n into every later sum at once; for the
+master product p_j = q^j + q^-j, and each c_n is summed on a dense row of
+exponents from the sparse (exponent, coeff) terms of the earlier rows.  For
+Gauss's product b_k = -2 sum_{ij=k, j odd} i.  An eta factor
 prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
 ~2 sqrt(2N / (3 scale)) nonzero terms below order N.
 """
@@ -30,10 +33,9 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add
 
 from .arith import exact_div
 from .laurent import LaurentPoly
@@ -44,31 +46,20 @@ from .series import TruncatedSeries
 ROOT_TRACE = {2: -2, 3: -1, 4: 0, 6: 1}
 
 
-def _log_derivative_product(b: list, order: int, one, dot) -> list:
-    """c_0..c_order with c_0 = one and n c_n = sum_{k=1..n} b_k c_{n-k}, where
-    dot(bs, cs, n) returns c_n from bs = b_1..b_n and cs = c_{n-1}..c_0."""
-    c = [one]
-    for n in range(1, order + 1):
-        c.append(dot(b[1:n + 1], reversed(c), n))
+def _log_derivative_series(b: list, order: int) -> list:
+    """c_0..c_order with c_0 = 1 and n c_n = sum_{k=1..n} b_k c_{n-k}.
+
+    Push style: acc[m] collects the sum for c_m, and once c_n is final it is
+    added, times b_1..b_(order-n), into acc[n+1..order] in one pass; a zero
+    c_n costs nothing."""
+    acc = [0] * (order + 1)
+    c = []
+    for n in range(order + 1):
+        cn = exact_div(acc[n], n, "log-derivative recurrence") if n else 1
+        c.append(cn)
+        if cn:
+            acc[n + 1:] = map(add, acc[n + 1:], map(cn.__mul__, b[1:order - n + 1]))
     return c
-
-
-def _laurent_dot(hs, cs, n: int) -> dict:
-    """c_n for Laurent rows, from the halves h_k of b_k = h_k(q) + h_k(1/q):
-    every row is palindromic (F is invariant under q -> 1/q), so b_k c_m is
-    h_k c_m plus its mirror image and only h_k c_m is multiplied out."""
-    acc = defaultdict(int)
-    for h, row in zip(hs, cs):
-        row = row.items()
-        for e1, v1 in h.items():
-            for e2, v2 in row:
-                acc[e1 + e2] += v1 * v2
-    out = {}
-    for e in set(map(abs, acc)):
-        v = acc.get(e, 0) + acc.get(-e, 0)
-        if v:
-            out[e] = out[-e] = exact_div(v, n, "log-derivative recurrence")
-    return out
 
 
 @functools.lru_cache(maxsize=16)
@@ -85,40 +76,49 @@ def expand_root_product(d: int, order: int) -> TruncatedSeries:
     for i in range(1, order + 1):
         for j in range(1, order // i + 1):
             b[i * j] += i * (p[j] - 2)
-    return TruncatedSeries(order, _log_derivative_product(
-        b, order, 1, lambda bs, cs, n: exact_div(
-            sum(map(mul, bs, cs)), n, "log-derivative recurrence")))
+    return TruncatedSeries(order, _log_derivative_series(b, order))
 
 
 @functools.lru_cache(maxsize=4)
 def expand_master_product(order: int) -> TruncatedSeries:
     """The two-variable master product: the t^n coefficient is C_n(q)/q^n,
-    with b_k = h_k(q) + h_k(1/q) for h_k = sum_{ij=k} i (q^j - 1)."""
-    h = [{} for _ in range(order + 1)]
+    with b_k = h_k(q) + h_k(1/q) for h_k = sum_{ij=k} i (q^j - 1).
+
+    Every row is palindromic (F is invariant under q -> 1/q), so b_k c_m is
+    h_k c_m plus its mirror image: n c_n sums h_k c_(n-k) over k into one
+    dense list over the exponents -n..n, then adds that list's reverse."""
+    h = [[] for _ in range(order + 1)]  # (exponent, coefficient) terms
     for i in range(1, order + 1):
         for j in range(1, order // i + 1):
-            row = h[i * j]
-            row[j] = i
-            row[0] = row.get(0, 0) - i
-    rows = _log_derivative_product(h, order, {0: 1}, _laurent_dot)
-    return TruncatedSeries(order, [LaurentPoly(row) for row in rows])
+            h[i * j].append((j, i))
+    for k in range(1, order + 1):
+        h[k].append((0, -sum(i for _, i in h[k])))
+    rows = [[(0, 1)]]  # the nonzero (exponent, coefficient) terms of c_m
+    for n in range(1, order + 1):
+        acc = [0] * (2 * n + 1)  # exponent e at index n + e
+        for k in range(1, n + 1):
+            row = rows[n - k]
+            for e1, v1 in h[k]:
+                base = n + e1
+                for e2, v2 in row:
+                    acc[base + e2] += v1 * v2
+        rows.append([(e, exact_div(v, n, "log-derivative recurrence"))
+                     for e, v in enumerate(map(add, acc, reversed(acc)), -n)
+                     if v])
+    return TruncatedSeries(order, [LaurentPoly(dict(row)) for row in rows])
 
 
 # -- Gauss's product and the theta series ----------------------------------
 
 @functools.lru_cache(maxsize=4)
 def gauss_series(order: int) -> TruncatedSeries:
-    """prod_{i>=1} (1 - t^i)/(1 + t^i) expanded factor by factor: multiply
-    by (1 - t^i) walking down, then divide by (1 + t^i) walking up."""
-    n1 = order + 1
-    c = [0] * n1
-    c[0] = 1
-    for i in range(1, n1):
-        for m in range(order, i - 1, -1):
-            c[m] -= c[m - i]
-        for m in range(i, n1):
-            c[m] -= c[m - i]
-    return TruncatedSeries(order, c)
+    """prod_{i>=1} (1 - t^i)/(1 + t^i) by the log-derivative recurrence:
+    t d/dt log of the product is sum_k b_k t^k, b_k = -2 sum_{ij=k, j odd} i."""
+    b = [0] * (order + 1)
+    for i in range(1, order + 1):
+        for k in range(i, order + 1, 2 * i):
+            b[k] -= 2 * i
+    return TruncatedSeries(order, _log_derivative_series(b, order))
 
 
 def gauss_theta_series(order: int) -> TruncatedSeries:

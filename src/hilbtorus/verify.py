@@ -193,14 +193,32 @@ def verify_qseries(order: int = 2000) -> str:
 
 
 def verify_arith(max_n: int = 10000) -> str:
-    """Number-theoretic laws used by the closed forms."""
+    """Number-theoretic laws used by the closed forms, and the product forms
+    of divisors and the lattice counts against routes that never factorize:
+    a lattice sweep for each form, and a divisor sieve."""
+    sweeps = [(name, form, arith.lattice_counts(b, c, max_n))
+              for name, form, b, c in (("r", arith.r2, 0, 1),
+                                       ("r'", arith.r_prime, 0, 2),
+                                       ("r''", arith.r_hex, 1, 1))]
+    dcount, dsum = [0] * (max_n + 1), [0] * (max_n + 1)
+    for d in range(1, max_n + 1):
+        for m in range(d, max_n + 1, d):
+            dcount[m] += 1
+            dsum[m] += d
+    e1 = [0]  # E_1(0) = 0 stands in for E_1(n/3) when 3 does not divide n
     for n in range(1, max_n + 1):
         at = f"n={n}"
-        m3 = n // 3 if n % 3 == 0 else 0
+        e1.append(arith.excess_e1(n))
         expect("lambda(n) vs E_1(n) - 3 E_1(n/3)", at, arith.lambda_fn(n),
-               arith.excess_e1(n) - 3 * arith.excess_e1(m3))
+               e1[n] - 3 * e1[n // 3 if n % 3 == 0 else 0])
         expect("r(n) mod 4", at, arith.r2(n) % 4, 0)
-        expect("r''(n) vs 6 E_1(n)", at, arith.r_hex(n), 6 * arith.excess_e1(n))
+        expect("r''(n) vs 6 E_1(n)", at, arith.r_hex(n), 6 * e1[n])
+        for name, form, counts in sweeps:
+            expect(f"{name}(n): product form vs lattice sweep", at, form(n),
+                   counts[n])
+        ds = arith.divisors(n)
+        expect("divisors(n): count and sum vs divisor sieve", at,
+               (len(ds), sum(ds)), (dcount[n], dsum[n]))
         expect("middle divisors vs a_(n,0)", at, arith.middle_divisors(n),
                coeffs.divisor_coeff(n, 0))
         # P_n(1): a run lo..hi adds 1 at i = 0 and 2 at each i >= 1
@@ -216,8 +234,9 @@ def verify_arith(max_n: int = 10000) -> str:
                        arith.lambda_fn(m * n),
                        arith.lambda_fn(m) * arith.lambda_fn(n))
     return (f"n <= {max_n}: excess formula, divisibility, hexagonal and "
-            f"middle-divisor laws, sigma law; multiplicativity on "
-            f"{pairs} coprime pairs")
+            f"middle-divisor laws, sigma law, product forms of r, r' and r'' "
+            f"vs lattice sweeps, divisors vs divisor sieve; multiplicativity "
+            f"on {pairs} coprime pairs")
 
 
 def verify_sections(max_n: int = 1000) -> str:

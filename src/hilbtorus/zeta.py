@@ -113,11 +113,6 @@ class FunctionalEquationCertificate:
     multiplicity_sum: int
     central_multiplicity: int
 
-    @property
-    def ok(self) -> bool:
-        return (self.palindromic and self.multiplicity_sum == 0
-                and self.central_multiplicity % 2 == 0)
-
 
 def functional_equation_check(n: int) -> FunctionalEquationCertificate:
     """The three finite checks behind the functional equation

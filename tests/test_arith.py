@@ -2,8 +2,13 @@
 
 The representation counts (r2, r_prime, r_hex) get independent brute-force
 oracles here: literal loops over a lattice box, written as plainly as
-possible so they cannot share a bug with the production one-pass versions.
+possible so they cannot share a bug with the production product forms or
+with the ellipse sweep lattice_counts.  divisors, built from factorize, is
+checked against the trial-division loop it replaced, and hypothesis
+properties tie divisors, sigma and r2 together at n <= 10^10.
 """
+
+from math import isqrt, prod
 
 import pytest
 
@@ -12,8 +17,8 @@ from hilbtorus.arith import (
     excess_e1,
     factorize,
     is_prime,
-    is_square,
     lambda_fn,
+    lattice_counts,
     middle_divisors,
     r2,
     r_hex,
@@ -49,11 +54,30 @@ def brute_r_hex(n):
     return m
 
 
-def test_is_square():
-    squares = {k * k for k in range(50)}
-    for n in range(2000):
-        assert is_square(n) == (n in squares)
-    assert not is_square(-4)
+def brute_form_counts(b, c, limit):
+    """#{(x, y) : x^2 + bxy + cy^2 = m} for m <= limit, over a box that
+    holds the whole ellipse (the forms tested are >= (x^2 + y^2) / 2)."""
+    box = isqrt(2 * limit) + 1
+    counts = [0] * (limit + 1)
+    for x in range(-box, box + 1):
+        for y in range(-box, box + 1):
+            m = x * x + b * x * y + c * y * y
+            if m <= limit:
+                counts[m] += 1
+    return counts
+
+
+def trial_divisors(n):
+    """All divisors of n by trial division up to sqrt(n), ascending."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d * d != n:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
 
 
 def test_factorize_small():
@@ -100,6 +124,29 @@ def test_divisors():
         assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0)
 
 
+def test_divisors_match_trial_division():
+    for n in range(1, 20001):
+        assert divisors(n) == trial_divisors(n), n
+
+
+def test_divisor_properties():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=50, deadline=None)
+    @hypothesis.given(n=st.integers(1, 10 ** 10))
+    def check(n):
+        ds = divisors(n)
+        assert ds == sorted(ds)
+        assert all(n % d == 0 for d in ds)
+        assert len(ds) == prod(e + 1 for _, e in factorize(n))
+        assert sum(ds) == sigma(n)
+        chi = {1: 1, 3: -1}  # the character mod 4 of Q(i), 0 on even d
+        assert r2(n) == 4 * sum(chi.get(d % 4, 0) for d in ds)
+
+    check()
+
+
 def test_sigma_frozen_and_brute():
     frozen = {1: 1, 2: 3, 3: 4, 4: 7, 5: 6, 6: 12, 12: 28, 28: 56, 100: 217}
     for n, want in frozen.items():
@@ -137,6 +184,17 @@ def test_representation_counts_match_brute_force():
         assert r2(n) == brute_r2(n)
         assert r_prime(n) == brute_r_prime(n)
         assert r_hex(n) == brute_r_hex(n)
+
+
+@pytest.mark.parametrize("b, c", [(0, 1), (0, 2), (1, 1)])
+def test_lattice_counts_match_box(b, c):
+    assert lattice_counts(b, c, 2000) == brute_form_counts(b, c, 2000)
+
+
+def test_product_forms_match_lattice_counts():
+    for form, b, c in ((r2, 0, 1), (r_prime, 0, 2), (r_hex, 1, 1)):
+        counts = lattice_counts(b, c, 5000)
+        assert [form(n) for n in range(5001)] == counts, form.__name__
 
 
 def test_r2_negative_rejected():

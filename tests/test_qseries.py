@@ -4,14 +4,16 @@ Small product coefficients are frozen by hand (the first few factors can be
 multiplied out on paper), every expander is cross-checked against naive
 TruncatedSeries arithmetic, and the eta-quotient expander is pinned to the
 classical discriminant series and to the sparse sums of Euler's and Jacobi's
-identities.  The log-derivative recurrence behind the root and master
-products is checked against the literal factor-by-factor feedback kernel it
-replaced (a property test draws the root order and truncation), a second
-property test draws (d, n <= 2000) against the closed form a_d(n), and
-qseries must import none of the closed-form modules it is an oracle for.
+identities.  The log-derivative recurrence behind the root, master and
+Gauss products is checked against the literal factor-by-factor kernels it
+replaced and against the pull-style form of the same recurrence (a property
+test draws the root order and truncation), a second property test draws
+(d, n <= 2000) against the closed form a_d(n), and qseries must import none
+of the closed-form modules it is an oracle for.
 """
 
 import ast
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -20,6 +22,7 @@ import hilbtorus.qseries
 from hilbtorus.arith import exact_div
 from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import (
+    _log_derivative_series,
     ABS_QUARTIC_ETA_SPEC,
     ROOT_ETA_SPECS,
     ROOT_TRACE,
@@ -50,6 +53,38 @@ def _literal_feedback(u, one, order):
             if m >= 2 * i:
                 acc = acc - c[m - 2 * i]
             c[m] = acc
+    return TruncatedSeries(order, c)
+
+
+def _pull_root_product(d, order):
+    """The root product by the pull-style recurrence: each c_n is one dot
+    product of b_1..b_n with c_(n-1)..c_0."""
+    u = ROOT_TRACE[d]
+    p = [2, u]
+    for _ in range(2, order + 1):
+        p.append(u * p[-1] - p[-2])
+    b = [0] * (order + 1)
+    for i in range(1, order + 1):
+        for j in range(1, order // i + 1):
+            b[i * j] += i * (p[j] - 2)
+    c = [1]
+    for n in range(1, order + 1):
+        c.append(exact_div(sum(map(mul, b[1:n + 1], reversed(c))), n,
+                           "log-derivative recurrence"))
+    return TruncatedSeries(order, c)
+
+
+def _literal_gauss(order):
+    """prod_{i>=1} (1 - t^i)/(1 + t^i) factor by factor: multiply by
+    (1 - t^i) walking down, then divide by (1 + t^i) walking up."""
+    n1 = order + 1
+    c = [0] * n1
+    c[0] = 1
+    for i in range(1, n1):
+        for m in range(order, i - 1, -1):
+            c[m] -= c[m - i]
+        for m in range(i, n1):
+            c[m] -= c[m - i]
     return TruncatedSeries(order, c)
 
 
@@ -152,6 +187,20 @@ def test_recurrence_division_is_checked():
         exact_div(7, 2, "recurrence")
 
 
+@pytest.mark.parametrize("d", sorted(ROOT_TRACE))
+def test_root_product_matches_pull_recurrence_to_2000(d):
+    assert expand_root_product(d, 2000) == _pull_root_product(d, 2000)
+
+
+def test_recurrence_rejects_corrupted_divisor_sums():
+    # Gauss's b_k with b_2 off by one: 2 c_2 = b_1 c_1 + b_2 = 4 - 3 is odd
+    b = [0, -2, -3, -8]
+    with pytest.raises(ArithmeticError,
+                       match="^log-derivative recurrence: 1 is not divisible by 2$"):
+        _log_derivative_series(b, 3)
+    assert _log_derivative_series([0, -2, -4, -8], 3) == [1, -2, 0, 0]
+
+
 def test_root_product_matches_literal_feedback():
     for d, u in ROOT_TRACE.items():
         assert expand_root_product(d, 300) == _literal_feedback(u, 1, 300), d
@@ -189,6 +238,10 @@ def test_root_product_matches_closed_form_to_2000():
 def test_gauss_series_is_signed_square_theta():
     order = 300
     assert gauss_series(order) == gauss_theta_series(order)
+
+
+def test_gauss_series_matches_literal_product_to_2000():
+    assert gauss_series(2000) == _literal_gauss(2000)
 
 
 def test_gauss_theta_prefix():

@@ -45,6 +45,27 @@ def test_sigma_off_by_one_fails_arith(monkeypatch):
     assert result.detail == str(info.value)
 
 
+def test_product_form_off_by_one_fails_arith(monkeypatch):
+    good = arith.r_prime
+    monkeypatch.setattr(arith, "r_prime", lambda n: good(n) + (n == 9))
+    with pytest.raises(VerificationError) as info:
+        verify.verify_arith(max_n=10)
+    assert_witness(info.value, "r'(n): product form vs lattice sweep", "n=9")
+    assert (info.value.got, info.value.want) == (7, 6)
+
+
+def test_dropped_divisor_fails_arith(monkeypatch):
+    # 3 = 0 mod 3 leaves E_1(6) as it is, so the divisor sieve is what fails
+    good = arith.divisors
+    monkeypatch.setattr(arith, "divisors",
+                        lambda n: [d for d in good(n) if (n, d) != (6, 3)])
+    with pytest.raises(VerificationError) as info:
+        verify.verify_arith(max_n=10)
+    assert_witness(info.value, "divisors(n): count and sum vs divisor sieve",
+                   "n=6")
+    assert (info.value.got, info.value.want) == ((3, 9), (4, 12))
+
+
 def test_table_cell_off_by_one_fails_tables(monkeypatch):
     good = rootvalues.section_formulas
 

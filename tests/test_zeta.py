@@ -12,7 +12,6 @@ from hilbtorus import zeta
 from hilbtorus.errors import VerificationError
 from hilbtorus.laurent import LaurentPoly
 from hilbtorus.zeta import (
-    FunctionalEquationCertificate,
     ZetaRational,
     build_local_zeta,
     functional_equation_check,
@@ -94,21 +93,26 @@ def test_series_check_detects_corruption(monkeypatch):
 def test_functional_equation_certificates():
     for n in range(1, 40):
         cert = functional_equation_check(n)
-        assert cert.ok
+        assert cert.n == n
+        assert cert.palindromic
         assert cert.multiplicity_sum == 0
         assert cert.central_multiplicity % 2 == 0
 
 
-def test_certificate_fails_on_asymmetry():
-    cert = FunctionalEquationCertificate(
-        n=2, palindromic=False, multiplicity_sum=0, central_multiplicity=0)
-    assert not cert.ok
-    cert = FunctionalEquationCertificate(
-        n=2, palindromic=True, multiplicity_sum=1, central_multiplicity=0)
-    assert not cert.ok
-    cert = FunctionalEquationCertificate(
-        n=2, palindromic=True, multiplicity_sum=0, central_multiplicity=1)
-    assert not cert.ok
+def test_certificate_fails_on_asymmetry(monkeypatch):
+    cases = (
+        (((0, 1), (1, -1)), (False, 0, 0)),         # m(0) != m(4)
+        (((0, 1), (4, 1)), (True, 2, 0)),            # total degree 2
+        (((0, 1), (2, -3), (4, 1)), (True, -1, 1)),  # odd central multiplicity
+    )
+    for factors, got in cases:
+        monkeypatch.setattr(zeta, "build_local_zeta",
+                            lambda n, factors=factors: ZetaRational(n, factors))
+        with pytest.raises(VerificationError) as info:
+            functional_equation_check(2)
+        exc = info.value
+        assert exc.index == "n=2"
+        assert (exc.got, exc.want) == (got, (True, 0, 0))
 
 
 def test_hasse_weil_one_point():
