@@ -60,9 +60,6 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
         out.append((n, 1))
     return tuple(out)
 
-def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == ((n, 1),)
-
 
 def divisors(n: int) -> list[int]:
     """All positive divisors, ascending: the products of n's prime powers."""

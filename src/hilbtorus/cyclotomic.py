@@ -44,10 +44,6 @@ class CycInt:
         """The primitive root of unity w itself."""
         return cls(order, 0, 1)
 
-    @classmethod
-    def from_int(cls, value: int, order: int) -> "CycInt":
-        return cls(order, value, 0)
-
     # -- helpers -----------------------------------------------------------
 
     def _check(self, other: "CycInt") -> None:
@@ -62,10 +58,6 @@ class CycInt:
         if isinstance(x, int):
             return CycInt(self.order, x, 0)
         return None
-
-    @property
-    def is_rational(self) -> bool:
-        return self.b == 0
 
     def conjugate(self) -> "CycInt":
         if self.order == 4:

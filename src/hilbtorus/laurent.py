@@ -7,7 +7,7 @@ exponent to nonzero integer coefficient.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 
 class LaurentPoly:
@@ -45,10 +45,6 @@ class LaurentPoly:
         """The single term coeff * q^exponent."""
         return cls({exponent: coeff})
 
-    @classmethod
-    def from_int(cls, value: int) -> "LaurentPoly":
-        return cls({0: value})
-
     # -- inspection --------------------------------------------------------
 
     def coeff(self, exponent: int) -> int:
@@ -60,18 +56,6 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._coeffs.items())
-
-    @property
-    def min_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no valuation")
-        return min(self._coeffs)
-
-    @property
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return max(self._coeffs)
 
     def __bool__(self) -> bool:
         return bool(self._coeffs)
@@ -151,44 +135,11 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if not isinstance(k, int):
-            return NotImplemented
-        if k < 0:
-            # only unit monomials +-q^e can be inverted in this ring
-            if len(self._coeffs) == 1:
-                (e, c), = self._coeffs.items()
-                if c in (1, -1):
-                    return _raw({e * k: c if k % 2 else 1})
-            raise ValueError("negative power of a non-unit Laurent polynomial")
-        result = LaurentPoly.one()
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
-
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by q^k (shift every exponent by k)."""
         if k == 0:
             return self
         return _raw({e + k: c for e, c in self._coeffs.items()})
-
-    # -- structure ---------------------------------------------------------
-
-    def is_palindromic(self) -> bool:
-        """True when the coefficients read the same from both ends of the support.
-
-        Formally: c_e == c_(lo+hi-e) for all e, where [lo, hi] spans the
-        support.  The zero polynomial counts as palindromic.
-        """
-        if not self._coeffs:
-            return True
-        lo, hi = self.min_exp, self.max_exp
-        return all(c == self.coeff(lo + hi - e) for e, c in self._coeffs.items())
 
     # -- evaluation --------------------------------------------------------
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add
 
 from .arith import exact_div
@@ -170,20 +169,17 @@ class EtaQuotientSpec:
 
     factors: tuple[tuple[int, int], ...]
 
-    @property
-    def prefactor_exponent(self) -> Fraction:
-        return Fraction(sum(s * e for s, e in self.factors), 24)
-
     def validate(self) -> int:
-        pre = self.prefactor_exponent
-        if pre.denominator != 1 or pre < 0:
+        weight = sum(s * e for s, e in self.factors)
+        pre, rem = divmod(weight, 24)
+        if rem or pre < 0:
             raise ValueError(
                 f"eta quotient has no power-series expansion: prefactor "
-                f"exponent {pre} is not a nonnegative integer")
+                f"exponent {weight}/24 is not a nonnegative integer")
         for s, _ in self.factors:
             if s < 1:
                 raise ValueError(f"eta scale must be >= 1, got {s}")
-        return int(pre)
+        return pre
 
 
 # eta-quotient forms of the four root products, and of the

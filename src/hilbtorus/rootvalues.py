@@ -4,9 +4,8 @@ The value of C_n at the primitive d-th root w = omega(d) (d = 2, 3, 4, 6)
 is a_d(n) w^n, where the integer sequence a_d(n) has a closed form in the
 lattice representation counts r (x^2 + y^2), r' (x^2 + 2y^2) and lambda;
 root_sequences is the one place that case analysis lives, and every
-division in it is checked exact, never rounded.  The values of C_n and P_n
-at w derive from it: since (w - 1)^2 = w (w + 1/w - 2),
-P_n(w) = w^(n-1) a_d(n) / (w + 1/w - 2), again an exact integer division.
+division in it is checked exact, never rounded.  Since
+(w - 1)^2 = w (w + 1/w - 2), P_n(w) (w + 1/w - 2) = w^(n-1) a_d(n).
 Order-6 values live in the order-3 basis since -w3 generates the same
 ring.  evaluate_at_root computes the same values from a polynomial itself.
 
@@ -52,20 +51,19 @@ def evaluate_at_root(poly: LaurentPoly, d: int) -> int | CycInt:
     cyclotomic integer.
 
     Uses w^d = 1: the integer coefficients are summed by exponent residue
-    mod d (negative exponents included), then combined with the d powers
-    of w in one short cyclotomic sum.
+    mod d (negative exponents included), and the sums weight the (a, b)
+    coordinates of the d powers of w in one integer sum per coordinate.
     """
     if d not in _POWERS:
         raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
-    powers = _POWERS[d]
     sums = [0] * d
     for e, c in poly.items():
         sums[e % d] += c
-    total = sums[0] * powers[0]
-    for k in range(1, d):
-        if sums[k]:
-            total = total + sums[k] * powers[k]
-    return total
+    if d == 2:
+        return sums[0] - sums[1]
+    powers = _POWERS[d]
+    return CycInt(powers[0].order, sum(s * w.a for s, w in zip(sums, powers)),
+                  sum(s * w.b for s, w in zip(sums, powers)))
 
 
 def count_at_root(n: int, d: int) -> int | CycInt:
@@ -76,14 +74,6 @@ def count_at_root(n: int, d: int) -> int | CycInt:
     """
     a = root_sequence(n, d)
     return _POWERS[d][n % d] * a
-
-
-def reduced_at_root(n: int, d: int) -> int | CycInt:
-    """P_n(w) = w^(n-1) a_d(n) / (w + 1/w - 2) at w = omega(d), since
-    P_n = C_n/(q-1)^2 and (w - 1)^2 = w (w + 1/w - 2)."""
-    a = root_sequence(n, d)
-    t = {2: -4, 3: -3, 4: -2, 6: -1}[d]  # w + 1/w - 2
-    return _POWERS[d][(n - 1) % d] * exact_div(a, t, f"P_{n} at the order-{d} root")
 
 
 def root_sequence(n: int, d: int) -> int:

@@ -16,8 +16,8 @@ class TruncatedSeries:
     >>> t = TruncatedSeries.monomial(1, 4)
     >>> ((1 - t) * (1 - t)).coeffs
     (1, -2, 1, 0, 0)
-    >>> (1 - t).invert().coeffs
-    (1, 1, 1, 1, 1)
+    >>> (t * t + 2).shift(1).coeffs
+    (0, 2, 0, 1, 0)
     """
 
     __slots__ = ("order", "coeffs")
@@ -48,12 +48,6 @@ class TruncatedSeries:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient t^{n} outside truncation order {self.order}")
         return self.coeffs[n]
-
-    def prefix(self, order: int) -> "TruncatedSeries":
-        """Re-truncate to a smaller order."""
-        if order > self.order:
-            raise ValueError("cannot extend a truncated series")
-        return TruncatedSeries(order, self.coeffs[: order + 1])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
@@ -117,29 +111,6 @@ class TruncatedSeries:
         return TruncatedSeries(n, out)
 
     __rmul__ = __mul__
-
-    def invert(self) -> "TruncatedSeries":
-        """Multiplicative inverse as a series; requires constant term exactly 1.
-
-        The recurrence b_k = -sum_{j>=1} a_j b_{k-j} walks only the nonzero
-        a_j, so inverting a sparse polynomial costs O(order * #terms).
-        """
-        a = self.coeffs
-        if not a[0] == 1:
-            raise ValueError("series inversion requires constant term 1")
-        nonzero = [(j, aj) for j, aj in enumerate(a) if j > 0 and aj]
-        out: list = [0] * (self.order + 1)
-        out[0] = 1
-        for k in range(1, self.order + 1):
-            acc = 0
-            for j, aj in nonzero:
-                if j > k:
-                    break
-                b = out[k - j]
-                if b:
-                    acc = acc + aj * b
-            out[k] = -acc if acc else 0
-        return TruncatedSeries(self.order, out)
 
     def shift(self, k: int) -> "TruncatedSeries":
         """Multiply by t^k (k >= 0), truncating at the same order."""

@@ -196,25 +196,25 @@ def verify_arith(max_n: int = 10000) -> str:
     """Number-theoretic laws used by the closed forms, and the product forms
     of divisors and the lattice counts against routes that never factorize:
     a lattice sweep for each form, and a divisor sieve."""
-    sweeps = [(name, form, arith.lattice_counts(b, c, max_n))
-              for name, form, b, c in (("r", arith.r2, 0, 1),
-                                       ("r'", arith.r_prime, 0, 2),
-                                       ("r''", arith.r_hex, 1, 1))]
+    sweeps = [(name, arith.lattice_counts(b, c, max_n))
+              for name, b, c in (("r", 0, 1), ("r'", 0, 2), ("r''", 1, 1))]
     dcount, dsum = [0] * (max_n + 1), [0] * (max_n + 1)
     for d in range(1, max_n + 1):
         for m in range(d, max_n + 1, d):
             dcount[m] += 1
             dsum[m] += d
+    lam = [0] + [arith.lambda_fn(n) for n in range(1, max_n + 1)]
     e1 = [0]  # E_1(0) = 0 stands in for E_1(n/3) when 3 does not divide n
     for n in range(1, max_n + 1):
         at = f"n={n}"
         e1.append(arith.excess_e1(n))
-        expect("lambda(n) vs E_1(n) - 3 E_1(n/3)", at, arith.lambda_fn(n),
+        expect("lambda(n) vs E_1(n) - 3 E_1(n/3)", at, lam[n],
                e1[n] - 3 * e1[n // 3 if n % 3 == 0 else 0])
-        expect("r(n) mod 4", at, arith.r2(n) % 4, 0)
-        expect("r''(n) vs 6 E_1(n)", at, arith.r_hex(n), 6 * e1[n])
-        for name, form, counts in sweeps:
-            expect(f"{name}(n): product form vs lattice sweep", at, form(n),
+        r, r_hex = arith.r2(n), arith.r_hex(n)
+        expect("r(n) mod 4", at, r % 4, 0)
+        expect("r''(n) vs 6 E_1(n)", at, r_hex, 6 * e1[n])
+        for (name, counts), value in zip(sweeps, (r, arith.r_prime(n), r_hex)):
+            expect(f"{name}(n): product form vs lattice sweep", at, value,
                    counts[n])
         ds = arith.divisors(n)
         expect("divisors(n): count and sum vs divisor sieve", at,
@@ -231,8 +231,7 @@ def verify_arith(max_n: int = 10000) -> str:
             if math.gcd(m, n) == 1:
                 pairs += 1
                 expect("lambda(mn) vs lambda(m) lambda(n)", f"m={m}, n={n}",
-                       arith.lambda_fn(m * n),
-                       arith.lambda_fn(m) * arith.lambda_fn(n))
+                       lam[m * n], lam[m] * lam[n])
     return (f"n <= {max_n}: excess formula, divisibility, hexagonal and "
             f"middle-divisor laws, sigma law, product forms of r, r' and r'' "
             f"vs lattice sweeps, divisors vs divisor sieve; multiplicativity "

@@ -31,12 +31,6 @@ class ZetaRational:
     n: int
     factors: tuple[tuple[int, int], ...]  # (e, m), e ascending, m != 0
 
-    def multiplicity(self, e: int) -> int:
-        for ee, m in self.factors:
-            if ee == e:
-                return m
-        return 0
-
     def denominator_exponents(self) -> list[int]:
         """q-exponents of denominator factors, repeated by multiplicity."""
         out = []

@@ -16,7 +16,6 @@ from hilbtorus.arith import (
     divisors,
     excess_e1,
     factorize,
-    is_prime,
     lambda_fn,
     lattice_counts,
     middle_divisors,
@@ -90,25 +89,31 @@ def test_factorize_small():
         factorize(0)
 
 
-def test_factorize_recomposes():
-    for n in range(1, 500):
-        prod = 1
-        for p, e in factorize(n):
-            assert is_prime(p)
-            prod *= p ** e
-        assert prod == n
-
-
-def test_is_prime_matches_sieve():
-    limit = 1000
+def _sieve(limit):
     sieve = [True] * (limit + 1)
     sieve[0] = sieve[1] = False
     for p in range(2, limit + 1):
         if sieve[p]:
             for m in range(p * p, limit + 1, p):
                 sieve[m] = False
-    for n in range(limit + 1):
-        assert is_prime(n) == sieve[n]
+    return sieve
+
+
+def test_factorize_recomposes():
+    sieve = _sieve(1000)
+    for n in range(1, 1001):
+        prod = 1
+        for p, e in factorize(n):
+            assert sieve[p]
+            prod *= p ** e
+        assert prod == n
+
+
+def test_is_prime_matches_sieve():
+    # n is prime exactly when factorize(n) is the single factor (n, 1).
+    sieve = _sieve(1000)
+    for n in range(1, 1001):
+        assert (factorize(n) == ((n, 1),)) == sieve[n]
 
 
 def test_divisors():

@@ -2,12 +2,14 @@
 
 Runs main() in-process with capsys so exit codes and exact output can be
 asserted without subprocess overhead; main() reuses one parser across
-calls, so consecutive calls are also checked for leaking options.  One
-subprocess test checks that importing the cli builds no parser, and two at
-the end check the entry points: ``python -m hilbtorus``, and the console
-script, for which the entry point that pyproject.toml declares for
-``hilbtorus`` is always run the way an installer's wrapper calls it, and
-the installed ``hilbtorus`` script too when one is on PATH.
+calls, so consecutive calls are also checked for leaking options.  Two
+subprocess tests check that importing the cli builds no parser and loads
+neither fractions nor decimal (the package needs neither, and both slow
+every start), and two at the end check the entry points:
+``python -m hilbtorus``, and the console script, for which the entry point
+that pyproject.toml declares for ``hilbtorus`` is always run the way an
+installer's wrapper calls it, and the installed ``hilbtorus`` script too
+when one is on PATH.
 """
 
 import json
@@ -256,6 +258,17 @@ def test_import_builds_no_parser():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "0\n"
+
+
+def test_import_loads_no_fractions_or_decimal():
+    src = Path(hilbtorus.__file__).resolve().parents[1]
+    probe = ("import sys, hilbtorus.cli; "
+             "print(sorted({'fractions', 'decimal'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_consecutive_calls_do_not_share_options(capsys):

@@ -55,29 +55,6 @@ def test_monomial_and_shift():
     assert C1.shift(-1) == LaurentPoly({1: 1, 0: -2, -1: 1})
 
 
-def test_pow_square_and_multiply():
-    q = LaurentPoly.monomial(1)
-    assert (1 - q) ** 2 == C1.shift(0)
-    assert (q + 1) ** 0 == 1
-    with pytest.raises(ValueError):
-        (q + 1) ** -1
-
-
-def test_pow_negative_unit_monomial():
-    q = LaurentPoly.monomial(1)
-    assert q ** -4 == LaurentPoly.monomial(-4)
-    minus_q = LaurentPoly.monomial(1, -1)
-    assert minus_q ** -3 == LaurentPoly.monomial(-3, -1)
-    assert minus_q ** -2 == LaurentPoly.monomial(-2)
-
-
-def test_palindromic():
-    assert C1.is_palindromic()
-    assert LaurentPoly({4: 1, 3: -1, 1: -1, 0: 1}).is_palindromic()
-    assert not LaurentPoly({2: 1, 0: 2}).is_palindromic()
-    assert LaurentPoly.zero().is_palindromic()
-
-
 def test_evaluate_int():
     assert C1.evaluate_int(-1) == 4
     assert C1.evaluate_int(2) == 1
@@ -109,5 +86,5 @@ def test_balanced_power_sum():
     assert balanced_power_sum(3) == LaurentPoly({3: 1, 1: 1, -1: 1, -3: 1})
     # these are the coefficients of 1/(1 - (q + 1/q)t + t^2)
     q = LaurentPoly.monomial(1)
-    u = q + q ** -1
+    u = q + LaurentPoly.monomial(-1)
     assert balanced_power_sum(2) == u * balanced_power_sum(1) - balanced_power_sum(0)

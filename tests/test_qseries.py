@@ -38,6 +38,8 @@ from hilbtorus.qseries import (
 from hilbtorus.rootvalues import root_sequence
 from hilbtorus.series import TruncatedSeries
 
+from series_reference import invert
+
 
 def _literal_feedback(u, one, order):
     """prod_i (1 - t^i)^2 / (1 - u t^i + t^{2i}) one factor at a time: multiply
@@ -96,7 +98,7 @@ def expand_master_product_reference(order: int) -> TruncatedSeries:
     for i in range(1, order + 1):
         num = TruncatedSeries(order, _monomial_row(order, i))
         den = _denominator_row(order, i, u)
-        acc = acc * num * num * den.invert()
+        acc = acc * num * num * invert(den)
     return acc
 
 
@@ -129,10 +131,9 @@ def test_master_product_rows_are_balanced():
     s = expand_master_product(16)
     for n in range(1, 17):
         row = s.coeff(n)
-        assert row.is_palindromic()
+        assert row == LaurentPoly({-e: c for e, c in row.items()})
         assert row.evaluate_int(1) == 0
-        assert row.max_exp == n
-        assert row.min_exp == -n
+        assert row.support()[-1] == n
 
 
 def test_master_product_matches_reference():
@@ -177,7 +178,7 @@ def test_root_product_matches_naive_series():
             den = (TruncatedSeries.monomial(0, order)
                    - TruncatedSeries.monomial(i, order, u)
                    + TruncatedSeries.monomial(2 * i, order))
-            acc = acc * num * num * den.invert()
+            acc = acc * num * num * invert(den)
         assert acc == expand_root_product(d, order), d
 
 
@@ -258,7 +259,7 @@ def test_gauss_series_matches_naive_quotient():
         ti = TruncatedSeries.monomial(i, order)
         num = num * (one - ti)
         den = den * (one + ti)
-    assert num * den.invert() == gauss_series(order)
+    assert num * invert(den) == gauss_series(order)
 
 
 def test_phi_series():
@@ -321,7 +322,7 @@ def test_eta_quotient_matches_naive_product():
                         acc = acc * factor
                 else:
                     for _ in range(-e):
-                        acc = acc * factor.invert()
+                        acc = acc * invert(factor)
         assert acc.shift(spec.validate()) == eta_quotient_series(spec, order), spec
 
 

@@ -9,6 +9,7 @@ d = 2, a cyclotomic integer otherwise, never a float.
 
 import pytest
 
+from hilbtorus.arith import exact_div
 from hilbtorus.coeffs import count_poly, reduced_poly
 from hilbtorus.cyclotomic import CycInt
 from hilbtorus.laurent import LaurentPoly
@@ -19,11 +20,18 @@ from hilbtorus.rootvalues import (
     count_at_root,
     evaluate_at_root,
     omega,
-    reduced_at_root,
     root_sequence,
     section_direct,
     section_formula,
 )
+
+
+def reduced_at_root(n, d):
+    """P_n(w) = w^(n-1) a_d(n) / (w + 1/w - 2) at w = omega(d), since
+    P_n = C_n/(q-1)^2 and (w - 1)^2 = w (w + 1/w - 2)."""
+    t = {2: -4, 3: -3, 4: -2, 6: -1}[d]  # w + 1/w - 2
+    return omega(d) ** ((n - 1) % d) * exact_div(root_sequence(n, d), t,
+                                                 f"P_{n} at the order-{d} root")
 
 
 def test_omega_orders():
@@ -66,7 +74,7 @@ def test_evaluate_at_root_matches_direct_evaluation(d):
 def test_root_values_stay_exact(d):
     kind = int if d == 2 else CycInt
     for n in range(1, 201):
-        values = (count_at_root(n, d), reduced_at_root(n, d),
+        values = (count_at_root(n, d),
                   evaluate_at_root(count_poly(n).shift(-n), d))
         for value in values:
             assert type(value) is kind, (n, d, value)
@@ -79,7 +87,8 @@ def test_reduced_times_square_is_count(d):
     w = omega(d)
     square = (w - 1) ** 2
     for n in range(1, 60):
-        assert reduced_at_root(n, d) * square == count_at_root(n, d), (n, d)
+        pn_at_w = evaluate_at_root(reduced_poly(n), d)
+        assert pn_at_w * square == count_at_root(n, d), (n, d)
 
 
 @pytest.mark.parametrize("d", ROOT_ORDERS)
@@ -112,7 +121,7 @@ def test_order_six_vanishes_with_order_two():
 
 
 def test_input_validation():
-    for fn in (count_at_root, reduced_at_root, root_sequence):
+    for fn in (count_at_root, root_sequence):
         with pytest.raises(ValueError):
             fn(0, 2)
         with pytest.raises(ValueError):
@@ -162,6 +171,24 @@ def test_count_poly_at_roots_property():
     @hypothesis.given(n=st.integers(1, 10 ** 6), d=st.sampled_from(ROOT_ORDERS))
     def check(n, d):
         assert evaluate_at_root(count_poly(n), d) == count_at_root(n, d)
+
+    check()
+
+
+def test_evaluate_at_root_property():
+    # random sparse Laurent polynomials, negative exponents included,
+    # against evaluation power by power
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
+    @hypothesis.given(coeffs=st.dictionaries(st.integers(-50, 50),
+                                             st.integers(-10 ** 6, 10 ** 6),
+                                             max_size=12),
+                      d=st.sampled_from(ROOT_ORDERS))
+    def check(coeffs, d):
+        poly = LaurentPoly(coeffs)
+        assert evaluate_at_root(poly, d) == poly.evaluate(omega(d))
 
     check()
 
