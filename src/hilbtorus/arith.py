@@ -4,9 +4,10 @@ Everything here is exact integer arithmetic.  factorize is the one
 primitive: divisors, sigma, lambda and the lattice counts r, r', r'' are
 read off the factorization, the counts as products over split and inert
 primes (Jacobi's two-square theorem and its analogues for x^2 + 2y^2 and
-x^2 + xy + y^2).  lattice_counts enumerates the lattice points themselves;
-it is the independent route that verify's arith suite checks those
-products against.
+x^2 + xy + y^2).  divisors keeps its last few answers as tuples, since its
+callers ask for one n several times in a row.  lattice_counts enumerates
+the lattice points themselves; it is the independent route that verify's
+arith suite checks those products against.
 """
 
 from __future__ import annotations
@@ -61,8 +62,20 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors, ascending: the products of n's prime powers."""
+# Callers ask for one n several times in a row (verify's arith and sections
+# suites five times per n, its coeffs suite twice each for n and 2n) and
+# rarely come back to it later, so a few entries catch every repeat; a small
+# bound also keeps the footprint fixed, as an n near 10^14 can have
+# thousands of divisors.
+DIVISORS_CACHE_SIZE = 16
+
+
+@functools.lru_cache(maxsize=DIVISORS_CACHE_SIZE)
+def divisors(n: int) -> tuple[int, ...]:
+    """All positive divisors, ascending: the products of n's prime powers.
+
+    A tuple, because the cache hands the same object to every caller, who
+    must not be able to change it for the next one."""
     if n < 1:
         raise ValueError("divisors expects n >= 1")
     out = [1]
@@ -72,7 +85,7 @@ def divisors(n: int) -> list[int]:
             power = [d * p for d in power]
             out += power
     out.sort()
-    return out
+    return tuple(out)
 
 
 def sigma(n: int) -> int:

@@ -51,31 +51,39 @@ SEQUENCES: dict[str, Sequence] = {
 
 
 def parse_bfile(path: str, sequence_id: str = "") -> BFile:
-    """Read a b-file; raise BFileError (with line number) on bad input."""
+    """Read a b-file; raise BFileError (with line number) on bad input,
+    including a line that is not UTF-8 text."""
     if not sequence_id:
         stem = os.path.basename(path).split(".")[0]
         if stem.startswith("b") and stem[1:].isdigit():
             sequence_id = "a" + stem[1:]
     entries: list[tuple[int, int]] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            tokens = line.split()
-            if len(tokens) != 2:
-                raise BFileError(
-                    f"{path}:{lineno}: expected 'index value', got {line!r}")
-            try:
-                index, value = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                raise BFileError(
-                    f"{path}:{lineno}: non-integer token in {line!r}") from None
-            if entries and index <= entries[-1][0]:
-                raise BFileError(
-                    f"{path}:{lineno}: index {index} does not increase "
-                    f"past {entries[-1][0]}")
-            entries.append((index, value))
+    with open(path, "rb") as handle:
+        data = handle.read()
+    # bytes.splitlines breaks at \n, \r\n and \r, as text-mode reading does
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise BFileError(
+                f"{path}:{lineno}: not UTF-8 text ({exc.reason} at byte "
+                f"{exc.start} of the line)") from None
+        if not line or line.startswith("#"):
+            continue
+        tokens = line.split()
+        if len(tokens) != 2:
+            raise BFileError(
+                f"{path}:{lineno}: expected 'index value', got {line!r}")
+        try:
+            index, value = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise BFileError(
+                f"{path}:{lineno}: non-integer token in {line!r}") from None
+        if entries and index <= entries[-1][0]:
+            raise BFileError(
+                f"{path}:{lineno}: index {index} does not increase "
+                f"past {entries[-1][0]}")
+        entries.append((index, value))
     return BFile(sequence_id, tuple(entries))
 
 

@@ -11,15 +11,18 @@ where n = k(k + 2i +- 1)/2, that is where 2n = k m with m > k and m - k
 odd (Sylvester's count of the ways to write n as a sum of consecutive
 integers), so count_poly reads its O(d(2n)) terms off the divisors of 2n.
 Each divisor d of n counts towards a_{n,i} on one run lo <= i <= hi, which
-divisor_intervals returns; the dense vector, the coefficient sum and the
-sections of P_n all derive from those runs.  trapezoidal_k, central_coeff,
-offcentral_coeff and divisor_coeff are the per-i scalar forms, kept as the
-independent check of both enumerators.
+divisor_intervals returns, skipping the d <= sqrt(n/2) whose run is empty;
+the dense vector, the coefficient sum and the sections of P_n all derive
+from those runs.  Every route here reads the divisors from arith.divisors,
+whose small cache builds one n's list once however many routes ask.
+trapezoidal_k, central_coeff, offcentral_coeff and divisor_coeff are the
+per-i scalar forms, kept as the independent check of both enumerators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import isqrt
 
 from .errors import expect
@@ -106,11 +109,14 @@ def divisor_intervals(n: int) -> list[tuple[int, int]]:
         raise ValueError("need n >= 1")
     runs = []
     for d in arith.divisors(n):
-        # d > (i + sqrt(2n+i^2))/2  <=>  2di <= 2d^2 - n - 1
+        # d > (i + sqrt(2n+i^2))/2  <=>  2di <= 2d^2 - n - 1: no i >= 0
+        # unless 2d^2 > n, and hi = floor(d - (n+1)/(2d)) < d <= n
+        if 2 * d * d <= n:
+            continue
         # d <= i + sqrt(2n+i^2)     <=>  2di >= d^2 - 2n
         num = d * d - 2 * n
         lo = max(0, -(-num // (2 * d)))
-        hi = min(n - 1, (2 * d * d - n - 1) // (2 * d))
+        hi = (2 * d * d - n - 1) // (2 * d)
         if lo <= hi:
             runs.append((lo, hi))
     return runs
@@ -123,12 +129,7 @@ def divisor_coeff_vector(n: int) -> list[int]:
     for lo, hi in divisor_intervals(n):
         diff[lo] += 1
         diff[hi + 1] -= 1
-    out = []
-    run = 0
-    for x in diff[:-1]:
-        run += x
-        out.append(run)
-    return out
+    return list(accumulate(diff[:-1]))
 
 
 def count_poly(n: int) -> LaurentPoly:
@@ -167,14 +168,8 @@ def reduced_poly(n: int) -> LaurentPoly:
     if n < 1:
         raise ValueError("need n >= 1")
     a = divisor_coeff_vector(n)
-    coeffs = {}
-    if a[0]:
-        coeffs[n - 1] = a[0]
-    for i in range(1, n):
-        if a[i]:
-            coeffs[n - 1 + i] = a[i]
-            coeffs[n - 1 - i] = a[i]
-    return LaurentPoly(coeffs)
+    # exponents 0..2n-2 carry a_{n,n-1}, ..., a_{n,1}, a_{n,0}, ..., a_{n,n-1}
+    return LaurentPoly({e: c for e, c in enumerate(a[:0:-1] + a) if c})
 
 
 @dataclass(frozen=True)

@@ -21,12 +21,15 @@ roots w, 1/w of 1 - u x + x^2, the expansion F = sum c_n t^n has c_0 = 1 and
 since t F'/F = sum b_k t^k; each division by n is checked exact.  At a root
 of unity p_j is an int from the literal trace u (p_0 = 2, p_1 = u,
 p_j = u p_{j-1} - p_{j-2}), so no eta rewriting enters, and the scalar
-recurrence pushes each nonzero c_n into every later sum at once; for the
-master product p_j = q^j + q^-j, and each c_n is summed on a dense row of
-exponents from the sparse (exponent, coeff) terms of the earlier rows.  For
-Gauss's product b_k = -2 sum_{ij=k, j odd} i.  An eta factor
-prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
-~2 sqrt(2N / (3 scale)) nonzero terms below order N.
+recurrence pushes each nonzero c_n into every later sum at once, adding or
+subtracting a row |c_n| b that is built once per distinct |c_n| (these
+coefficients take few values: +-2 and 0 for Gauss, lattice counts for the
+roots); for the master product p_j = q^j + q^-j, and each c_n is summed on
+a dense row of exponents from the sparse (exponent, coeff) terms of the
+earlier rows.  For Gauss's product b_k = -2 sum_{ij=k, j odd} i.  An eta
+factor prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
+~2 sqrt(2N / (3 scale)) nonzero terms +-1 below order N, so a positive
+power multiplies by it with one shifted slice add or subtract per term.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, sub
 
 from .arith import exact_div
 from .laurent import LaurentPoly
@@ -50,14 +53,22 @@ def _log_derivative_series(b: list, order: int) -> list:
 
     Push style: acc[m] collects the sum for c_m, and once c_n is final it is
     added, times b_1..b_(order-n), into acc[n+1..order] in one pass; a zero
-    c_n costs nothing."""
+    c_n costs nothing.  The row |c_n| b_1, ..., |c_n| b_order is built once
+    per distinct |c_n|, on first use, and added or subtracted by the sign of
+    c_n: the coefficients here take few distinct values, so most pushes
+    multiply nothing."""
     acc = [0] * (order + 1)
+    rows = {}  # |c_n| -> [|c_n| b_1, ..., |c_n| b_order]
     c = []
     for n in range(order + 1):
         cn = exact_div(acc[n], n, "log-derivative recurrence") if n else 1
         c.append(cn)
         if cn:
-            acc[n + 1:] = map(add, acc[n + 1:], map(cn.__mul__, b[1:order - n + 1]))
+            size = abs(cn)
+            row = rows.get(size)
+            if row is None:
+                row = rows[size] = [size * x for x in b[1:order + 1]]
+            acc[n + 1:] = map(add if cn > 0 else sub, acc[n + 1:], row)
     return c
 
 
@@ -208,8 +219,9 @@ def eta_quotient_series(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
     """Expand prod_i prod_{n>=1} (1 - t^(scale n))^exp, shifted by the
     integer prefactor exponent.
 
-    With P = 1 + sum_j p_j t^j a factor's pentagonal series, x * P is taken
-    in place walking down, and x / P walking up by x[m] -= sum_j p_j x[m-j].
+    With P = 1 + sum_j p_j t^j a factor's pentagonal series (p_j = +-1),
+    x * P adds or subtracts the old x, shifted by j, into x for each term,
+    and x / P walks up by x[m] -= sum_j p_j x[m-j].
     """
     pre = spec.validate()
     n1 = order + 1
@@ -217,14 +229,16 @@ def eta_quotient_series(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
     x[0] = 1
     for scale, e in spec.factors:
         terms = _pentagonal_terms(scale, order)
-        steps = range(order, 0, -1) if e > 0 else range(1, n1)
-        sign = 1 if e > 0 else -1
-        for _ in range(abs(e)):
-            for m in steps:
+        for _ in range(e):
+            old = x[:]
+            for j, p in terms:
+                x[j:] = map(add if p > 0 else sub, x[j:], old)
+        for _ in range(-e):
+            for m in range(1, n1):
                 acc = 0
                 for j, p in terms:
                     if j > m:
                         break
                     acc += p * x[m - j]
-                x[m] += sign * acc
+                x[m] -= acc
     return TruncatedSeries(order, x).shift(pre)

@@ -7,7 +7,10 @@ root_sequences is the one place that case analysis lives, and every
 division in it is checked exact, never rounded.  Since
 (w - 1)^2 = w (w + 1/w - 2), P_n(w) (w + 1/w - 2) = w^(n-1) a_d(n).
 Order-6 values live in the order-3 basis since -w3 generates the same
-ring.  evaluate_at_root computes the same values from a polynomial itself.
+ring, and POWERS holds w^k for each d, so no power is ever raised at run
+time.  evaluate_at_roots computes the same values from a polynomial itself,
+for all four d in one pass over its coefficients (evaluate_at_root is its
+one-d form).
 
 The k-section of P_n (sum of coefficients at exponents divisible by k) has
 closed forms in sigma, r, r', r'' and lambda (section_formulas, which
@@ -16,6 +19,8 @@ same sums on the divisor runs of P_n's coefficients instead.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .cyclotomic import CycInt
 from .laurent import LaurentPoly
@@ -42,28 +47,43 @@ def omega(d: int) -> int | CycInt:
     raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
 
 
-# [w^0, ..., w^(d-1)] for w = omega(d)
-_POWERS = {d: [omega(d) ** k for k in range(d)] for d in ROOT_ORDERS}
+# POWERS[d][k] = w^k for w = omega(d), 0 <= k < d; w^n is POWERS[d][n % d]
+POWERS = {d: [omega(d) ** k for k in range(d)] for d in ROOT_ORDERS}
+# _FOLDS[d] = the a and the b coordinates of w^(r mod d) = a + b v for
+# r = 0..11, v the order-3 or order-4 root that CycInt is built on (for
+# d = 2, w^k = +-1 and b = 0)
+_FOLDS = {d: tuple(zip(*((w, 0) if d == 2 else (w.a, w.b)
+                         for w in (POWERS[d][r % d] for r in range(12)))))
+          for d in ROOT_ORDERS}
 
 
 def evaluate_at_root(poly: LaurentPoly, d: int) -> int | CycInt:
-    """poly(w) at w = omega(d), exactly: a plain int for d = 2, else a
-    cyclotomic integer.
+    """poly(w) at w = omega(d), exactly; see evaluate_at_roots."""
+    return evaluate_at_roots(poly, (d,))[d]
 
-    Uses w^d = 1: the integer coefficients are summed by exponent residue
-    mod d (negative exponents included), and the sums weight the (a, b)
-    coordinates of the d powers of w in one integer sum per coordinate.
+
+def evaluate_at_roots(poly: LaurentPoly, ds=ROOT_ORDERS) -> dict[int, int | CycInt]:
+    """{d: poly(w) at w = omega(d)} for each d in ds, exactly: a plain int
+    for d = 2, else a cyclotomic integer.
+
+    Every d divides 12, so w^12 = 1: the integer coefficients are summed by
+    exponent residue r mod 12 (negative exponents included) in one pass
+    over poly, and for each d the 12 sums weight the (a, b) coordinates of
+    w^(r mod d), in one integer sum per coordinate.
     """
-    if d not in _POWERS:
-        raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
-    sums = [0] * d
+    for d in ds:
+        if d not in POWERS:
+            raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+    by12 = [0] * 12
     for e, c in poly.items():
-        sums[e % d] += c
-    if d == 2:
-        return sums[0] - sums[1]
-    powers = _POWERS[d]
-    return CycInt(powers[0].order, sum(s * w.a for s, w in zip(sums, powers)),
-                  sum(s * w.b for s, w in zip(sums, powers)))
+        by12[e % 12] += c
+    values = {}
+    for d in ds:
+        fold_a, fold_b = _FOLDS[d]
+        a = sum(map(mul, by12, fold_a))
+        values[d] = a if d == 2 else CycInt(
+            POWERS[d][0].order, a, sum(map(mul, by12, fold_b)))
+    return values
 
 
 def count_at_root(n: int, d: int) -> int | CycInt:
@@ -73,7 +93,7 @@ def count_at_root(n: int, d: int) -> int | CycInt:
     order-3 one for d = 3 and d = 6.
     """
     a = root_sequence(n, d)
-    return _POWERS[d][n % d] * a
+    return POWERS[d][n % d] * a
 
 
 def root_sequence(n: int, d: int) -> int:

@@ -53,13 +53,14 @@ def table_data(which: int, max_n: int | None = None) -> dict:
         rows = []
         for n in range(1, max_n + 1):
             pn = coeffs.reduced_poly(n)
+            at = rootvalues.evaluate_at_roots(pn, (3, 4))
             rows.append((
                 n,
                 pn.pretty(),
                 pn.evaluate_int(1),
                 pn.evaluate_int(-1),
-                _abs_cyclotomic(rootvalues.evaluate_at_root(pn, 3)),
-                _abs_cyclotomic(rootvalues.evaluate_at_root(pn, 4)),
+                _abs_cyclotomic(at[3]),
+                _abs_cyclotomic(at[4]),
                 pn.coeff(n - 1),
             ))
     elif which == 3:

@@ -82,23 +82,24 @@ def verify_roots(max_n: int = 2000, expansion_max_n: int = 500,
     relation_max_n = min(relation_max_n, max_n)
     products = {d: qseries.expand_root_product(d, expansion_max_n)
                 for d in rootvalues.ROOT_ORDERS}
-    roots = {d: rootvalues.omega(d) for d in rootvalues.ROOT_ORDERS}
+    powers = rootvalues.POWERS
     for n in range(1, max_n + 1):
-        cn = coeffs.count_poly(n)
-        pn = coeffs.reduced_poly(n) if n <= relation_max_n else None
+        cn_at = rootvalues.evaluate_at_roots(coeffs.count_poly(n))
+        pn_at = (rootvalues.evaluate_at_roots(coeffs.reduced_poly(n))
+                 if n <= relation_max_n else None)
         seqs = rootvalues.root_sequences(n)
         for d in rootvalues.ROOT_ORDERS:
             at = f"n={n}, d={d}"
             seq = seqs[d]
             expect("C_n(w) evaluated vs a_d(n) w^n", at,
-                   rootvalues.evaluate_at_root(cn, d), seq * roots[d] ** (n % d))
+                   cn_at[d], seq * powers[d][n % d])
             if n <= expansion_max_n:
                 expect("a_d(n): product expansion vs closed form", at,
                        products[d].coeff(n), seq)
-            if pn is not None:
+            if pn_at is not None:
                 expect("(w + 1/w - 2) P_n(w) vs a_d(n) w^(n-1)", at,
-                       (qseries.ROOT_TRACE[d] - 2) * rootvalues.evaluate_at_root(pn, d),
-                       seq * roots[d] ** ((n - 1) % d))
+                       (qseries.ROOT_TRACE[d] - 2) * pn_at[d],
+                       seq * powers[d][(n - 1) % d])
         expect("a_6(n) = 0 vs a_2(n) = 0", f"n={n}", seqs[6] == 0, seqs[2] == 0)
     return (f"n <= {max_n}: closed forms, cyclotomic evaluation and product "
             f"expansion (n <= {expansion_max_n}) agree for d in 2, 3, 4, 6; "

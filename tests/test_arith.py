@@ -76,7 +76,7 @@ def trial_divisors(n):
             if d * d != n:
                 large.append(n // d)
         d += 1
-    return small + large[::-1]
+    return tuple(small + large[::-1])
 
 
 def test_factorize_small():
@@ -117,14 +117,14 @@ def test_is_prime_matches_sieve():
 
 
 def test_divisors():
-    assert divisors(1) == [1]
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(49) == [1, 7, 49]
+    assert divisors(1) == (1,)
+    assert divisors(12) == (1, 2, 3, 4, 6, 12)
+    assert divisors(49) == (1, 7, 49)
     with pytest.raises(ValueError):
         divisors(0)
     for n in range(1, 300):
         ds = divisors(n)
-        assert ds == sorted(ds)
+        assert list(ds) == sorted(ds)
         assert all(n % d == 0 for d in ds)
         assert len(ds) == sum(1 for d in range(1, n + 1) if n % d == 0)
 
@@ -142,7 +142,7 @@ def test_divisor_properties():
     @hypothesis.given(n=st.integers(1, 10 ** 10))
     def check(n):
         ds = divisors(n)
-        assert ds == sorted(ds)
+        assert list(ds) == sorted(ds)
         assert all(n % d == 0 for d in ds)
         assert len(ds) == prod(e + 1 for _, e in factorize(n))
         assert sum(ds) == sigma(n)

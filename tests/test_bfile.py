@@ -5,8 +5,14 @@ selectively corrupted, so the parser and the comparator each get exercised
 against both agreeing and disagreeing data.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hilbtorus
 from hilbtorus.bfile import SEQUENCES, compare_bfile, parse_bfile
 from hilbtorus.errors import BFileError
 
@@ -69,6 +75,30 @@ def test_parse_rejects_non_increasing_indices(tmp_path):
     path.write_text("2 4\n1 4\n")
     with pytest.raises(BFileError, match="does not increase"):
         parse_bfile(str(path))
+
+
+def test_parse_rejects_non_utf8_line(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 4\r\n# fine\n2 \xff\n3 9\n")
+    with pytest.raises(BFileError, match=r"bad\.txt:3: not UTF-8 text"):
+        parse_bfile(str(path))
+    path.write_bytes(b"1 4\r2 5\r\n3 6")  # every text-mode line ending
+    assert parse_bfile(str(path)).entries == ((1, 4), (2, 5), (3, 6))
+
+
+def test_cli_utf16_bfile_exits_2_without_traceback(tmp_path):
+    # a UTF-16 file (BOM \xff\xfe) used to escape as a UnicodeDecodeError
+    path = tmp_path / "b004018.txt"
+    path.write_bytes("0 1\n1 4\n".encode("utf-16"))
+    src = Path(hilbtorus.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "hilbtorus", "oeis-compare", "a004018",
+         str(path)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"{path}:1: not UTF-8 text (invalid start byte at byte 0 of the line)\n"
 
 
 def test_compare_reports_mismatch(tmp_path):

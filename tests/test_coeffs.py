@@ -4,6 +4,7 @@ The twelve smallest count polynomials and their reduced forms are frozen
 here verbatim; everything else (the divisor enumerators, generating
 series, linking relations) is checked against those or against the scalar
 closed forms, which also build the per-i reference polynomial below.
+divisor_intervals is also checked against the clipped loop it replaced.
 """
 
 import pytest
@@ -39,6 +40,19 @@ def count_poly_per_i(n):
             coeffs[n + i] = c
             coeffs[n - i] = c
     return LaurentPoly(coeffs)
+
+
+def clipped_intervals(n):
+    """divisor_intervals as it was before it skipped the d <= sqrt(n/2):
+    every divisor's run, clipped to 0 <= i <= n - 1, kept when not empty."""
+    runs = []
+    for d in arith.divisors(n):
+        num = d * d - 2 * n
+        lo = max(0, -(-num // (2 * d)))
+        hi = min(n - 1, (2 * d * d - n - 1) // (2 * d))
+        if lo <= hi:
+            runs.append((lo, hi))
+    return runs
 
 
 def ones(exponents):
@@ -162,7 +176,7 @@ def test_count_poly_matches_per_i_reference():
 
 def test_count_poly_collision_guard(monkeypatch):
     divisors = arith.divisors
-    monkeypatch.setattr(arith, "divisors", lambda n: [1] + divisors(n))
+    monkeypatch.setattr(arith, "divisors", lambda n: (1,) + divisors(n))
     with pytest.raises(AssertionError, match="collided at n=6"):
         count_poly(6)
 
@@ -179,6 +193,11 @@ def test_divisor_intervals_rebuild_vector():
         assert vec == divisor_coeff_vector(n), n
     with pytest.raises(ValueError):
         divisor_intervals(0)
+
+
+def test_divisor_intervals_match_clipped_loop():
+    for n in range(1, 20001):
+        assert divisor_intervals(n) == clipped_intervals(n), n
 
 
 def test_count_is_reduced_times_square():

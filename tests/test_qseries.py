@@ -6,14 +6,17 @@ TruncatedSeries arithmetic, and the eta-quotient expander is pinned to the
 classical discriminant series and to the sparse sums of Euler's and Jacobi's
 identities.  The log-derivative recurrence behind the root, master and
 Gauss products is checked against the literal factor-by-factor kernels it
-replaced and against the pull-style form of the same recurrence (a property
-test draws the root order and truncation), a second property test draws
+replaced, against the pull-style form of the same recurrence (a property
+test draws the root order and truncation) and, on drawn log-derivatives,
+against the push that multiplied afresh for every coefficient instead of
+reusing a row per distinct |c_n|; the eta expander is checked against its
+in-place loop at order 2000; a second property test draws
 (d, n <= 2000) against the closed form a_d(n), and qseries must import none
 of the closed-form modules it is an oracle for.
 """
 
 import ast
-from operator import mul
+from operator import add, mul
 from pathlib import Path
 
 import pytest
@@ -23,6 +26,7 @@ from hilbtorus.arith import exact_div
 from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import (
     _log_derivative_series,
+    _pentagonal_terms,
     ABS_QUARTIC_ETA_SPEC,
     ROOT_ETA_SPECS,
     ROOT_TRACE,
@@ -74,6 +78,41 @@ def _pull_root_product(d, order):
         c.append(exact_div(sum(map(mul, b[1:n + 1], reversed(c))), n,
                            "log-derivative recurrence"))
     return TruncatedSeries(order, c)
+
+
+def _multiply_push(b, order):
+    """The push-style recurrence as it was before rows were cached:
+    c_n times b_1..b_(order-n), multiplied afresh for every nonzero c_n."""
+    acc = [0] * (order + 1)
+    c = []
+    for n in range(order + 1):
+        cn = exact_div(acc[n], n, "log-derivative recurrence") if n else 1
+        c.append(cn)
+        if cn:
+            acc[n + 1:] = map(add, acc[n + 1:], map(cn.__mul__, b[1:order - n + 1]))
+    return c
+
+
+def _in_place_eta(spec, order):
+    """eta_quotient_series as it was before its multiply passes became
+    slice adds: x * P in place walking down, x / P walking up."""
+    pre = spec.validate()
+    n1 = order + 1
+    x = [0] * n1
+    x[0] = 1
+    for scale, e in spec.factors:
+        terms = _pentagonal_terms(scale, order)
+        steps = range(order, 0, -1) if e > 0 else range(1, n1)
+        sign = 1 if e > 0 else -1
+        for _ in range(abs(e)):
+            for m in steps:
+                acc = 0
+                for j, p in terms:
+                    if j > m:
+                        break
+                    acc += p * x[m - j]
+                x[m] += sign * acc
+    return TruncatedSeries(order, x).shift(pre)
 
 
 def _literal_gauss(order):
@@ -200,6 +239,44 @@ def test_recurrence_rejects_corrupted_divisor_sums():
                        match="^log-derivative recurrence: 1 is not divisible by 2$"):
         _log_derivative_series(b, 3)
     assert _log_derivative_series([0, -2, -4, -8], 3) == [1, -2, 0, 0]
+
+
+def test_cached_rows_match_multiply_push():
+    # b_k = -sum_{i | k} i e_i is the log-derivative of prod (1 - t^i)^e_i,
+    # whose coefficients are integers: b takes zero and negative entries,
+    # and c_n repeats values, so rows are reused and signs alternate.  The
+    # same b, off by one at some k >= 2, makes k c_k = (integer) + 1 fail
+    # to divide at n = k in both kernels alike.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(derandomize=True, max_examples=60, deadline=None)
+    @hypothesis.given(order=st.integers(0, 400),
+                      exps=st.dictionaries(st.integers(1, 400),
+                                           st.integers(-3, 3), max_size=8),
+                      bad=st.integers(2, 400))
+    def check(order, exps, bad):
+        b = [0] * (order + 1)
+        for i, e in exps.items():
+            for k in range(i, order + 1, i):
+                b[k] -= i * e
+        assert _log_derivative_series(b, order) == _multiply_push(b, order)
+        if bad <= order:
+            b[bad] += 1
+            errors = []
+            for kernel in (_log_derivative_series, _multiply_push):
+                with pytest.raises(ArithmeticError) as info:
+                    kernel(b, order)
+                errors.append(str(info.value))
+            assert errors[0] == errors[1]
+
+    check()
+
+
+@pytest.mark.parametrize("spec", [*ROOT_ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC],
+                         ids=["d=2", "d=3", "d=4", "d=6", "abs4"])
+def test_eta_quotient_matches_in_place_loop_to_2000(spec):
+    assert eta_quotient_series(spec, 2000) == _in_place_eta(spec, 2000)
 
 
 def test_root_product_matches_literal_feedback():

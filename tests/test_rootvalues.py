@@ -1,9 +1,10 @@
 """Tests for root-of-unity values and section sums.
 
-The closed forms, and the residue-class fold evaluate_at_root, are checked
+The closed forms, and the residue-class fold evaluate_at_roots, are checked
 against the one route that cannot be argued with: build the count
 polynomial itself and evaluate it at an exact cyclotomic root, power by
-power (LaurentPoly.evaluate).  Every value must stay exact: an int at
+power (LaurentPoly.evaluate); the fold for all four roots at once is also
+checked against the one-d-at-a-time fold it replaced.  Every value must stay exact: an int at
 d = 2, a cyclotomic integer otherwise, never a float.
 """
 
@@ -15,10 +16,12 @@ from hilbtorus.cyclotomic import CycInt
 from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import expand_root_product
 from hilbtorus.rootvalues import (
+    POWERS,
     ROOT_ORDERS,
     SECTION_KS,
     count_at_root,
     evaluate_at_root,
+    evaluate_at_roots,
     omega,
     root_sequence,
     section_direct,
@@ -175,20 +178,54 @@ def test_count_poly_at_roots_property():
     check()
 
 
+def per_d_evaluation(poly, d):
+    """evaluate_at_root as it was before evaluate_at_roots: the coefficients
+    summed by exponent residue mod d, one pass per d."""
+    sums = [0] * d
+    for e, c in poly.items():
+        sums[e % d] += c
+    if d == 2:
+        return sums[0] - sums[1]
+    powers = POWERS[d]
+    return CycInt(powers[0].order, sum(s * w.a for s, w in zip(sums, powers)),
+                  sum(s * w.b for s, w in zip(sums, powers)))
+
+
+def assert_all_roots_agree(poly, power_by_power=True):
+    values = evaluate_at_roots(poly)
+    assert list(values) == list(ROOT_ORDERS)
+    for d in ROOT_ORDERS:
+        want = per_d_evaluation(poly, d)
+        assert values[d] == want and type(values[d]) is type(want), d
+        if power_by_power:
+            assert values[d] == poly.evaluate(omega(d)), d
+        assert evaluate_at_roots(poly, (d,)) == {d: values[d]}
+        assert evaluate_at_root(poly, d) == values[d]
+
+
+def test_evaluate_at_roots_matches_per_d_loop():
+    # P_n has ~2n terms, and power-by-power evaluation of all of them for
+    # every n <= 300 takes seconds, so that route stops at n = 100 for P_n
+    for n in range(1, 301):
+        assert_all_roots_agree(count_poly(n))
+        assert_all_roots_agree(reduced_poly(n), power_by_power=n <= 100)
+    assert evaluate_at_roots(LaurentPoly.zero()) == {2: 0, 3: 0, 4: 0, 6: 0}
+    with pytest.raises(ValueError):
+        evaluate_at_roots(count_poly(3), (2, 5))
+
+
 def test_evaluate_at_root_property():
     # random sparse Laurent polynomials, negative exponents included,
-    # against evaluation power by power
+    # against evaluation power by power and the per-d fold, for every d
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(derandomize=True, max_examples=200, deadline=None)
     @hypothesis.given(coeffs=st.dictionaries(st.integers(-50, 50),
                                              st.integers(-10 ** 6, 10 ** 6),
-                                             max_size=12),
-                      d=st.sampled_from(ROOT_ORDERS))
-    def check(coeffs, d):
-        poly = LaurentPoly(coeffs)
-        assert evaluate_at_root(poly, d) == poly.evaluate(omega(d))
+                                             max_size=12))
+    def check(coeffs):
+        assert_all_roots_agree(LaurentPoly(coeffs))
 
     check()
 

@@ -13,6 +13,7 @@ import inspect
 import pytest
 
 from hilbtorus import arith, rootvalues, verify
+from hilbtorus.cyclotomic import CycInt
 from hilbtorus.errors import VerificationError, expect
 from hilbtorus.laurent import LaurentPoly
 
@@ -96,3 +97,19 @@ def test_flag_keywords_are_suite_parameters():
         params = inspect.signature(getattr(verify, f"verify_{name}")).parameters
         for keyword in keywords:
             assert keyword is None or keyword in params, (name, keyword)
+
+
+def test_arith_builds_each_divisor_list_once():
+    arith.divisors.cache_clear()
+    verify.verify_arith(max_n=200)
+    info = arith.divisors.cache_info()
+    assert info.misses == 200
+    assert info.hits == 4 * 200  # five asks per n: one build, four reads
+
+
+def test_roots_raises_no_cyclotomic_power(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("CycInt.__pow__ called")
+
+    monkeypatch.setattr(CycInt, "__pow__", refuse)
+    verify.verify_roots(max_n=60)
