@@ -12,9 +12,9 @@ expansions are the independent oracle against which the closed forms in
 coeffs.py and rootvalues.py are checked, so none of them may consult those
 closed forms.
 
-The master product, its root specializations and Gauss's product share one
-recurrence, Euler's logarithmic derivative.  With p_j = w^j + w^-j for the
-roots w, 1/w of 1 - u x + x^2, the expansion F = sum c_n t^n has c_0 = 1 and
+The root specializations and Gauss's product share one recurrence, Euler's
+logarithmic derivative.  With p_j = w^j + w^-j for the roots w, 1/w of
+1 - u x + x^2, the expansion F = sum c_n t^n has c_0 = 1 and
 
     n c_n = sum_{k=1..n} b_k c_{n-k},    b_k = sum_{ij=k} i (p_j - 2),
 
@@ -24,10 +24,20 @@ p_j = u p_{j-1} - p_{j-2}), so no eta rewriting enters, and the scalar
 recurrence pushes each nonzero c_n into every later sum at once, adding or
 subtracting a row |c_n| b that is built once per distinct |c_n| (these
 coefficients take few values: +-2 and 0 for Gauss, lattice counts for the
-roots); for the master product p_j = q^j + q^-j, and each c_n is summed on
-a dense row of exponents from the sparse (exponent, coeff) terms of the
-earlier rows.  For Gauss's product b_k = -2 sum_{ij=k, j odd} i.  An eta
-factor prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
+roots).  For Gauss's product b_k = -2 sum_{ij=k, j odd} i.
+
+The master product needs no division.  With
+theta(x) = prod_{i>=0} (1 - x t^i) prod_{i>=1} (1 - t^i/x), it is
+F(t, q) = (1 - q) prod_i (1 - t^i)^2 / theta(q), and shifting the index i
+gives theta(tq) = -theta(q)/q, hence the q-difference equation
+
+    (1 - 1/q) F(t, tq) = (1 - tq) F(t, q):
+
+a three-term recurrence of integer adds on the coefficients [t^n q^e] F
+for e >= 1, with F(t, 1) = 1 fixing the q^0 terms and F(t, q) = F(t, 1/q)
+the negative exponents.
+
+An eta factor prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
 ~2 sqrt(2N / (3 scale)) nonzero terms +-1 below order N, so a positive
 power multiplies by it with one shifted slice add or subtract per term.
 """
@@ -91,31 +101,31 @@ def expand_root_product(d: int, order: int) -> TruncatedSeries:
 
 @functools.lru_cache(maxsize=4)
 def expand_master_product(order: int) -> TruncatedSeries:
-    """The two-variable master product: the t^n coefficient is C_n(q)/q^n,
-    with b_k = h_k(q) + h_k(1/q) for h_k = sum_{ij=k} i (q^j - 1).
+    """The two-variable master product: the t^n coefficient is C_n(q)/q^n.
 
-    Every row is palindromic (F is invariant under q -> 1/q), so b_k c_m is
-    h_k c_m plus its mirror image: n c_n sums h_k c_(n-k) over k into one
-    dense list over the exponents -n..n, then adds that list's reverse."""
-    h = [[] for _ in range(order + 1)]  # (exponent, coefficient) terms
-    for i in range(1, order + 1):
-        for j in range(1, order // i + 1):
-            h[i * j].append((j, i))
-    for k in range(1, order + 1):
-        h[k].append((0, -sum(i for _, i in h[k])))
-    rows = [[(0, 1)]]  # the nonzero (exponent, coefficient) terms of c_m
+    half[n][e] is [t^n q^e] F for 0 <= e <= n, and zero for e > n.  The
+    q-difference equation (1 - 1/q) F(t, tq) = (1 - tq) F(t, q) gives, for
+    e >= 1,
+
+        half[n][e] = half[n-1][e-1] + half[n-e][e] - half[n-e-1][e+1],
+
+    and F(t, 1) = 1 gives half[n][0] = -2 sum_{e>=1} half[n][e] for n >= 1;
+    each row is its half row mirrored, since F(t, q) = F(t, 1/q)."""
+    half = [[1]]
     for n in range(1, order + 1):
-        acc = [0] * (2 * n + 1)  # exponent e at index n + e
-        for k in range(1, n + 1):
-            row = rows[n - k]
-            for e1, v1 in h[k]:
-                base = n + e1
-                for e2, v2 in row:
-                    acc[base + e2] += v1 * v2
-        rows.append([(e, exact_div(v, n, "log-derivative recurrence"))
-                     for e, v in enumerate(map(add, acc, reversed(acc)), -n)
-                     if v])
-    return TruncatedSeries(order, [LaurentPoly(dict(row)) for row in rows])
+        row = [0, *half[n - 1]]
+        for e in range(1, n // 2 + 1):
+            row[e] += half[n - e][e]
+            if 2 * e + 2 <= n:
+                row[e] -= half[n - e - 1][e + 1]
+        row[0] = -2 * sum(row)
+        half.append(row)
+    rows = []
+    for row in half:
+        terms = {e: v for e, v in enumerate(row) if v}
+        terms.update({-e: v for e, v in terms.items() if e})
+        rows.append(LaurentPoly(terms))
+    return TruncatedSeries(order, rows)
 
 
 # -- Gauss's product and the theta series ----------------------------------

@@ -15,7 +15,8 @@ one-d form).
 The k-section of P_n (sum of coefficients at exponents divisible by k) has
 closed forms in sigma, r, r', r'' and lambda (section_formulas, which
 computes each count once for all k asked for); section_direct counts the
-same sums on the divisor runs of P_n's coefficients instead.
+same sums for all k asked for on one list of the divisor runs of P_n's
+coefficients instead.
 """
 
 from __future__ import annotations
@@ -136,23 +137,27 @@ def root_sequences(n: int, ds=ROOT_ORDERS) -> dict[int, int]:
 
 # -- sections of P_n -------------------------------------------------------
 
-def section_direct(n: int, k: int) -> int:
-    """Sum of the coefficients of P_n at exponents divisible by k, counted
-    on the divisor runs of coeffs.divisor_intervals without building P_n.
+def section_direct(n: int, ks=SECTION_KS) -> dict[int, int]:
+    """{k: s_k(n)} for each k in ks, the sum of the coefficients of P_n at
+    exponents divisible by k, counted on one list of divisor runs
+    (coeffs.divisor_intervals) without building P_n.
 
     A divisor whose run is lo <= i <= hi puts a one at q^(n-1+i) for each i
     in it, and another at q^(n-1-i) for each i >= 1 in it; the i that land
     on multiples of k form one residue class mod k in each case, counted in
     O(1) per run.
     """
-    if k not in SECTION_KS:
-        raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
-    up, down = (1 - n) % k, (n - 1) % k
-    total = 0
-    for lo, hi in coeffs.divisor_intervals(n):
-        total += (_residue_count(lo, hi, up, k)
-                  + _residue_count(max(lo, 1), hi, down, k))
-    return total
+    for k in ks:
+        if k not in SECTION_KS:
+            raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
+    runs = coeffs.divisor_intervals(n)
+    values = {}
+    for k in ks:
+        up, down = (1 - n) % k, (n - 1) % k
+        values[k] = sum(_residue_count(lo, hi, up, k)
+                        + _residue_count(max(lo, 1), hi, down, k)
+                        for lo, hi in runs)
+    return values
 
 
 def _residue_count(lo: int, hi: int, r: int, k: int) -> int:

@@ -244,9 +244,10 @@ def verify_sections(max_n: int = 1000) -> str:
     against the closed section formulas in sigma, r, r', r'' and lambda."""
     for n in range(1, max_n + 1):
         formulas = rootvalues.section_formulas(n)
+        direct = rootvalues.section_direct(n)
         for k in rootvalues.SECTION_KS:
             expect("s_k(n): divisor runs vs closed formula", f"n={n}, k={k}",
-                   rootvalues.section_direct(n, k), formulas[k])
+                   direct[k], formulas[k])
     return f"n <= {max_n}: direct and closed-form sections agree for k in 1, 2, 3, 4, 6"
 
 
@@ -272,11 +273,13 @@ def verify_tables(max_n: int = 18) -> str:
                    rootvalues.count_at_root(n, d))
             expect("table 3 |a_d(n)| vs closed form", at, cell,
                    abs(rootvalues.root_sequence(n, d)))
+    ks = (2, 3, 4, 6)
     for row in tables.table_data(4, max_n)["rows"]:
         n = row[0]
-        for k, cell in zip((2, 3, 4, 6), row[1:]):
+        direct = rootvalues.section_direct(n, ks)
+        for k, cell in zip(ks, row[1:]):
             expect("table 4 s_k(n) vs divisor runs", f"n={n}, k={k}", cell,
-                   rootvalues.section_direct(n, k))
+                   direct[k])
     return (f"tables 1-2 (n <= {small}) and 3-4 (n <= {max_n}) consistent "
             f"with the independent routes")
 
@@ -316,10 +319,11 @@ _FLAG_KEYWORDS = {
 def run_suites(names: list[str] | None = None,
                max_n: int | None = None,
                order: int | None = None) -> list[SuiteResult]:
-    """Run the named suites (all by default) and collect results; a suite
-    that raises fails alone and the rest still run.  Raises ValueError,
-    naming every unknown suite, before any suite runs."""
-    chosen = list(SUITES) if names is None else names
+    """Run the named suites (all by default), each once in the order it is
+    first named, and collect results; a suite that raises fails alone and
+    the rest still run.  Raises ValueError, naming every unknown suite,
+    before any suite runs."""
+    chosen = list(dict.fromkeys(SUITES if names is None else names))
     unknown = [name for name in chosen if name not in SUITES]
     if unknown:
         raise ValueError(f"unknown suite(s): {', '.join(unknown)}; "

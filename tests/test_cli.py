@@ -187,6 +187,19 @@ def test_verify_selected_suites(capsys):
     assert lines[1].startswith("ok   tables")
 
 
+def test_verify_runs_each_named_suite_once(capsys, monkeypatch):
+    ran = []
+    zeta = verify.SUITES["zeta"]
+    monkeypatch.setitem(verify.SUITES, "zeta",
+                        lambda **kwargs: ran.append("zeta") or zeta(**kwargs))
+    code, out, err = run(capsys, "verify", "--suite", "zeta,tables,zeta",
+                         "--suite", "tables", "--suite", "zeta", "--max-n", "30")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert [line.split()[1] for line in lines] == ["zeta", "tables"]
+    assert ran == ["zeta"]
+
+
 def test_verify_reports_unexpected_exception_as_suite_failure(capsys, monkeypatch):
     def overflow(**kwargs):
         raise ArithmeticError("remainder in an exact division")

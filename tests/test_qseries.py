@@ -4,15 +4,21 @@ Small product coefficients are frozen by hand (the first few factors can be
 multiplied out on paper), every expander is cross-checked against naive
 TruncatedSeries arithmetic, and the eta-quotient expander is pinned to the
 classical discriminant series and to the sparse sums of Euler's and Jacobi's
-identities.  The log-derivative recurrence behind the root, master and
-Gauss products is checked against the literal factor-by-factor kernels it
-replaced, against the pull-style form of the same recurrence (a property
-test draws the root order and truncation) and, on drawn log-derivatives,
-against the push that multiplied afresh for every coefficient instead of
-reusing a row per distinct |c_n|; the eta expander is checked against its
-in-place loop at order 2000; a second property test draws
-(d, n <= 2000) against the closed form a_d(n), and qseries must import none
-of the closed-form modules it is an oracle for.
+identities.  The master product runs the q-difference recurrence
+f[n][e] = f[n-1][e-1] + f[n-e][e] - f[n-e-1][e+1] (e >= 1) of
+(1 - 1/q) F(t, tq) = (1 - tq) F(t, q), which needs no division: the
+factor-by-factor product is checked to obey that recurrence, palindromy and
+F(t, 1) = 1, the three facts the kernel is built from, and the kernel is
+pinned to the log-derivative master kernel it replaced.  The log-derivative
+recurrence behind the root and Gauss products is checked against the
+literal factor-by-factor kernels it replaced, against the pull-style form
+of the same recurrence (a property test draws the root order and
+truncation) and, on drawn log-derivatives, against the push that
+multiplied afresh for every coefficient instead of reusing a row per
+distinct |c_n|; the eta expander is checked against its in-place loop at
+order 2000; a second property test draws (d, n <= 2000) against the closed
+form a_d(n), and qseries must import none of the closed-form modules it is
+an oracle for.
 """
 
 import ast
@@ -60,6 +66,32 @@ def _literal_feedback(u, one, order):
                 acc = acc - c[m - 2 * i]
             c[m] = acc
     return TruncatedSeries(order, c)
+
+
+def _log_derivative_master(order):
+    """The master product as it was before the q-difference recurrence:
+    n c_n = sum_k b_k c_(n-k) with b_k = h_k(q) + h_k(1/q),
+    h_k = sum_{ij=k} i (q^j - 1), each c_n summed on a dense row of
+    exponents -n..n plus its reverse, every division by n checked exact."""
+    h = [[] for _ in range(order + 1)]  # (exponent, coefficient) terms
+    for i in range(1, order + 1):
+        for j in range(1, order // i + 1):
+            h[i * j].append((j, i))
+    for k in range(1, order + 1):
+        h[k].append((0, -sum(i for _, i in h[k])))
+    rows = [[(0, 1)]]  # the nonzero (exponent, coefficient) terms of c_m
+    for n in range(1, order + 1):
+        acc = [0] * (2 * n + 1)  # exponent e at index n + e
+        for k in range(1, n + 1):
+            row = rows[n - k]
+            for e1, v1 in h[k]:
+                base = n + e1
+                for e2, v2 in row:
+                    acc[base + e2] += v1 * v2
+        rows.append([(e, exact_div(v, n, "log-derivative recurrence"))
+                     for e, v in enumerate(map(add, acc, reversed(acc)), -n)
+                     if v])
+    return TruncatedSeries(order, [LaurentPoly(dict(row)) for row in rows])
 
 
 def _pull_root_product(d, order):
@@ -184,6 +216,31 @@ def test_master_product_matches_literal_feedback():
     q_trace = LaurentPoly({1: 1, -1: 1})
     assert expand_master_product(order) == _literal_feedback(
         q_trace, LaurentPoly.one(), order)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 5, 50, 150])
+def test_master_product_matches_log_derivative_kernel(order):
+    assert expand_master_product(order) == _log_derivative_master(order)
+
+
+def test_literal_master_product_obeys_the_q_difference_facts():
+    # the three facts the q-difference kernel is built from, read off the
+    # factor-by-factor product: f[n][e] = [t^n q^e] F
+    order = 40
+    q_trace = LaurentPoly({1: 1, -1: 1})
+    rows = _literal_feedback(q_trace, LaurentPoly.one(), order).coeffs
+
+    def f(n, e):
+        return rows[n].coeff(e) if n >= 0 else 0
+
+    for n in range(order + 1):
+        # (1 - 1/q) F(t, tq) = (1 - tq) F(t, q), at t^n q^e for e >= 1
+        for e in range(1, n + 2):
+            assert f(n, e) == f(n - 1, e - 1) + f(n - e, e) - f(n - e - 1, e + 1), (n, e)
+        # F(t, q) = F(t, 1/q)
+        assert rows[n] == LaurentPoly({-e: c for e, c in rows[n].items()}), n
+        # F(t, 1) = 1
+        assert rows[n].evaluate_int(1) == (1 if n == 0 else 0), n
 
 
 # signed root-sequence prefixes, n = 1..10, multiplied out by hand from the

@@ -26,6 +26,7 @@ from hilbtorus.rootvalues import (
     root_sequence,
     section_direct,
     section_formula,
+    section_formulas,
 )
 
 
@@ -141,16 +142,16 @@ def test_section_frozen_values():
 
 def test_section_direct_small():
     # P_6 has coefficients 1,1,1,1,1,2,1,1,1,1,1 at q^0..q^10
-    assert section_direct(6, 1) == 12
-    assert section_direct(6, 2) == 6
-    assert section_direct(6, 3) == 4
-    assert section_direct(6, 6) == 2
+    assert section_direct(6) == {1: 12, 2: 6, 3: 4, 4: 3, 6: 2}
+    assert section_direct(6, (6, 2)) == {6: 2, 2: 6}
+    assert section_direct(6, ()) == {}
 
 
 def test_sections_direct_equals_formula():
     for n in range(1, 200):
+        assert section_direct(n) == section_formulas(n), n
         for k in SECTION_KS:
-            assert section_direct(n, k) == section_formula(n, k), (n, k)
+            assert section_direct(n, (k,)) == {k: section_formula(n, k)}, (n, k)
 
 
 def test_section_direct_matches_reduced_poly_sums():
@@ -162,8 +163,7 @@ def test_section_direct_matches_reduced_poly_sums():
             for k in SECTION_KS:
                 if e % k == 0:
                     sums[k] += c
-        for k in SECTION_KS:
-            assert section_direct(n, k) == sums[k], (n, k)
+        assert section_direct(n) == sums, n
 
 
 def test_count_poly_at_roots_property():
@@ -235,9 +235,10 @@ def test_section_direct_equals_formula_property():
     st = hypothesis.strategies
 
     @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
-    @hypothesis.given(n=st.integers(1, 10 ** 6), k=st.sampled_from(SECTION_KS))
-    def check(n, k):
-        assert section_direct(n, k) == section_formula(n, k)
+    @hypothesis.given(n=st.integers(1, 10 ** 6),
+                      ks=st.lists(st.sampled_from(SECTION_KS), unique=True))
+    def check(n, ks):
+        assert section_direct(n, ks) == section_formulas(n, ks)
 
     check()
 
@@ -248,9 +249,9 @@ def test_section_input_validation():
     with pytest.raises(ValueError):
         section_formula(4, 5)
     with pytest.raises(ValueError):
-        section_direct(4, 5)
+        section_direct(4, (2, 5))
     with pytest.raises(ValueError):
-        section_direct(0, 2)
+        section_direct(0, (2,))
 
 
 def test_first_section_is_divisor_sum():
