@@ -87,10 +87,10 @@ def _compute_one(kind: str, n: int, d: int | None, fmt: str):
             return z.pretty()
         return {"n": n, "factors": [{"e": e, "m": m} for e, m in z.factors]}
     if kind == "hasse-weil":
-        h = zeta.hasse_weil(n)
+        z = zeta.build_local_zeta(n)
         if fmt == "pretty":
-            return h.pretty()
-        return {"n": n, "factors": [{"s0": s0, "m": m} for s0, m in h.exponents]}
+            return z.hasse_weil()
+        return {"n": n, "factors": [{"s0": s0, "m": m} for s0, m in z.factors]}
     if kind == "ad":
         ds = (d,) if d is not None else rootvalues.ROOT_ORDERS
         return _values(n, "a", rootvalues.root_sequences(n, ds), fmt)
@@ -199,8 +199,9 @@ def build_parser() -> argparse.ArgumentParser:
              "qseries ignores it")
     verify_cmd.add_argument(
         "--order", type=_positive, default=None,
-        help="sets identity_order of coeffs, expansion_max_n of roots and "
-             "order of qseries; the other suites ignore it")
+        help="sets order of coeffs, roots and qseries; roots and qseries "
+             "share one expansion of each root product; the other suites "
+             "ignore it")
     verify_cmd.set_defaults(func=_cmd_verify)
 
     oeis = sub.add_parser("oeis-compare",

@@ -6,11 +6,13 @@ The master identity expanded here is
         = prod_{i>=1} (1 - t^i)^2 / (1 - (q + 1/q) t^i + t^{2i}),
 
 together with its root-of-unity specializations (q + 1/q -> -2, -1, 0, 1),
-Gauss's product (1 - t^i)/(1 + t^i), the classical theta series phi and psi,
-and eta-quotient expansions.  Everything is exact integer arithmetic; these
-expansions are the independent oracle against which the closed forms in
-coeffs.py and rootvalues.py are checked, so none of them may consult those
-closed forms.
+Gauss's product (1 - t^i)/(1 + t^i), the classical theta series phi and psi
+(Gauss's product equals phi(-t)), and eta-quotient expansions.  Everything
+is exact integer arithmetic; these expansions are the independent oracle
+against which the closed forms in coeffs.py and rootvalues.py are checked,
+so none of them may consult those closed forms.  The root products are
+cached per (d, order): verify's roots and qseries suites take the same
+order and so share one expansion of each.
 
 The root specializations and Gauss's product share one recurrence, Euler's
 logarithmic derivative.  With p_j = w^j + w^-j for the roots w, 1/w of
@@ -139,17 +141,6 @@ def gauss_series(order: int) -> TruncatedSeries:
         for k in range(i, order + 1, 2 * i):
             b[k] -= 2 * i
     return TruncatedSeries(order, _log_derivative_series(b, order))
-
-
-def gauss_theta_series(order: int) -> TruncatedSeries:
-    """sum_{k in Z} (-1)^k t^(k^2) = 1 + 2 sum_{k>=1} (-1)^k t^(k^2)."""
-    out = [0] * (order + 1)
-    out[0] = 1
-    k = 1
-    while k * k <= order:
-        out[k * k] += -2 if k % 2 else 2
-        k += 1
-    return TruncatedSeries(order, out)
 
 
 def phi_series(scale: int, order: int, negate_arg: bool = False) -> TruncatedSeries:

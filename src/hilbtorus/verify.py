@@ -24,6 +24,11 @@ from .errors import VerificationError, expect
 from .laurent import LaurentPoly
 from .series import TruncatedSeries
 
+GENERATING_MAX_I = 20  # coefficient columns i checked against their series
+RELATION_MAX_N = 300  # n checked by the reduced-polynomial relation
+ZETA_SERIES_MAX_N = 20  # n whose zeta log-derivative series is checked
+ZETA_SERIES_TERMS = 10  # terms of each of those series
+
 
 def _require_series_equal(got: TruncatedSeries, want: TruncatedSeries,
                           what: str) -> None:
@@ -34,8 +39,7 @@ def _require_series_equal(got: TruncatedSeries, want: TruncatedSeries,
 
 # -- suites ----------------------------------------------------------------
 
-def verify_coeffs(max_n: int = 300, identity_order: int = 64,
-                  max_i: int = 20) -> str:
+def verify_coeffs(max_n: int = 300, order: int = 64) -> str:
     """Triple-oracle agreement: the master product expansion, the
     closed-form coefficients, and the divisor-count route must produce
     the same polynomials; the divisor enumerator behind count_poly must
@@ -58,7 +62,7 @@ def verify_coeffs(max_n: int = 300, identity_order: int = 64,
         table = coeffs.CoeffTables.build(n)
         table.check_linking()
         table_cache.append(table)
-    for i in range(0, max_i + 1):
+    for i in range(0, GENERATING_MAX_I + 1):
         a_series = coeffs.divisor_coeff_series(i, max_n)
         c_series = coeffs.c_coeff_series(i, max_n)
         for n, table in enumerate(table_cache, 1):
@@ -66,21 +70,22 @@ def verify_coeffs(max_n: int = 300, identity_order: int = 64,
                    a_series.coeff(n), table.a_at(i))
             expect("c-generating series vs c_(n,i)", f"n={n}, i={i}",
                    c_series.coeff(n), table.c[i] if i <= n else 0)
-    coeffs.check_reduced_generating_identity(identity_order)
+    coeffs.check_reduced_generating_identity(order)
     return (f"n <= {max_n}: master product, closed forms, divisor route and "
-            f"generating series (i <= {max_i}) agree; reduced generating "
-            f"identity holds to order {identity_order}")
+            f"generating series (i <= {GENERATING_MAX_I}) agree; reduced "
+            f"generating identity holds to order {order}")
 
 
-def verify_roots(max_n: int = 2000, expansion_max_n: int = 500,
-                 relation_max_n: int = 300) -> str:
+def verify_roots(max_n: int = 2000, order: int = 2000) -> str:
     """Three-way agreement for the root-of-unity sequences: closed form,
-    cyclotomic evaluation of C_n, and product expansion; plus the
-    reduced-polynomial relation and the shared-vanishing property of the
-    order-2 and order-6 sequences."""
-    expansion_max_n = min(expansion_max_n, max_n)
-    relation_max_n = min(relation_max_n, max_n)
-    products = {d: qseries.expand_root_product(d, expansion_max_n)
+    cyclotomic evaluation of C_n, and product expansion (for n <= order);
+    plus the reduced-polynomial relation and the shared-vanishing property
+    of the order-2 and order-6 sequences.  The root products are expanded
+    to order through qseries' cache, so verify_qseries at the same order
+    reuses them."""
+    expansion_max_n = min(order, max_n)
+    relation_max_n = min(RELATION_MAX_N, max_n)
+    products = {d: qseries.expand_root_product(d, order)
                 for d in rootvalues.ROOT_ORDERS}
     powers = rootvalues.POWERS
     for n in range(1, max_n + 1):
@@ -106,45 +111,36 @@ def verify_roots(max_n: int = 2000, expansion_max_n: int = 500,
             f"reduced-polynomial relation holds for n <= {relation_max_n}")
 
 
-def verify_zeta(max_n: int = 100, series_max_n: int = 20,
-                series_terms: int = 10) -> str:
+def verify_zeta(max_n: int = 100) -> str:
     """Functional-equation certificates, and the log-derivative series of
     the factored zeta against direct point counts."""
     for n in range(1, max_n + 1):
         zeta.functional_equation_check(n)
-    for n in range(1, min(series_max_n, max_n) + 1):
+    series_max_n = min(ZETA_SERIES_MAX_N, max_n)
+    for n in range(1, series_max_n + 1):
         for q0 in (2, 3):
-            zeta.zeta_series_check(n, q0, series_terms)
+            zeta.zeta_series_check(n, q0, ZETA_SERIES_TERMS)
     return (f"n <= {max_n}: functional-equation certificates pass; "
             f"log-derivative series match point counts for "
-            f"n <= {min(series_max_n, max_n)}, q0 in (2, 3), "
-            f"{series_terms} terms")
-
-
-def _theta_square(order: int) -> TruncatedSeries:
-    """(sum_k (-1)^k t^(k^2))^2 by direct convolution of the supports."""
-    out = [0] * (order + 1)
-    kmax = math.isqrt(order)
-    for k in range(-kmax, kmax + 1):
-        k2 = k * k
-        for l in range(-kmax, kmax + 1):
-            e = k2 + l * l
-            if e <= order:
-                out[e] += -1 if (k + l) % 2 else 1
-    return TruncatedSeries(order, out)
+            f"n <= {series_max_n}, q0 in (2, 3), {ZETA_SERIES_TERMS} terms")
 
 
 def verify_qseries(order: int = 2000) -> str:
-    """The generating-function identities: Gauss's product/theta identity
-    and its square, the eta-quotient forms of all four root products, the
-    phi/psi expressions for the order-4 sequence and its absolute values,
-    and the four-way multisection recombination behind them."""
-    gauss = qseries.gauss_series(order)
-    _require_series_equal(gauss, qseries.gauss_theta_series(order),
+    """The generating-function identities: Gauss's product against the
+    theta series phi(-q), and phi(-q)^2 against the order-2 root product,
+    the eta-quotient forms of all four root products, the phi/psi
+    expressions for the order-4 sequence and its absolute values, and the
+    four-way multisection recombination behind them.  The root products
+    are read through qseries' cache, so after verify_roots at the same
+    order they cost nothing here."""
+    phi = qseries.phi_series
+    psi = qseries.psi_series
+    theta = phi(1, order, True)
+    _require_series_equal(qseries.gauss_series(order), theta,
                           "Gauss product vs theta sum")
     rp = {d: qseries.expand_root_product(d, order)
           for d in rootvalues.ROOT_ORDERS}
-    _require_series_equal(_theta_square(order), rp[2],
+    _require_series_equal(theta * theta, rp[2],
                           "theta-square vs order-2 root product")
     for d in rootvalues.ROOT_ORDERS:
         _require_series_equal(
@@ -154,16 +150,13 @@ def verify_qseries(order: int = 2000) -> str:
     _require_series_equal(
         qseries.eta_quotient_series(qseries.ABS_QUARTIC_ETA_SPEC, order),
         abs4, "eta quotient vs absolute order-4 sequence")
-    phi = qseries.phi_series
-    psi = qseries.psi_series
-    _require_series_equal(phi(1, order, True) * phi(2, order, True), rp[4],
+    _require_series_equal(theta * phi(2, order, True), rp[4],
                           "phi(-q) phi(-q^2) vs order-4 root product")
     _require_series_equal(phi(1, order) * phi(2, order), abs4,
                           "phi(q) phi(q^2) vs absolute order-4 sequence")
     _require_series_equal(phi(4, order) + 2 * psi(8, order).shift(1),
                           phi(1, order), "phi(q^4) + 2q psi(q^8) vs phi(q)")
-    _require_series_equal(phi(4, order) - 2 * psi(8, order).shift(1),
-                          phi(1, order, True),
+    _require_series_equal(phi(4, order) - 2 * psi(8, order).shift(1), theta,
                           "phi(q^4) - 2q psi(q^8) vs phi(-q)")
     blocks = (
         phi(4, order) * phi(8, order),
@@ -304,15 +297,15 @@ SUITES: dict[str, Callable[..., str]] = {
     "tables": verify_tables,
 }
 
-# the keyword that --max-n and --order set in each suite; None: ignored
+# the keywords each suite takes: --max-n sets max_n and --order sets order
 _FLAG_KEYWORDS = {
-    "coeffs": ("max_n", "identity_order"),
-    "roots": ("max_n", "expansion_max_n"),
-    "zeta": ("max_n", None),
-    "qseries": (None, "order"),
-    "arith": ("max_n", None),
-    "sections": ("max_n", None),
-    "tables": ("max_n", None),
+    "coeffs": ("max_n", "order"),
+    "roots": ("max_n", "order"),
+    "zeta": ("max_n",),
+    "qseries": ("order",),
+    "arith": ("max_n",),
+    "sections": ("max_n",),
+    "tables": ("max_n",),
 }
 
 
@@ -330,10 +323,9 @@ def run_suites(names: list[str] | None = None,
                          f"known: {', '.join(SUITES)}")
     results = []
     for name in chosen:
-        kwargs = {}
-        for keyword, value in zip(_FLAG_KEYWORDS[name], (max_n, order)):
-            if keyword and value is not None:
-                kwargs[keyword] = value
+        kwargs = {keyword: value
+                  for keyword, value in (("max_n", max_n), ("order", order))
+                  if keyword in _FLAG_KEYWORDS[name] and value is not None}
         start = time.perf_counter()
         try:
             detail = SUITES[name](**kwargs)

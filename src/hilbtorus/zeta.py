@@ -58,6 +58,20 @@ class ZetaRational:
             den = f"({den})"
         return f"{num} / {den}"
 
+    def hasse_weil(self) -> str:
+        """Display zeta_H(s) = prod_s0 zeta(s - s0)^m(s0), the product of
+        shifted Riemann zetas with the local multiplicities (s0 = e), like
+        zeta(s) zeta(s - 2) / zeta(s - 1)^2."""
+        num, den = [], []
+        for s0, m in self.factors:
+            base = "zeta(s)" if s0 == 0 else f"zeta(s - {s0})"
+            text = base if abs(m) == 1 else f"{base}^{abs(m)}"
+            (num if m > 0 else den).append(text)
+        top = " ".join(num) or "1"
+        if not den:
+            return top
+        return f"{top} / {' '.join(den)}"
+
 
 def _factor_string(exponents: list[int]) -> str:
     counts = Counter(exponents)
@@ -133,33 +147,3 @@ def functional_equation_check(n: int) -> FunctionalEquationCertificate:
            (True, 0, 0))
     return cert
 
-
-@dataclass(frozen=True)
-class HasseWeilExponents:
-    """zeta_H(s) = prod_s0 zeta(s - s0)^m(s0); exponents are the same
-    multiplicities as in the local factored form, shifted to s0 in [0, 2n].
-    """
-
-    n: int
-    exponents: tuple[tuple[int, int], ...]  # (s0, m), s0 ascending
-
-    def pretty(self) -> str:
-        num, den = [], []
-        for s0, m in self.exponents:
-            base = "zeta(s)" if s0 == 0 else f"zeta(s - {s0})"
-            text = base if abs(m) == 1 else f"{base}^{abs(m)}"
-            (num if m > 0 else den).append(text)
-        top = " ".join(num) or "1"
-        if not den:
-            return top
-        return f"{top} / {' '.join(den)}"
-
-
-def hasse_weil(n: int) -> HasseWeilExponents:
-    """Exponent bookkeeping for the product of shifted Riemann zetas.
-
-    Symmetric under s0 -> 2n - s0, matching the invariance of the completed
-    product under s -> 2n - s.
-    """
-    z = build_local_zeta(n)
-    return HasseWeilExponents(n, z.factors)

@@ -58,12 +58,12 @@ def test_criterion_1_table_reproduction():
 
 def test_criterion_2_triple_oracle_coefficients():
     criterion(2, "product/closed-form/reduced agreement to n = 300", 60.0,
-              lambda: verify.verify_coeffs(max_n=300, max_i=20))
+              lambda: verify.verify_coeffs(max_n=300))
 
 
 def test_criterion_3_root_value_three_way():
     criterion(3, "root-of-unity three-way agreement to n = 2000", 60.0,
-              lambda: verify.verify_roots(max_n=2000, expansion_max_n=500))
+              lambda: verify.verify_roots(max_n=2000))
 
 
 def test_criterion_4_q_series_identities():
@@ -73,7 +73,7 @@ def test_criterion_4_q_series_identities():
 
 def test_criterion_5_zeta_certificates():
     def work():
-        verify.verify_zeta(max_n=100, series_max_n=20, series_terms=10)
+        verify.verify_zeta(max_n=100)
         displayed = {
             3: ([1, 2, 4, 5], [0, 3, 3, 6]),
             5: ([1, 3, 7, 9], [0, 4, 6, 10]),

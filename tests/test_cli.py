@@ -219,12 +219,18 @@ def test_verify_help_names_what_each_flag_sets(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--help"])
     options = " ".join(capsys.readouterr().out.split()).split("options:", 1)[1]
-    max_n_help, order_help = options.split("--max-n MAX_N", 1)[1].split("--order ORDER")
-    for name, (size, order) in verify._FLAG_KEYWORDS.items():
-        want = f"{name} ignores it" if size is None else name
-        assert size in (None, "max_n") and want in max_n_help, (name, size)
-        want = "the other suites ignore it" if order is None else f"{order} of {name}"
-        assert want in order_help, (name, order)
+    helps = options.split("--max-n MAX_N", 1)[1].split("--order ORDER")
+    for keyword, text in zip(("max_n", "order"), helps):
+        # "sets KEYWORD of a, b and c; ..." names the suites the flag sets
+        head, rest = text.split(";", 1)
+        named = head.split(f"sets {keyword} of ", 1)[1]
+        named = set(named.replace(" and ", ", ").split(", "))
+        takers = {name for name, keywords in verify._FLAG_KEYWORDS.items()
+                  if keyword in keywords}
+        assert named == takers, (keyword, named)
+        for name in set(verify.SUITES) - takers:
+            assert (f"{name} ignores it" in rest
+                    or "the other suites ignore it" in rest), (keyword, name)
 
 
 def test_verify_unknown_suite(capsys):

@@ -41,7 +41,6 @@ from hilbtorus.qseries import (
     expand_master_product,
     expand_root_product,
     gauss_series,
-    gauss_theta_series,
     phi_series,
     psi_series,
 )
@@ -372,7 +371,7 @@ def test_root_product_matches_closed_form_to_2000():
 
 def test_gauss_series_is_signed_square_theta():
     order = 300
-    assert gauss_series(order) == gauss_theta_series(order)
+    assert gauss_series(order) == phi_series(1, order, negate_arg=True)
 
 
 def test_gauss_series_matches_literal_product_to_2000():
@@ -380,7 +379,7 @@ def test_gauss_series_matches_literal_product_to_2000():
 
 
 def test_gauss_theta_prefix():
-    s = gauss_theta_series(9)
+    s = phi_series(1, 9, negate_arg=True)
     assert s.coeffs == (1, -2, 0, 0, 2, 0, 0, 0, 0, -2)
 
 

@@ -4,15 +4,16 @@ expect is the one place a VerificationError is raised, so a failed
 identity always carries its name, index and both values.  Each mutation
 test below puts one route off by one and checks the witness the suite
 raises; the harness must reject unknown suite names before running any
-suite, and every keyword the --max-n/--order table names must be a
-parameter of its suite.
+suite, the --max-n/--order table must name exactly the keyword parameters
+of each suite, and the roots and qseries suites must share one expansion
+of each root product.
 """
 
 import inspect
 
 import pytest
 
-from hilbtorus import arith, rootvalues, verify
+from hilbtorus import arith, qseries, rootvalues, verify
 from hilbtorus.cyclotomic import CycInt
 from hilbtorus.errors import VerificationError, expect
 from hilbtorus.laurent import LaurentPoly
@@ -95,8 +96,15 @@ def test_flag_keywords_are_suite_parameters():
     assert list(verify._FLAG_KEYWORDS) == list(verify.SUITES)
     for name, keywords in verify._FLAG_KEYWORDS.items():
         params = inspect.signature(getattr(verify, f"verify_{name}")).parameters
-        for keyword in keywords:
-            assert keyword is None or keyword in params, (name, keyword)
+        assert set(keywords) <= {"max_n", "order"}, name
+        assert set(keywords) == set(params), (name, keywords, list(params))
+
+
+def test_roots_and_qseries_share_the_root_products():
+    qseries.expand_root_product.cache_clear()
+    results = verify.run_suites(["roots", "qseries"], max_n=60, order=120)
+    assert [r.ok for r in results] == [True, True], results
+    assert qseries.expand_root_product.cache_info().misses == 4
 
 
 def test_arith_builds_each_divisor_list_once():
@@ -112,4 +120,4 @@ def test_roots_raises_no_cyclotomic_power(monkeypatch):
         raise AssertionError("CycInt.__pow__ called")
 
     monkeypatch.setattr(CycInt, "__pow__", refuse)
-    verify.verify_roots(max_n=60)
+    verify.verify_roots(max_n=60, order=60)

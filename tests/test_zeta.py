@@ -15,7 +15,6 @@ from hilbtorus.zeta import (
     ZetaRational,
     build_local_zeta,
     functional_equation_check,
-    hasse_weil,
     zeta_series_check,
 )
 
@@ -116,16 +115,16 @@ def test_certificate_fails_on_asymmetry(monkeypatch):
 
 
 def test_hasse_weil_one_point():
-    h = hasse_weil(1)
-    assert h.exponents == ((0, 1), (1, -2), (2, 1))
-    assert h.pretty() == "zeta(s) zeta(s - 2) / zeta(s - 1)^2"
+    z = build_local_zeta(1)
+    assert z.factors == ((0, 1), (1, -2), (2, 1))
+    assert z.hasse_weil() == "zeta(s) zeta(s - 2) / zeta(s - 1)^2"
 
 
 def test_hasse_weil_symmetry():
     for n in range(1, 30):
-        h = hasse_weil(n)
-        mm = dict(h.exponents)
-        for s0, m in h.exponents:
+        z = build_local_zeta(n)
+        mm = dict(z.factors)
+        for s0, m in z.factors:
             assert mm.get(2 * n - s0, 0) == m, (n, s0)
 
 
