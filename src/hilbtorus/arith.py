@@ -13,6 +13,7 @@ arith suite checks those products against.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from math import isqrt
 
 
@@ -149,14 +150,8 @@ def excess_e1(n: int) -> int:
         raise ValueError("excess_e1 expects n >= 0")
     if n == 0:
         return 0
-    total = 0
-    for d in divisors(n):
-        r = d % 3
-        if r == 1:
-            total += 1
-        elif r == 2:
-            total -= 1
-    return total
+    residues = [d % 3 for d in divisors(n)]
+    return residues.count(1) - residues.count(2)
 
 
 def lambda_fn(n: int) -> int:
@@ -179,12 +174,9 @@ def lambda_fn(n: int) -> int:
 
 
 def middle_divisors(n: int) -> int:
-    """Count divisors d of n with sqrt(n/2) < d <= sqrt(2n), exactly."""
+    """Count divisors d of n with sqrt(n/2) < d <= sqrt(2n), exactly: the
+    integer d with isqrt(n // 2) < d <= isqrt(2n), by two bisections."""
     if n < 1:
         raise ValueError("middle_divisors expects n >= 1")
-    count = 0
-    for d in divisors(n):
-        sq = d * d
-        if 2 * sq > n and sq <= 2 * n:
-            count += 1
-    return count
+    ds = divisors(n)
+    return bisect_right(ds, isqrt(2 * n)) - bisect_right(ds, isqrt(n // 2))

@@ -21,12 +21,13 @@ per-i scalar forms, kept as the independent check of both enumerators.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
 
-from .errors import expect
-from .laurent import LaurentPoly, balanced_power_sum
+from .errors import expect, expect_rows
+from .laurent import LaurentPoly, _raw, balanced_power_sum
 from .series import TruncatedSeries
 from . import arith
 
@@ -107,12 +108,11 @@ def divisor_intervals(n: int) -> list[tuple[int, int]]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
+    ds = arith.divisors(n)
     runs = []
-    for d in arith.divisors(n):
-        # d > (i + sqrt(2n+i^2))/2  <=>  2di <= 2d^2 - n - 1: no i >= 0
-        # unless 2d^2 > n, and hi = floor(d - (n+1)/(2d)) < d <= n
-        if 2 * d * d <= n:
-            continue
+    # d > (i + sqrt(2n+i^2))/2  <=>  2di <= 2d^2 - n - 1: no i >= 0 unless
+    # 2d^2 > n, that is d > isqrt(n // 2); then hi = floor(d - (n+1)/(2d)) < d
+    for d in ds[bisect_right(ds, isqrt(n // 2)):]:
         # d <= i + sqrt(2n+i^2)     <=>  2di >= d^2 - 2n
         num = d * d - 2 * n
         lo = max(0, -(-num // (2 * d)))
@@ -158,7 +158,7 @@ def count_poly(n: int) -> LaurentPoly:
                     f"trapezoidal cases collided at n={n}, i={i}")
             coeffs[n + i] = c
             coeffs[n - i] = c
-    return LaurentPoly(coeffs)
+    return _raw(coeffs)  # every term is already a nonzero int
 
 
 def reduced_poly(n: int) -> LaurentPoly:
@@ -169,7 +169,7 @@ def reduced_poly(n: int) -> LaurentPoly:
         raise ValueError("need n >= 1")
     a = divisor_coeff_vector(n)
     # exponents 0..2n-2 carry a_{n,n-1}, ..., a_{n,1}, a_{n,0}, ..., a_{n,n-1}
-    return LaurentPoly({e: c for e, c in enumerate(a[:0:-1] + a) if c})
+    return _raw({e: c for e, c in enumerate(a[:0:-1] + a) if c})
 
 
 @dataclass(frozen=True)
@@ -185,9 +185,11 @@ class CoeffTables:
 
     @classmethod
     def build(cls, n: int) -> "CoeffTables":
-        cn = count_poly(n)
-        c = tuple(cn.coeff(n + i) for i in range(n + 1))
-        return cls(n, c, tuple(divisor_coeff_vector(n)))
+        c = [0] * (n + 1)
+        for e, value in count_poly(n).items():
+            if e >= n:
+                c[e - n] = value
+        return cls(n, tuple(c), tuple(divisor_coeff_vector(n)))
 
     def a_at(self, i: int) -> int:
         """a_{n,i} with the boundary convention a_{n,n} = a_{n,n+1} = 0."""
@@ -198,10 +200,11 @@ class CoeffTables:
         c_{n,i} = a_{n,i+1} - 2a_{n,i} + a_{n,i-1} for 1 <= i <= n; the
         first is the second at i = 0, since a_{n,-1} = a_{n,1} (P_n is
         palindromic about its central coefficient a_{n,0})."""
-        for i in range(self.n + 1):
-            expect("c_(n,i) vs second difference of a_(n,i)",
-                   f"n={self.n}, i={i}", self.c[i],
-                   self.a_at(i + 1) - 2 * self.a_at(i) + self.a_at(abs(i - 1)))
+        padded = (self.a_at(1), *self.a, 0, 0)  # a_{n,j-1}, j = 0..n+2
+        second = tuple(x - 2 * y + z for x, y, z
+                       in zip(padded, padded[1:], padded[2:]))
+        expect_rows("c_(n,i) vs second difference of a_(n,i)",
+                    lambda i: f"n={self.n}, i={i}", self.c, second)
 
 
 # -- generating series along fixed i --------------------------------------
@@ -265,9 +268,7 @@ def check_reduced_generating_identity(order: int) -> None:
         sgn = 1 if k % 2 == 1 else -1
         j = 0
         while base + j * k <= order:
-            block = balanced_power_sum(j)
-            if sgn < 0:
-                block = -block
+            block = sgn * balanced_power_sum(j)
             e1 = base + j * k
             rhs[e1] = rhs[e1] + block
             e2 = e1 + k

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and expect, the one check
-behind every certified identity.
+"""Exception types shared across the package, and expect and expect_rows,
+the checks behind every certified identity.
 
 Every identity the package certifies goes through expect(identity, index,
-got, want), so every failure is a VerificationError whose witness carries
-the identity's name, the index it failed at and both values, and whose
-message has one format: "identity at index: got != want".
+got, want), or expect_rows for a row of values, so every failure is a
+VerificationError whose witness carries the identity's name, the index it
+failed at (formatted only on failure) and both values, and whose message
+has one format: "identity at index: got != want".
 """
 
 
@@ -23,10 +24,25 @@ class VerificationError(Exception):
         return f"{self.identity} at {self.index}: {self.got!r} != {self.want!r}"
 
 
-def expect(identity: str, index: str, got, want) -> None:
-    """Raise VerificationError(identity, index, got, want) unless got == want."""
+def expect(identity: str, index, got, want) -> None:
+    """Raise VerificationError(identity, index, got, want) unless got == want;
+    index is a string, or (name, value) pairs joined as "name=value, ..."."""
     if got != want:
-        raise VerificationError(identity, index, got, want)
+        raise VerificationError(identity, index if isinstance(index, str) else
+                                ", ".join(f"{k}={v}" for k, v in index), got, want)
+
+
+def expect_rows(identity: str, index, got, want) -> None:
+    """expect at every position p of two lists or two tuples by one whole-row
+    comparison; only if they differ, raise at the first p where they do, with
+    index(p) as the index, or at "length" if one is a prefix of the other."""
+    if got == want:
+        return
+    for p, (a, b) in enumerate(zip(got, want)):
+        if a != b:
+            raise VerificationError(identity, index(p), a, b)
+    if len(got) != len(want):
+        raise VerificationError(identity, "length", len(got), len(want))
 
 
 class BFileError(ValueError):

@@ -23,12 +23,7 @@ class LaurentPoly:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        clean = {}
-        if coeffs:
-            for e, c in coeffs.items():
-                if c:
-                    clean[int(e)] = int(c)
-        self._coeffs = clean
+        self._coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c}
 
     # -- constructors ------------------------------------------------------
 

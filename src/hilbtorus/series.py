@@ -52,9 +52,7 @@ class TruncatedSeries:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.order != other.order:
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return self.order == other.order and self.coeffs == other.coeffs
 
     def __hash__(self):
         return hash((self.order, self.coeffs))

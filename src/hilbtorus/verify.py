@@ -3,10 +3,12 @@
 Each suite checks one family of identities by computing the same numbers
 along genuinely different routes (closed form, polynomial evaluation,
 product expansion, number-theoretic formula) and insisting on exact
-agreement.  Every check is errors.expect(identity, index, got, want): a
+agreement.  Every check is errors.expect(identity, index, got, want), or
+errors.expect_rows for one n's, one i's or one series' row of values: a
 suite stops at the first failure with a VerificationError whose message,
 "identity at index: got != want", names the identity, where it failed and
-both values.  run_suites checks the suite names before running any, then
+both values; within a row the first differing position is the one
+reported.  run_suites checks the suite names before running any, then
 collects results instead of stopping, for the CLI, and reports any other
 exception a suite raises as that suite's failure, named by its type.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import arith, coeffs, qseries, rootvalues, tables, zeta
-from .errors import VerificationError, expect
+from .errors import VerificationError, expect, expect_rows
 from .laurent import LaurentPoly
 from .series import TruncatedSeries
 
@@ -33,8 +35,7 @@ ZETA_SERIES_TERMS = 10  # terms of each of those series
 def _require_series_equal(got: TruncatedSeries, want: TruncatedSeries,
                           what: str) -> None:
     expect(what, "order", got.order, want.order)
-    for n, (a, b) in enumerate(zip(got.coeffs, want.coeffs)):
-        expect(what, f"t^{n}", a, b)
+    expect_rows(what, lambda n: f"t^{n}", got.coeffs, want.coeffs)
 
 
 # -- suites ----------------------------------------------------------------
@@ -50,26 +51,26 @@ def verify_coeffs(max_n: int = 300, order: int = 64) -> str:
     table_cache = []
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
-        for i in range(n + 1):
-            expect("c_(n,i): divisor enumerator vs per-i closed form",
-                   f"n={n}, i={i}", cn.coeff(n + i),
-                   coeffs.central_coeff(n) if i == 0
-                   else coeffs.offcentral_coeff(n, i))
+        table = coeffs.CoeffTables.build(n)  # table.c[i] is cn's q^(n+i)
+        expect_rows("c_(n,i): divisor enumerator vs per-i closed form",
+                    lambda i: f"n={n}, i={i}", list(table.c),
+                    [coeffs.central_coeff(n)]
+                    + [coeffs.offcentral_coeff(n, i) for i in range(1, n + 1)])
         expect("master product t^n vs closed-form C_n / q^n", f"n={n}",
                master.coeff(n), cn.shift(-n))
         expect("(q - 1)^2 P_n vs C_n", f"n={n}",
                square * coeffs.reduced_poly(n), cn)
-        table = coeffs.CoeffTables.build(n)
         table.check_linking()
         table_cache.append(table)
     for i in range(0, GENERATING_MAX_I + 1):
-        a_series = coeffs.divisor_coeff_series(i, max_n)
-        c_series = coeffs.c_coeff_series(i, max_n)
-        for n, table in enumerate(table_cache, 1):
-            expect("a-generating series vs a_(n,i)", f"n={n}, i={i}",
-                   a_series.coeff(n), table.a_at(i))
-            expect("c-generating series vs c_(n,i)", f"n={n}, i={i}",
-                   c_series.coeff(n), table.c[i] if i <= n else 0)
+        expect_rows("a-generating series vs a_(n,i)",
+                    lambda p: f"n={p + 1}, i={i}",
+                    list(coeffs.divisor_coeff_series(i, max_n).coeffs[1:]),
+                    [table.a_at(i) for table in table_cache])
+        expect_rows("c-generating series vs c_(n,i)",
+                    lambda p: f"n={p + 1}, i={i}",
+                    list(coeffs.c_coeff_series(i, max_n).coeffs[1:]),
+                    [table.c[i] if i <= table.n else 0 for table in table_cache])
     coeffs.check_reduced_generating_identity(order)
     return (f"n <= {max_n}: master product, closed forms, divisor route and "
             f"generating series (i <= {GENERATING_MAX_I}) agree; reduced "
@@ -94,7 +95,7 @@ def verify_roots(max_n: int = 2000, order: int = 2000) -> str:
                  if n <= relation_max_n else None)
         seqs = rootvalues.root_sequences(n)
         for d in rootvalues.ROOT_ORDERS:
-            at = f"n={n}, d={d}"
+            at = (("n", n), ("d", d))
             seq = seqs[d]
             expect("C_n(w) evaluated vs a_d(n) w^n", at,
                    cn_at[d], seq * powers[d][n % d])
@@ -133,8 +134,7 @@ def verify_qseries(order: int = 2000) -> str:
     four-way multisection recombination behind them.  The root products
     are read through qseries' cache, so after verify_roots at the same
     order they cost nothing here."""
-    phi = qseries.phi_series
-    psi = qseries.psi_series
+    phi, psi = qseries.phi_series, qseries.psi_series
     theta = phi(1, order, True)
     _require_series_equal(qseries.gauss_series(order), theta,
                           "Gauss product vs theta sum")
@@ -165,19 +165,18 @@ def verify_qseries(order: int = 2000) -> str:
         psi(8, order) * psi(16, order),
     )
     for which, block in enumerate(blocks):
-        for e, c in enumerate(block.coeffs):
-            at = f"block {which}, t^{e}"
-            if e % 4:
-                expect("multisection block off the exponents 4k", at, c, 0)
-            expect("multisection block vs its absolute value", at, c, abs(c))
+        # the p-th exponent e with e % 4 != 0 is p + p // 3 + 1
+        off_grid = [c for e, c in enumerate(block.coeffs) if e % 4]
+        expect_rows("multisection block off the exponents 4k",
+                    lambda p: f"block {which}, t^{p + p // 3 + 1}",
+                    off_grid, [0] * len(off_grid))
+        expect_rows("multisection block vs its absolute value",
+                    lambda e: f"block {which}, t^{e}",
+                    block.coeffs, tuple(map(abs, block.coeffs)))
     signs = (1, -2, -2, 4)
-    signed = [0] * (order + 1)
-    unsigned = [0] * (order + 1)
-    for m in range(order + 1):
-        r = m % 4
-        value = blocks[r].coeff(m - r)
-        signed[m] = signs[r] * value
-        unsigned[m] = abs(signs[r]) * value
+    values = [blocks[m % 4].coeff(m - m % 4) for m in range(order + 1)]
+    signed = [signs[m % 4] * v for m, v in enumerate(values)]
+    unsigned = [abs(signs[m % 4]) * v for m, v in enumerate(values)]
     _require_series_equal(TruncatedSeries(order, signed), rp[4],
                           "multisection recombination, signed")
     _require_series_equal(TruncatedSeries(order, unsigned), abs4,
@@ -190,7 +189,8 @@ def verify_arith(max_n: int = 10000) -> str:
     """Number-theoretic laws used by the closed forms, and the product forms
     of divisors and the lattice counts against routes that never factorize:
     a lattice sweep for each form, and a divisor sieve."""
-    sweeps = [(name, arith.lattice_counts(b, c, max_n))
+    sweeps = [(f"{name}(n): product form vs lattice sweep",
+               arith.lattice_counts(b, c, max_n))
               for name, b, c in (("r", 0, 1), ("r'", 0, 2), ("r''", 1, 1))]
     dcount, dsum = [0] * (max_n + 1), [0] * (max_n + 1)
     for d in range(1, max_n + 1):
@@ -200,16 +200,15 @@ def verify_arith(max_n: int = 10000) -> str:
     lam = [0] + [arith.lambda_fn(n) for n in range(1, max_n + 1)]
     e1 = [0]  # E_1(0) = 0 stands in for E_1(n/3) when 3 does not divide n
     for n in range(1, max_n + 1):
-        at = f"n={n}"
+        at = (("n", n),)
         e1.append(arith.excess_e1(n))
         expect("lambda(n) vs E_1(n) - 3 E_1(n/3)", at, lam[n],
                e1[n] - 3 * e1[n // 3 if n % 3 == 0 else 0])
         r, r_hex = arith.r2(n), arith.r_hex(n)
         expect("r(n) mod 4", at, r % 4, 0)
         expect("r''(n) vs 6 E_1(n)", at, r_hex, 6 * e1[n])
-        for (name, counts), value in zip(sweeps, (r, arith.r_prime(n), r_hex)):
-            expect(f"{name}(n): product form vs lattice sweep", at, value,
-                   counts[n])
+        for (what, counts), value in zip(sweeps, (r, arith.r_prime(n), r_hex)):
+            expect(what, at, value, counts[n])
         ds = arith.divisors(n)
         expect("divisors(n): count and sum vs divisor sieve", at,
                (len(ds), sum(ds)), (dcount[n], dsum[n]))
@@ -221,11 +220,11 @@ def verify_arith(max_n: int = 10000) -> str:
         expect("P_n(1) over divisor runs vs sigma(n)", at, total, arith.sigma(n))
     pairs = 0
     for m in range(2, math.isqrt(max_n) + 1):
-        for n in range(m + 1, max_n // m + 1):
-            if math.gcd(m, n) == 1:
-                pairs += 1
-                expect("lambda(mn) vs lambda(m) lambda(n)", f"m={m}, n={n}",
-                       lam[m * n], lam[m] * lam[n])
+        ns = [n for n in range(m + 1, max_n // m + 1) if math.gcd(m, n) == 1]
+        pairs += len(ns)
+        expect_rows("lambda(mn) vs lambda(m) lambda(n)",
+                    lambda p: f"m={m}, n={ns[p]}",
+                    [lam[m * n] for n in ns], [lam[m] * lam[n] for n in ns])
     return (f"n <= {max_n}: excess formula, divisibility, hexagonal and "
             f"middle-divisor laws, sigma law, product forms of r, r' and r'' "
             f"vs lattice sweeps, divisors vs divisor sieve; multiplicativity "
@@ -235,12 +234,13 @@ def verify_arith(max_n: int = 10000) -> str:
 def verify_sections(max_n: int = 1000) -> str:
     """Section sums counted on the divisor runs of P_n's coefficients
     against the closed section formulas in sigma, r, r', r'' and lambda."""
+    ks = rootvalues.SECTION_KS
     for n in range(1, max_n + 1):
         formulas = rootvalues.section_formulas(n)
         direct = rootvalues.section_direct(n)
-        for k in rootvalues.SECTION_KS:
-            expect("s_k(n): divisor runs vs closed formula", f"n={n}, k={k}",
-                   direct[k], formulas[k])
+        expect_rows("s_k(n): divisor runs vs closed formula",
+                    lambda p: f"n={n}, k={ks[p]}",
+                    [direct[k] for k in ks], [formulas[k] for k in ks])
     return f"n <= {max_n}: direct and closed-form sections agree for k in 1, 2, 3, 4, 6"
 
 
@@ -257,9 +257,8 @@ def verify_tables(max_n: int = 18) -> str:
         expect("table 2 2 |P_n(i)| vs r'(n)", at, 2 * absi, arith.r_prime(n))
         expect("table 2 a_(n,0) vs middle divisors", at, central,
                arith.middle_divisors(n))
-    for row in tables.table_data(3, max_n)["rows"]:
-        n = row[0]
-        for d, cell in zip(rootvalues.ROOT_ORDERS, row[1:]):
+    for n, *cells in tables.table_data(3, max_n)["rows"]:
+        for d, cell in zip(rootvalues.ROOT_ORDERS, cells):
             at = f"n={n}, d={d}"
             expect("C_n(w) evaluated vs count_at_root", at,
                    rootvalues.evaluate_at_root(coeffs.count_poly(n), d),
@@ -267,12 +266,10 @@ def verify_tables(max_n: int = 18) -> str:
             expect("table 3 |a_d(n)| vs closed form", at, cell,
                    abs(rootvalues.root_sequence(n, d)))
     ks = (2, 3, 4, 6)
-    for row in tables.table_data(4, max_n)["rows"]:
-        n = row[0]
+    for n, *cells in tables.table_data(4, max_n)["rows"]:
         direct = rootvalues.section_direct(n, ks)
-        for k, cell in zip(ks, row[1:]):
-            expect("table 4 s_k(n) vs divisor runs", f"n={n}, k={k}", cell,
-                   direct[k])
+        expect_rows("table 4 s_k(n) vs divisor runs", lambda p: f"n={n}, k={ks[p]}",
+                    cells, [direct[k] for k in ks])
     return (f"tables 1-2 (n <= {small}) and 3-4 (n <= {max_n}) consistent "
             f"with the independent routes")
 

@@ -1,22 +1,25 @@
-"""Tests for the check primitive and the verify harness around it.
+"""Tests for the check primitives and the verify harness around them.
 
-expect is the one place a VerificationError is raised, so a failed
-identity always carries its name, index and both values.  Each mutation
-test below puts one route off by one and checks the witness the suite
-raises; the harness must reject unknown suite names before running any
-suite, the --max-n/--order table must name exactly the keyword parameters
-of each suite, and the roots and qseries suites must share one expansion
-of each root product.
+expect and expect_rows are the only places a VerificationError is raised,
+so a failed identity always carries its name, index and both values; a row
+check reports the first differing position, as a check per position would,
+and formats no index unless a check fails.  Each mutation test below puts
+one route off by one, some in the middle of a row, and checks the witness
+the suite raises; the harness must reject unknown suite names before
+running any suite, the --max-n/--order table must name exactly the keyword
+parameters of each suite, and the roots and qseries suites must share one
+expansion of each root product.
 """
 
 import inspect
 
 import pytest
 
-from hilbtorus import arith, qseries, rootvalues, verify
+from hilbtorus import arith, coeffs, qseries, rootvalues, verify
 from hilbtorus.cyclotomic import CycInt
-from hilbtorus.errors import VerificationError, expect
+from hilbtorus.errors import VerificationError, expect, expect_rows
 from hilbtorus.laurent import LaurentPoly
+from hilbtorus.series import TruncatedSeries
 
 
 def assert_witness(exc, identity, index):
@@ -33,6 +36,131 @@ def test_expect_raises_only_on_inequality():
         "x vs y at n=3: LaurentPoly({1: 2}) != LaurentPoly({1: 3})")
     assert info.value.args == ("x vs y", "n=3", LaurentPoly({1: 2}),
                                LaurentPoly({1: 3}))
+
+
+class Unprintable:
+    def __format__(self, spec):
+        raise AssertionError("an index was formatted for a check that passed")
+
+
+def refuse_index(p):
+    raise AssertionError("an index was formatted for a check that passed")
+
+
+def test_expect_formats_a_pair_index_only_on_failure():
+    expect("x vs y", (("n", Unprintable()),), 3, 3)
+    with pytest.raises(VerificationError) as info:
+        expect("x vs y", (("n", 7), ("d", 3)), 1, 2)
+    assert_witness(info.value, "x vs y", "n=7, d=3")
+
+
+def test_expect_rows_passes_equal_rows_without_formatting():
+    expect_rows("x vs y", refuse_index, [1, 2, 3], [1, 2, 3])
+    expect_rows("x vs y", refuse_index, (LaurentPoly({1: 2}),),
+                (LaurentPoly({1: 2}),))
+    expect_rows("x vs y", refuse_index, [], [])
+    expect_rows("x vs y", refuse_index, [1, 2], (1, 2))  # equal, only slower
+
+
+def test_expect_rows_reports_the_first_mismatch():
+    with pytest.raises(VerificationError) as info:
+        expect_rows("x vs y", lambda p: f"n={p + 1}", [1, 2, 3, 4],
+                    [1, 5, 3, 6])
+    assert_witness(info.value, "x vs y", "n=2")
+    assert (info.value.got, info.value.want) == (2, 5)
+    assert info.value.args == ("x vs y", "n=2", 2, 5)
+
+
+def test_expect_rows_fails_rows_of_different_lengths():
+    with pytest.raises(VerificationError) as info:
+        expect_rows("x vs y", refuse_index, [1, 2], [1, 2, 3])
+    assert_witness(info.value, "x vs y", "length")
+    assert (info.value.got, info.value.want) == (2, 3)
+    with pytest.raises(VerificationError) as info:
+        expect_rows("x vs y", refuse_index, (1, 2, 3), (1, 2))
+    assert (info.value.index, info.value.got, info.value.want) == ("length", 3, 2)
+    # a difference before the shorter row ends is reported first
+    with pytest.raises(VerificationError) as info:
+        expect_rows("x vs y", lambda p: f"t^{p}", [1, 9], [1, 2, 3])
+    assert (info.value.index, info.value.got, info.value.want) == ("t^1", 9, 2)
+
+
+def test_offcentral_coeff_mid_row_fails_coeffs(monkeypatch):
+    good = coeffs.offcentral_coeff
+    monkeypatch.setattr(coeffs, "offcentral_coeff",
+                        lambda n, i: good(n, i) + ((n, i) == (7, 3)))
+    with pytest.raises(VerificationError) as info:
+        verify.verify_coeffs(max_n=10, order=8)
+    assert_witness(info.value,
+                   "c_(n,i): divisor enumerator vs per-i closed form",
+                   "n=7, i=3")
+    assert (info.value.got, info.value.want) == (good(7, 3), good(7, 3) + 1)
+
+
+def test_linking_entry_fails_coeffs(monkeypatch):
+    # a_(9,4) one too high moves the second difference at i = 3, 4 and 5;
+    # only the linking check reads the table's a row before i = 3 fails
+    good = coeffs.CoeffTables.build.__func__
+
+    def bumped(cls, n):
+        table = good(cls, n)
+        if n != 9:
+            return table
+        a = list(table.a)
+        a[4] += 1
+        return cls(n, table.c, tuple(a))
+
+    monkeypatch.setattr(coeffs.CoeffTables, "build", classmethod(bumped))
+    with pytest.raises(VerificationError) as info:
+        verify.verify_coeffs(max_n=12, order=8)
+    assert_witness(info.value, "c_(n,i) vs second difference of a_(n,i)",
+                   "n=9, i=3")
+    c93 = good(coeffs.CoeffTables, 9).c[3]
+    assert (info.value.got, info.value.want) == (c93, c93 + 1)
+
+
+def test_eta_quotient_coefficient_mid_row_fails_qseries(monkeypatch):
+    good = qseries.eta_quotient_series
+    spec = qseries.ROOT_ETA_SPECS[3]
+
+    def bumped(s, order):
+        series = good(s, order)
+        if s != spec:
+            return series
+        cs = list(series.coeffs)
+        cs[17] += 1
+        return TruncatedSeries(order, cs)
+
+    monkeypatch.setattr(qseries, "eta_quotient_series", bumped)
+    with pytest.raises(VerificationError) as info:
+        verify.verify_qseries(order=40)
+    assert_witness(info.value, "eta quotient vs root product, d=3", "t^17")
+    want = qseries.expand_root_product(3, 40).coeffs[17]
+    assert (info.value.got, info.value.want) == (want + 1, want)
+
+
+def test_lambda_value_breaking_a_coprime_pair_fails_arith(monkeypatch):
+    # lambda(91) one too high, with E_1(91), r''(91) and the hexagonal
+    # lattice count moved to agree, passes every per-n law; 91 = 7 * 13 is
+    # then caught only by multiplicativity, mid-way through the m = 7 row
+    bumps = {arith.lambda_fn: 1, arith.excess_e1: 1, arith.r_hex: 6}
+    for f, bump in bumps.items():
+        monkeypatch.setattr(arith, f.__name__,
+                            lambda n, f=f, bump=bump: f(n) + bump * (n == 91))
+    good_counts = arith.lattice_counts
+
+    def counts(b, c, limit):
+        out = good_counts(b, c, limit)
+        if (b, c) == (1, 1):
+            out[91] += 6
+        return out
+
+    monkeypatch.setattr(arith, "lattice_counts", counts)
+    with pytest.raises(VerificationError) as info:
+        verify.verify_arith(max_n=150)
+    assert_witness(info.value, "lambda(mn) vs lambda(m) lambda(n)",
+                   "m=7, n=13")
+    assert (info.value.got, info.value.want) == (5, 4)
 
 
 def test_sigma_off_by_one_fails_arith(monkeypatch):
