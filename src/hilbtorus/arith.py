@@ -17,11 +17,13 @@ from bisect import bisect_right
 from math import isqrt
 
 
-def exact_div(num: int, den: int, what: str) -> int:
-    """num / den, raising ArithmeticError, labelled by what, on a remainder."""
+def exact_div(num: int, den: int, what: str, *args) -> int:
+    """num / den, raising ArithmeticError on a remainder, labelled by
+    what.format(*args), which is built only then."""
     q, r = divmod(num, den)
     if r:
-        raise ArithmeticError(f"{what}: {num} is not divisible by {den}")
+        raise ArithmeticError(
+            f"{what.format(*args)}: {num} is not divisible by {den}")
     return q
 
 

@@ -199,9 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
              "qseries ignores it")
     verify_cmd.add_argument(
         "--order", type=_positive, default=None,
-        help="sets order of coeffs, roots and qseries; roots and qseries "
-             "share one expansion of each root product; the other suites "
-             "ignore it")
+        help="sets order of qseries; the other suites ignore it")
     verify_cmd.set_defaults(func=_cmd_verify)
 
     oeis = sub.add_parser("oeis-compare",

@@ -11,8 +11,7 @@ Gauss's product (1 - t^i)/(1 + t^i), the classical theta series phi and psi
 is exact integer arithmetic; these expansions are the independent oracle
 against which the closed forms in coeffs.py and rootvalues.py are checked,
 so none of them may consult those closed forms.  The root products are
-cached per (d, order): verify's roots and qseries suites take the same
-order and so share one expansion of each.
+cached per (d, order).
 
 The root specializations and Gauss's product share one recurrence, Euler's
 logarithmic derivative.  With p_j = w^j + w^-j for the roots w, 1/w of

@@ -129,9 +129,9 @@ def root_sequences(n: int, ds=ROOT_ORDERS) -> dict[int, int]:
         elif n % 3 == 0:
             values[d] = sign * r
         elif n % 3 == 1:
-            values[d] = sign * exact_div(r, 4, f"a_6({n})")
+            values[d] = sign * exact_div(r, 4, "a_6({})", n)
         else:
-            values[d] = -sign * exact_div(r, 2, f"a_6({n})")
+            values[d] = -sign * exact_div(r, 2, "a_6({})", n)
     return values
 
 
@@ -184,22 +184,22 @@ def section_formulas(n: int, ks=SECTION_KS) -> dict[int, int]:
             raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
     sig = arith.sigma(n)
     if 2 in ks or 4 in ks or 6 in ks:
-        quarter = exact_div(arith.r2(n), 4, f"r({n})/4")
+        quarter = exact_div(arith.r2(n), 4, "r({})/4", n)
     values = {}
     for k in ks:
         if k == 1:
             values[k] = sig
         elif k == 2:
-            values[k] = exact_div(sig + quarter, 2, f"s_2({n})")
+            values[k] = exact_div(sig + quarter, 2, "s_2({})", n)
         elif k == 3:
-            third = exact_div(arith.r_hex(n), 3, f"r''({n})/3")
-            values[k] = exact_div(sig + third, 3, f"s_3({n})")
+            third = exact_div(arith.r_hex(n), 3, "r''({})/3", n)
+            values[k] = exact_div(sig + third, 3, "s_3({})", n)
         elif k == 4:
             # i^(n-1) + i^(1-n) is 2, 0, -2, 0 as n-1 = 0, 1, 2, 3 mod 4
             trace = (2, 0, -2, 0)[(n - 1) % 4]
             sign = -1 if ((n - 1) // 2) % 2 else 1
-            term = sign * exact_div(arith.r_prime(n) * trace, 2, f"r'({n}) term")
-            values[k] = exact_div(sig + quarter + term, 4, f"s_4({n})")
+            term = sign * exact_div(arith.r_prime(n) * trace, 2, "r'({}) term", n)
+            values[k] = exact_div(sig + quarter + term, 4, "s_4({})", n)
         else:  # k == 6, by residue of n mod 3
             lam = arith.lambda_fn(n)
             m = n % 3
@@ -209,5 +209,5 @@ def section_formulas(n: int, ks=SECTION_KS) -> dict[int, int]:
                 total = sig + 3 * quarter + 2 * lam
             else:
                 total = sig + 3 * quarter - lam
-            values[k] = exact_div(total, 6, f"s_6({n})")
+            values[k] = exact_div(total, 6, "s_6({})", n)
     return values

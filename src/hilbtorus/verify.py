@@ -15,6 +15,7 @@ exception a suite raises as that suite's failure, named by its type.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 import time
@@ -28,6 +29,7 @@ from .series import TruncatedSeries
 
 GENERATING_MAX_I = 20  # coefficient columns i checked against their series
 RELATION_MAX_N = 300  # n checked by the reduced-polynomial relation
+REDUCED_IDENTITY_MAX_N = 64  # t^n checked by the reduced generating identity
 ZETA_SERIES_MAX_N = 20  # n whose zeta log-derivative series is checked
 ZETA_SERIES_TERMS = 10  # terms of each of those series
 
@@ -40,7 +42,7 @@ def _require_series_equal(got: TruncatedSeries, want: TruncatedSeries,
 
 # -- suites ----------------------------------------------------------------
 
-def verify_coeffs(max_n: int = 300, order: int = 64) -> str:
+def verify_coeffs(max_n: int = 300) -> str:
     """Triple-oracle agreement: the master product expansion, the
     closed-form coefficients, and the divisor-count route must produce
     the same polynomials; the divisor enumerator behind count_poly must
@@ -71,44 +73,43 @@ def verify_coeffs(max_n: int = 300, order: int = 64) -> str:
                     lambda p: f"n={p + 1}, i={i}",
                     list(coeffs.c_coeff_series(i, max_n).coeffs[1:]),
                     [table.c[i] if i <= table.n else 0 for table in table_cache])
-    coeffs.check_reduced_generating_identity(order)
+    identity_order = min(max_n, REDUCED_IDENTITY_MAX_N)
+    coeffs.check_reduced_generating_identity(identity_order)
     return (f"n <= {max_n}: master product, closed forms, divisor route and "
             f"generating series (i <= {GENERATING_MAX_I}) agree; reduced "
-            f"generating identity holds to order {order}")
+            f"generating identity holds to order {identity_order}")
 
 
-def verify_roots(max_n: int = 2000, order: int = 2000) -> str:
-    """Three-way agreement for the root-of-unity sequences: closed form,
-    cyclotomic evaluation of C_n, and product expansion (for n <= order);
-    plus the reduced-polynomial relation and the shared-vanishing property
-    of the order-2 and order-6 sequences.  The root products are expanded
-    to order through qseries' cache, so verify_qseries at the same order
-    reuses them."""
-    expansion_max_n = min(order, max_n)
+def verify_roots(max_n: int = 2000) -> str:
+    """Three-way agreement for the root-of-unity sequences a_d(n): closed
+    form, cyclotomic evaluation of C_n(w)/w^n, and product expansion; plus
+    the reduced-polynomial relation and the shared-vanishing property of
+    the order-2 and order-6 sequences.  w^n is a unit, so each route is
+    compared with the integer a_d(n) itself."""
+    ds = rootvalues.ROOT_ORDERS
     relation_max_n = min(RELATION_MAX_N, max_n)
-    products = {d: qseries.expand_root_product(d, order)
-                for d in rootvalues.ROOT_ORDERS}
-    powers = rootvalues.POWERS
+    products = [qseries.expand_root_product(d, max_n) for d in ds]
+    factors = [qseries.ROOT_TRACE[d] - 2 for d in ds]  # w + 1/w - 2
     for n in range(1, max_n + 1):
-        cn_at = rootvalues.evaluate_at_roots(coeffs.count_poly(n))
-        pn_at = (rootvalues.evaluate_at_roots(coeffs.reduced_poly(n))
-                 if n <= relation_max_n else None)
         seqs = rootvalues.root_sequences(n)
-        for d in rootvalues.ROOT_ORDERS:
-            at = (("n", n), ("d", d))
-            seq = seqs[d]
-            expect("C_n(w) evaluated vs a_d(n) w^n", at,
-                   cn_at[d], seq * powers[d][n % d])
-            if n <= expansion_max_n:
-                expect("a_d(n): product expansion vs closed form", at,
-                       products[d].coeff(n), seq)
-            if pn_at is not None:
-                expect("(w + 1/w - 2) P_n(w) vs a_d(n) w^(n-1)", at,
-                       (qseries.ROOT_TRACE[d] - 2) * pn_at[d],
-                       seq * powers[d][(n - 1) % d])
+        want = [seqs[d] for d in ds]
+
+        def at(p):
+            return f"n={n}, d={ds[p]}"
+
+        cn_at = rootvalues.evaluate_at_roots(coeffs.count_poly(n).shift(-n))
+        expect_rows("C_n(w)/w^n evaluated vs a_d(n)", at,
+                    [cn_at[d] for d in ds], want)
+        expect_rows("a_d(n): product expansion vs closed form", at,
+                    [product.coeff(n) for product in products], want)
+        if n <= relation_max_n:
+            pn_at = rootvalues.evaluate_at_roots(
+                coeffs.reduced_poly(n).shift(1 - n))
+            expect_rows("(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)", at,
+                        [f * pn_at[d] for f, d in zip(factors, ds)], want)
         expect("a_6(n) = 0 vs a_2(n) = 0", f"n={n}", seqs[6] == 0, seqs[2] == 0)
     return (f"n <= {max_n}: closed forms, cyclotomic evaluation and product "
-            f"expansion (n <= {expansion_max_n}) agree for d in 2, 3, 4, 6; "
+            f"expansion (n <= {max_n}) agree for d in 2, 3, 4, 6; "
             f"reduced-polynomial relation holds for n <= {relation_max_n}")
 
 
@@ -131,9 +132,7 @@ def verify_qseries(order: int = 2000) -> str:
     theta series phi(-q), and phi(-q)^2 against the order-2 root product,
     the eta-quotient forms of all four root products, the phi/psi
     expressions for the order-4 sequence and its absolute values, and the
-    four-way multisection recombination behind them.  The root products
-    are read through qseries' cache, so after verify_roots at the same
-    order they cost nothing here."""
+    four-way multisection recombination behind them."""
     phi, psi = qseries.phi_series, qseries.psi_series
     theta = phi(1, order, True)
     _require_series_equal(qseries.gauss_series(order), theta,
@@ -294,16 +293,10 @@ SUITES: dict[str, Callable[..., str]] = {
     "tables": verify_tables,
 }
 
-# the keywords each suite takes: --max-n sets max_n and --order sets order
-_FLAG_KEYWORDS = {
-    "coeffs": ("max_n", "order"),
-    "roots": ("max_n", "order"),
-    "zeta": ("max_n",),
-    "qseries": ("order",),
-    "arith": ("max_n",),
-    "sections": ("max_n",),
-    "tables": ("max_n",),
-}
+# the one size keyword of each suite, read before anything wraps SUITES:
+# --order sets it for qseries and --max-n for every other suite
+_SIZE_KEYWORD = {name: next(iter(inspect.signature(suite).parameters))
+                 for name, suite in SUITES.items()}
 
 
 def run_suites(names: list[str] | None = None,
@@ -320,9 +313,9 @@ def run_suites(names: list[str] | None = None,
                          f"known: {', '.join(SUITES)}")
     results = []
     for name in chosen:
-        kwargs = {keyword: value
-                  for keyword, value in (("max_n", max_n), ("order", order))
-                  if keyword in _FLAG_KEYWORDS[name] and value is not None}
+        keyword = _SIZE_KEYWORD[name]
+        size = order if keyword == "order" else max_n
+        kwargs = {} if size is None else {keyword: size}
         start = time.perf_counter()
         try:
             detail = SUITES[name](**kwargs)

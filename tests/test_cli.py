@@ -225,8 +225,8 @@ def test_verify_help_names_what_each_flag_sets(capsys):
         head, rest = text.split(";", 1)
         named = head.split(f"sets {keyword} of ", 1)[1]
         named = set(named.replace(" and ", ", ").split(", "))
-        takers = {name for name, keywords in verify._FLAG_KEYWORDS.items()
-                  if keyword in keywords}
+        takers = {name for name, taken in verify._SIZE_KEYWORD.items()
+                  if taken == keyword}
         assert named == takers, (keyword, named)
         for name in set(verify.SUITES) - takers:
             assert (f"{name} ignores it" in rest

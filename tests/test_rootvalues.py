@@ -8,8 +8,11 @@ checked against the one-d-at-a-time fold it replaced.  Every value must stay exa
 d = 2, a cyclotomic integer otherwise, never a float.
 """
 
+import re
+
 import pytest
 
+from hilbtorus import arith
 from hilbtorus.arith import exact_div
 from hilbtorus.coeffs import count_poly, reduced_poly
 from hilbtorus.cyclotomic import CycInt
@@ -260,3 +263,15 @@ def test_first_section_is_divisor_sum():
     for n in range(1, 200):
         assert section_formula(n, 1) == sigma(n)
         assert reduced_poly(n).evaluate_int(1) == sigma(n)
+
+
+@pytest.mark.parametrize("count, value, k, message", [
+    ("r2", 5, 2, "r(5)/4: 5 is not divisible by 4"),
+    ("r_hex", 5, 3, "r''(5)/3: 5 is not divisible by 3"),
+    ("sigma", 4, 3, "s_3(5): 4 is not divisible by 3"),  # r''(5) = 0
+])
+def test_section_remainder_names_its_division(monkeypatch, count, value, k,
+                                              message):
+    monkeypatch.setattr(arith, count, lambda n: value)
+    with pytest.raises(ArithmeticError, match=f"^{re.escape(message)}$"):
+        section_formula(5, k)

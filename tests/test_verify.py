@@ -6,9 +6,9 @@ check reports the first differing position, as a check per position would,
 and formats no index unless a check fails.  Each mutation test below puts
 one route off by one, some in the middle of a row, and checks the witness
 the suite raises; the harness must reject unknown suite names before
-running any suite, the --max-n/--order table must name exactly the keyword
-parameters of each suite, and the roots and qseries suites must share one
-expansion of each root product.
+running any suite, every suite must take exactly one size keyword (order
+for qseries, max_n for the rest), and the roots suite must expand its root
+products to its own max_n, which at equal sizes qseries then reuses.
 """
 
 import inspect
@@ -90,7 +90,7 @@ def test_offcentral_coeff_mid_row_fails_coeffs(monkeypatch):
     monkeypatch.setattr(coeffs, "offcentral_coeff",
                         lambda n, i: good(n, i) + ((n, i) == (7, 3)))
     with pytest.raises(VerificationError) as info:
-        verify.verify_coeffs(max_n=10, order=8)
+        verify.verify_coeffs(max_n=10)
     assert_witness(info.value,
                    "c_(n,i): divisor enumerator vs per-i closed form",
                    "n=7, i=3")
@@ -112,7 +112,7 @@ def test_linking_entry_fails_coeffs(monkeypatch):
 
     monkeypatch.setattr(coeffs.CoeffTables, "build", classmethod(bumped))
     with pytest.raises(VerificationError) as info:
-        verify.verify_coeffs(max_n=12, order=8)
+        verify.verify_coeffs(max_n=12)
     assert_witness(info.value, "c_(n,i) vs second difference of a_(n,i)",
                    "n=9, i=3")
     c93 = good(coeffs.CoeffTables, 9).c[3]
@@ -212,6 +212,56 @@ def test_table_cell_off_by_one_fails_tables(monkeypatch):
     assert info.value.got == info.value.want + 1
 
 
+def test_count_value_off_at_a_cube_root_fails_roots(monkeypatch):
+    # q^7 (1 + q) vanishes at w = -1 but not at the cube root: C_7 moved by
+    # it fails the evaluated row at d = 3, its second position
+    good = coeffs.count_poly
+    monkeypatch.setattr(coeffs, "count_poly", lambda n: good(n) + (
+        LaurentPoly({7: 1, 8: 1}) if n == 7 else 0))
+    with pytest.raises(VerificationError) as info:
+        verify.verify_roots(max_n=10)
+    assert_witness(info.value, "C_n(w)/w^n evaluated vs a_d(n)", "n=7, d=3")
+    want = rootvalues.root_sequence(7, 3)
+    assert (info.value.got, info.value.want) == (CycInt(3, want + 1, 1), want)
+
+
+def test_product_coefficient_off_by_one_fails_roots(monkeypatch):
+    good = qseries.expand_root_product
+
+    def bumped(d, order):
+        series = good(d, order)
+        if d != 4:
+            return series
+        cs = list(series.coeffs)
+        cs[9] += 1
+        return TruncatedSeries(order, cs)
+
+    monkeypatch.setattr(qseries, "expand_root_product", bumped)
+    with pytest.raises(VerificationError) as info:
+        verify.verify_roots(max_n=12)
+    assert_witness(info.value, "a_d(n): product expansion vs closed form",
+                   "n=9, d=4")
+    want = rootvalues.root_sequence(9, 4)
+    assert (info.value.got, info.value.want) == (want + 1, want)
+
+
+def test_reduced_value_off_at_i_fails_roots(monkeypatch):
+    # q^4 (1 + q)(1 + q + q^2) vanishes at w = -1 and at the cube root but
+    # not at w = i, where P_5(w)/w^4 moves by i - 1: the relation's row
+    # fails at d = 4, its third position
+    good = coeffs.reduced_poly
+    bump = LaurentPoly({4: 1, 5: 2, 6: 2, 7: 1})
+    monkeypatch.setattr(coeffs, "reduced_poly",
+                        lambda n: good(n) + (bump if n == 5 else 0))
+    with pytest.raises(VerificationError) as info:
+        verify.verify_roots(max_n=8)
+    assert_witness(info.value, "(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)",
+                   "n=5, d=4")
+    want = rootvalues.root_sequence(5, 4)
+    # (i + 1/i - 2)(i - 1) = -2i + 2
+    assert (info.value.got, info.value.want) == (CycInt(4, want + 2, -2), want)
+
+
 def test_run_suites_rejects_unknown_names_before_running(monkeypatch):
     ran = []
     monkeypatch.setitem(verify.SUITES, "zeta", lambda **kwargs: ran.append("zeta"))
@@ -221,16 +271,35 @@ def test_run_suites_rejects_unknown_names_before_running(monkeypatch):
 
 
 def test_flag_keywords_are_suite_parameters():
-    assert list(verify._FLAG_KEYWORDS) == list(verify.SUITES)
-    for name, keywords in verify._FLAG_KEYWORDS.items():
+    assert list(verify._SIZE_KEYWORD) == list(verify.SUITES)
+    for name, keyword in verify._SIZE_KEYWORD.items():
         params = inspect.signature(getattr(verify, f"verify_{name}")).parameters
-        assert set(keywords) <= {"max_n", "order"}, name
-        assert set(keywords) == set(params), (name, keywords, list(params))
+        assert list(params) == [keyword], (name, list(params))
+        assert keyword == ("order" if name == "qseries" else "max_n"), name
+
+
+def test_roots_expands_its_products_to_max_n_only(monkeypatch):
+    asked = []
+    good = qseries.expand_root_product
+    monkeypatch.setattr(qseries, "expand_root_product",
+                        lambda d, order: asked.append((d, order)) or good(d, order))
+    [result] = verify.run_suites(["roots"], max_n=50, order=300)
+    assert result.ok, result.detail
+    assert sorted(asked) == [(d, 50) for d in rootvalues.ROOT_ORDERS]
+
+
+def test_coeffs_checks_the_reduced_identity_to_at_most_max_n(monkeypatch):
+    orders = []
+    monkeypatch.setattr(coeffs, "check_reduced_generating_identity",
+                        orders.append)
+    detail = verify.verify_coeffs(max_n=10)
+    assert orders == [10]
+    assert detail.endswith("reduced generating identity holds to order 10")
 
 
 def test_roots_and_qseries_share_the_root_products():
     qseries.expand_root_product.cache_clear()
-    results = verify.run_suites(["roots", "qseries"], max_n=60, order=120)
+    results = verify.run_suites(["roots", "qseries"], max_n=120, order=120)
     assert [r.ok for r in results] == [True, True], results
     assert qseries.expand_root_product.cache_info().misses == 4
 
@@ -248,4 +317,4 @@ def test_roots_raises_no_cyclotomic_power(monkeypatch):
         raise AssertionError("CycInt.__pow__ called")
 
     monkeypatch.setattr(CycInt, "__pow__", refuse)
-    verify.verify_roots(max_n=60, order=60)
+    verify.verify_roots(max_n=60)
