@@ -9,25 +9,15 @@ constant term 1 at index 0, the divisor-flavoured sequences start at 1.
 
 from __future__ import annotations
 
-import os
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import arith, rootvalues
 from .errors import BFileError
 
 
-@dataclass(frozen=True)
-class BFile:
-    sequence_id: str
-    entries: tuple[tuple[int, int], ...]  # (index, value), indices increasing
-
-
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(NamedTuple):
     min_index: int
     value: Callable[[int], int]
-    describes: str
 
 
 def _theta_row(d: int) -> Callable[[int], int]:
@@ -37,26 +27,23 @@ def _theta_row(d: int) -> Callable[[int], int]:
 
 
 SEQUENCES: dict[str, Sequence] = {
-    "a067742": Sequence(1, arith.middle_divisors, "number of middle divisors of n"),
-    "a004018": Sequence(0, arith.r2, "representations of n by x^2 + y^2"),
-    "a033715": Sequence(0, arith.r_prime, "representations of n by x^2 + 2y^2"),
-    "a004016": Sequence(0, arith.r_hex, "representations of n by x^2 + xy + y^2"),
-    "a113063": Sequence(1, arith.lambda_fn, "hexagonal-lattice excess combination"),
-    "a005928": Sequence(0, _theta_row(3), "signed sequence at the third roots of unity"),
-    "a082564": Sequence(0, _theta_row(4), "signed sequence at the fourth roots of unity"),
-    "a258210": Sequence(0, _theta_row(6), "signed sequence at the sixth roots of unity"),
-    "a145394": Sequence(1, lambda n: rootvalues.section_formula(n, 3),
-                        "3-section of the reduced polynomial coefficients"),
+    "a067742": Sequence(1, arith.middle_divisors),  # middle divisors of n
+    "a004018": Sequence(0, arith.r2),  # n = x^2 + y^2
+    "a033715": Sequence(0, arith.r_prime),  # n = x^2 + 2y^2
+    "a004016": Sequence(0, arith.r_hex),  # n = x^2 + xy + y^2
+    "a113063": Sequence(1, arith.lambda_fn),  # hexagonal-lattice excess
+    "a005928": Sequence(0, _theta_row(3)),  # signed, at third roots of unity
+    "a082564": Sequence(0, _theta_row(4)),  # signed, at fourth roots of unity
+    "a258210": Sequence(0, _theta_row(6)),  # signed, at sixth roots of unity
+    # 3-section of the reduced polynomial coefficients
+    "a145394": Sequence(1, lambda n: rootvalues.section_formula(n, 3)),
 }
 
 
-def parse_bfile(path: str, sequence_id: str = "") -> BFile:
-    """Read a b-file; raise BFileError (with line number) on bad input,
-    including a line that is not UTF-8 text."""
-    if not sequence_id:
-        stem = os.path.basename(path).split(".")[0]
-        if stem.startswith("b") and stem[1:].isdigit():
-            sequence_id = "a" + stem[1:]
+def parse_bfile(path: str) -> tuple[tuple[int, int], ...]:
+    """Read a b-file into its (index, value) pairs, indices increasing;
+    raise BFileError (with line number) on bad input, including a line
+    that is not UTF-8 text."""
     entries: list[tuple[int, int]] = []
     with open(path, "rb") as handle:
         data = handle.read()
@@ -84,11 +71,10 @@ def parse_bfile(path: str, sequence_id: str = "") -> BFile:
                 f"{path}:{lineno}: index {index} does not increase "
                 f"past {entries[-1][0]}")
         entries.append((index, value))
-    return BFile(sequence_id, tuple(entries))
+    return tuple(entries)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     sequence_id: str
     checked: int
     skipped: int
@@ -120,10 +106,9 @@ def compare_bfile(sequence_id: str, path: str,
             f"unknown sequence id {sequence_id!r}; "
             f"known: {', '.join(sorted(SEQUENCES))}")
     seq = SEQUENCES[key]
-    data = parse_bfile(path, key)
     checked = skipped = 0
     mismatches: list[tuple[int, int, int]] = []
-    for index, value in data.entries:
+    for index, value in parse_bfile(path):
         if index < seq.min_index or (max_terms is not None and checked >= max_terms):
             skipped += 1
             continue

@@ -74,7 +74,7 @@ def _values(n: int, name: str, values: dict, fmt: str):
 
 
 def _compute_one(kind: str, n: int, d: int | None, fmt: str):
-    """Return (pretty text, json object) for one n; only one is used."""
+    """The pretty text of one n, or its JSON object when fmt is "json"."""
     if kind == "cn":
         poly = coeffs.count_poly(n)
         return poly.pretty() if fmt == "pretty" else _poly_json(n, poly)

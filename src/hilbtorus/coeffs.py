@@ -22,9 +22,9 @@ per-i scalar forms, kept as the independent check of both enumerators.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate
 from math import isqrt
+from typing import NamedTuple
 
 from .errors import expect, expect_rows
 from .laurent import LaurentPoly, _raw, balanced_power_sum
@@ -172,8 +172,7 @@ def reduced_poly(n: int) -> LaurentPoly:
     return _raw({e: c for e, c in enumerate(a[:0:-1] + a) if c})
 
 
-@dataclass(frozen=True)
-class CoeffTables:
+class CoeffTables(NamedTuple):
     """Both coefficient families of a single n, with the linking relations.
 
     c[i] = c_{n,i} for 0 <= i <= n;  a[i] = a_{n,i} for 0 <= i <= n-1.

@@ -13,12 +13,9 @@ rings are ever constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 _ORDERS = (3, 4)
 
 
-@dataclass(frozen=True)
 class CycInt:
     """a + b*w with w a primitive root of unity of the given order (3 or 4).
 
@@ -31,13 +28,15 @@ class CycInt:
     True
     """
 
-    order: int
-    a: int
-    b: int
+    __slots__ = ("order", "a", "b")
 
-    def __post_init__(self):
-        if self.order not in _ORDERS:
-            raise ValueError(f"order must be one of {_ORDERS}, got {self.order}")
+    def __init__(self, order: int, a: int, b: int):
+        if order not in _ORDERS:
+            raise ValueError(f"order must be one of {_ORDERS}, got {order}")
+        self.order, self.a, self.b = order, a, b
+
+    def __repr__(self) -> str:
+        return f"CycInt(order={self.order}, a={self.a}, b={self.b})"
 
     @classmethod
     def root(cls, order: int) -> "CycInt":

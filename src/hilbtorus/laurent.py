@@ -7,6 +7,7 @@ exponent to nonzero integer coefficient.
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterator, Mapping
 
 
@@ -16,29 +17,22 @@ class LaurentPoly:
     >>> p = LaurentPoly({2: 1, 0: -2, -2: 1})
     >>> str(p)
     'q^2 - 2 + q^-2'
-    >>> p * LaurentPoly.monomial(2)
+    >>> p * LaurentPoly({2: 1})
     LaurentPoly({4: 1, 2: -2, 0: 1})
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[int, int] | None = None):
-        self._coeffs = {int(e): int(c) for e, c in (coeffs or {}).items() if c}
+        # operator.index raises TypeError on a float instead of rounding it
+        self._coeffs = {index(e): v for e, c in (coeffs or {}).items()
+                        if (v := index(c))}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
         return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
-        """The single term coeff * q^exponent."""
-        return cls({exponent: coeff})
 
     # -- inspection --------------------------------------------------------
 

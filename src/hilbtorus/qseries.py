@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import add, sub
 
 from .arith import exact_div
@@ -170,38 +169,32 @@ def psi_series(scale: int, order: int) -> TruncatedSeries:
 
 # -- eta quotients ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class EtaQuotientSpec:
-    """A finite product prod eta(scale * z)^exp, factors = ((scale, exp), ...).
-
-    The series expansion in t = q^(1/1) exists when the prefactor exponent
-    sum(scale * exp) / 24 is a nonnegative integer.
-    """
-
-    factors: tuple[tuple[int, int], ...]
-
-    def validate(self) -> int:
-        weight = sum(s * e for s, e in self.factors)
-        pre, rem = divmod(weight, 24)
-        if rem or pre < 0:
-            raise ValueError(
-                f"eta quotient has no power-series expansion: prefactor "
-                f"exponent {weight}/24 is not a nonnegative integer")
-        for s, _ in self.factors:
-            if s < 1:
-                raise ValueError(f"eta scale must be >= 1, got {s}")
-        return pre
+def eta_prefactor(spec: tuple[tuple[int, int], ...]) -> int:
+    """The prefactor exponent sum(scale * exp) / 24 of the eta quotient
+    prod eta(scale * z)^exp given by spec = ((scale, exp), ...); raise
+    ValueError unless it is a nonnegative integer, so that the quotient
+    is a power series in t, and every scale is >= 1."""
+    weight = sum(s * e for s, e in spec)
+    pre, rem = divmod(weight, 24)
+    if rem or pre < 0:
+        raise ValueError(
+            f"eta quotient has no power-series expansion: prefactor "
+            f"exponent {weight}/24 is not a nonnegative integer")
+    for s, _ in spec:
+        if s < 1:
+            raise ValueError(f"eta scale must be >= 1, got {s}")
+    return pre
 
 
 # eta-quotient forms of the four root products, and of the
-# absolute-value variant of the d=4 sequence
+# absolute-value variant of the d=4 sequence, as ((scale, exp), ...)
 ROOT_ETA_SPECS = {
-    2: EtaQuotientSpec(((1, 4), (2, -2))),
-    3: EtaQuotientSpec(((1, 3), (3, -1))),
-    4: EtaQuotientSpec(((1, 2), (2, 1), (4, -1))),
-    6: EtaQuotientSpec(((1, 1), (2, 1), (3, 1), (6, -1))),
+    2: ((1, 4), (2, -2)),
+    3: ((1, 3), (3, -1)),
+    4: ((1, 2), (2, 1), (4, -1)),
+    6: ((1, 1), (2, 1), (3, 1), (6, -1)),
 }
-ABS_QUARTIC_ETA_SPEC = EtaQuotientSpec(((2, 3), (4, 3), (1, -2), (8, -2)))
+ABS_QUARTIC_ETA_SPEC = ((2, 3), (4, 3), (1, -2), (8, -2))
 
 
 def _pentagonal_terms(scale: int, order: int) -> list[tuple[int, int]]:
@@ -215,19 +208,22 @@ def _pentagonal_terms(scale: int, order: int) -> list[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=16)
-def eta_quotient_series(spec: EtaQuotientSpec, order: int) -> TruncatedSeries:
-    """Expand prod_i prod_{n>=1} (1 - t^(scale n))^exp, shifted by the
-    integer prefactor exponent.
+def eta_quotient_series(spec: tuple[tuple[int, int], ...],
+                        order: int) -> TruncatedSeries:
+    """Expand the eta quotient spec = ((scale, exp), ...), that is
+    prod prod_{n>=1} (1 - t^(scale n))^exp shifted by the integer
+    prefactor exponent; eta_prefactor raises ValueError on a spec with no
+    power-series expansion.
 
     With P = 1 + sum_j p_j t^j a factor's pentagonal series (p_j = +-1),
     x * P adds or subtracts the old x, shifted by j, into x for each term,
     and x / P walks up by x[m] -= sum_j p_j x[m-j].
     """
-    pre = spec.validate()
+    pre = eta_prefactor(spec)
     n1 = order + 1
     x = [0] * n1
     x[0] = 1
-    for scale, e in spec.factors:
+    for scale, e in spec:
         terms = _pentagonal_terms(scale, order)
         for _ in range(e):
             old = x[:]

@@ -13,7 +13,7 @@ from typing import Sequence
 class TruncatedSeries:
     """A power series known exactly up to and including t^order.
 
-    >>> t = TruncatedSeries.monomial(1, 4)
+    >>> t = TruncatedSeries(4, [0, 1])
     >>> ((1 - t) * (1 - t)).coeffs
     (1, -2, 1, 0, 0)
     >>> (t * t + 2).shift(1).coeffs
@@ -32,17 +32,6 @@ class TruncatedSeries:
             cs.extend([0] * (order + 1 - len(cs)))
         self.order = order
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls(order, [1])
-
-    @classmethod
-    def monomial(cls, exponent: int, order: int, coeff=1) -> "TruncatedSeries":
-        cs = [0] * (order + 1)
-        if 0 <= exponent <= order:
-            cs[exponent] = coeff
-        return cls(order, cs)
 
     def coeff(self, n: int):
         if not 0 <= n <= self.order:

@@ -15,12 +15,10 @@ exception a suite raises as that suite's failure, named by its type.
 
 from __future__ import annotations
 
-import inspect
 import math
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import arith, coeffs, qseries, rootvalues, tables, zeta
 from .errors import VerificationError, expect, expect_rows
@@ -275,8 +273,7 @@ def verify_tables(max_n: int = 18) -> str:
 
 # -- registry --------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SuiteResult:
+class SuiteResult(NamedTuple):
     name: str
     ok: bool
     seconds: float
@@ -295,7 +292,7 @@ SUITES: dict[str, Callable[..., str]] = {
 
 # the one size keyword of each suite, read before anything wraps SUITES:
 # --order sets it for qseries and --max-n for every other suite
-_SIZE_KEYWORD = {name: next(iter(inspect.signature(suite).parameters))
+_SIZE_KEYWORD = {name: suite.__code__.co_varnames[0]
                  for name, suite in SUITES.items()}
 
 

@@ -14,14 +14,13 @@ zeta_H(s) = prod_s0 zeta(s - s0)^m(s0) with the same exponents.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import expect
 from . import coeffs
 
 
-@dataclass(frozen=True)
-class ZetaRational:
+class ZetaRational(NamedTuple):
     """Factored form of the local zeta function of the n-point Hilbert scheme.
 
     factors maps the q-exponent e to its multiplicity m(e); m(e) > 0 is a
@@ -114,15 +113,7 @@ def zeta_series_check(n: int, q0: int, terms: int) -> None:
                lhs, rhs)
 
 
-@dataclass(frozen=True)
-class FunctionalEquationCertificate:
-    n: int
-    palindromic: bool
-    multiplicity_sum: int
-    central_multiplicity: int
-
-
-def functional_equation_check(n: int) -> FunctionalEquationCertificate:
+def functional_equation_check(n: int) -> None:
     """The three finite checks behind the functional equation
     Z(1/(q^2n t)) = Z(t) up to the usual monomial:
 
@@ -130,20 +121,11 @@ def functional_equation_check(n: int) -> FunctionalEquationCertificate:
       (2) sum_e m(e) = 0 (the rational function has total degree zero),
       (3) m(n) is even (the central factor splits symmetrically).
 
-    Raises VerificationError if any fails; returns the certificate.
+    Raises VerificationError if any fails.
     """
-    z = build_local_zeta(n)
-    mm = dict(z.factors)
-    palin = all(mm.get(2 * n - e, 0) == m for e, m in z.factors)
-    cert = FunctionalEquationCertificate(
-        n=n,
-        palindromic=palin,
-        multiplicity_sum=sum(m for _, m in z.factors),
-        central_multiplicity=mm.get(n, 0),
-    )
+    mm = dict(build_local_zeta(n).factors)
     expect("functional-equation certificate (palindromic, sum m(e), m(n) mod 2)",
            f"n={n}",
-           (cert.palindromic, cert.multiplicity_sum, cert.central_multiplicity % 2),
+           (all(mm.get(2 * n - e, 0) == m for e, m in mm.items()),
+            sum(mm.values()), mm.get(n, 0) % 2),
            (True, 0, 0))
-    return cert
-

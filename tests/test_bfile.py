@@ -39,18 +39,7 @@ def test_generated_fixtures_agree(tmp_path, sequence_id):
 def test_parse_skips_comments_and_blanks(tmp_path):
     path = tmp_path / "b000001.txt"
     path.write_text("# header\n\n1 5\n\n# middle\n2 7\n")
-    data = parse_bfile(str(path))
-    assert data.sequence_id == "a000001"
-    assert data.entries == ((1, 5), (2, 7))
-
-
-def test_parse_derives_id_from_filename(tmp_path):
-    path = tmp_path / "b067742.txt"
-    path.write_text("1 1\n")
-    assert parse_bfile(str(path)).sequence_id == "a067742"
-    other = tmp_path / "list.txt"
-    other.write_text("1 1\n")
-    assert parse_bfile(str(other)).sequence_id == ""
+    assert parse_bfile(str(path)) == ((1, 5), (2, 7))
 
 
 def test_parse_rejects_malformed_line(tmp_path):
@@ -83,7 +72,7 @@ def test_parse_rejects_non_utf8_line(tmp_path):
     with pytest.raises(BFileError, match=r"bad\.txt:3: not UTF-8 text"):
         parse_bfile(str(path))
     path.write_bytes(b"1 4\r2 5\r\n3 6")  # every text-mode line ending
-    assert parse_bfile(str(path)).entries == ((1, 4), (2, 5), (3, 6))
+    assert parse_bfile(str(path)) == ((1, 4), (2, 5), (3, 6))
 
 
 def test_cli_utf16_bfile_exits_2_without_traceback(tmp_path):

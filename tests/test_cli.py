@@ -2,10 +2,11 @@
 
 Runs main() in-process with capsys so exit codes and exact output can be
 asserted without subprocess overhead; main() reuses one parser across
-calls, so consecutive calls are also checked for leaking options.  Two
+calls, so consecutive calls are also checked for leaking options.  Three
 subprocess tests check that importing the cli builds no parser and loads
-neither fractions nor decimal (the package needs neither, and both slow
-every start), and two at the end check the entry points:
+neither fractions nor decimal, and that importing every module loads
+neither dataclasses nor inspect (the package needs none of them, and each
+slows every start), and two at the end check the entry points:
 ``python -m hilbtorus``, and the console script, for which the entry point
 that pyproject.toml declares for ``hilbtorus`` is always run the way an
 installer's wrapper calls it, and the installed ``hilbtorus`` script too
@@ -286,6 +287,22 @@ def test_import_loads_no_fractions_or_decimal():
     proc = subprocess.run([sys.executable, "-c", probe],
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_import_of_every_module_loads_no_dataclasses_or_inspect():
+    package = Path(hilbtorus.__file__).resolve().parent
+    modules = sorted(f"hilbtorus.{p.stem}" for p in package.glob("*.py"))
+    assert "hilbtorus.verify" in modules and "hilbtorus.__main__" in modules
+    # what a bare interpreter (site included) already holds is not ours
+    probe = ("import sys; unwanted = {'dataclasses', 'inspect'}; "
+             "bare = unwanted & set(sys.modules); "
+             f"import {', '.join(modules)}; "
+             "print(sorted(unwanted & set(sys.modules) - bare))")
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(package.parent)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 

@@ -36,7 +36,7 @@ from hilbtorus.qseries import (
     ABS_QUARTIC_ETA_SPEC,
     ROOT_ETA_SPECS,
     ROOT_TRACE,
-    EtaQuotientSpec,
+    eta_prefactor,
     eta_quotient_series,
     expand_master_product,
     expand_root_product,
@@ -127,11 +127,11 @@ def _multiply_push(b, order):
 def _in_place_eta(spec, order):
     """eta_quotient_series as it was before its multiply passes became
     slice adds: x * P in place walking down, x / P walking up."""
-    pre = spec.validate()
+    pre = eta_prefactor(spec)
     n1 = order + 1
     x = [0] * n1
     x[0] = 1
-    for scale, e in spec.factors:
+    for scale, e in spec:
         terms = _pentagonal_terms(scale, order)
         steps = range(order, 0, -1) if e > 0 else range(1, n1)
         sign = 1 if e > 0 else -1
@@ -164,7 +164,7 @@ def expand_master_product_reference(order: int) -> TruncatedSeries:
     """The master product by generic series multiply and invert (quadratic
     coefficient cost per factor; small orders only)."""
     u = LaurentPoly({1: 1, -1: 1})  # q + 1/q
-    acc = TruncatedSeries(order, [LaurentPoly.one()])
+    acc = TruncatedSeries(order, [LaurentPoly({0: 1})])
     for i in range(1, order + 1):
         num = TruncatedSeries(order, _monomial_row(order, i))
         den = _denominator_row(order, i, u)
@@ -174,25 +174,25 @@ def expand_master_product_reference(order: int) -> TruncatedSeries:
 
 def _monomial_row(order: int, i: int) -> list:
     row: list = [0] * (order + 1)
-    row[0] = LaurentPoly.one()
+    row[0] = LaurentPoly({0: 1})
     if i <= order:
-        row[i] = -LaurentPoly.one()
+        row[i] = -LaurentPoly({0: 1})
     return row
 
 
 def _denominator_row(order: int, i: int, u: LaurentPoly) -> TruncatedSeries:
     row: list = [0] * (order + 1)
-    row[0] = LaurentPoly.one()
+    row[0] = LaurentPoly({0: 1})
     if i <= order:
         row[i] = -u
     if 2 * i <= order:
-        row[2 * i] = LaurentPoly.one()
+        row[2 * i] = LaurentPoly({0: 1})
     return TruncatedSeries(order, row)
 
 
 def test_master_product_first_rows():
     s = expand_master_product(6)
-    assert s.coeff(0) == LaurentPoly.one()
+    assert s.coeff(0) == LaurentPoly({0: 1})
     assert s.coeff(1) == LaurentPoly({1: 1, 0: -2, -1: 1})
     assert s.coeff(2) == LaurentPoly({2: 1, 1: -1, -1: -1, -2: 1})
 
@@ -214,7 +214,7 @@ def test_master_product_matches_literal_feedback():
     order = 40
     q_trace = LaurentPoly({1: 1, -1: 1})
     assert expand_master_product(order) == _literal_feedback(
-        q_trace, LaurentPoly.one(), order)
+        q_trace, LaurentPoly({0: 1}), order)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5, 50, 150])
@@ -227,7 +227,7 @@ def test_literal_master_product_obeys_the_q_difference_facts():
     # factor-by-factor product: f[n][e] = [t^n q^e] F
     order = 40
     q_trace = LaurentPoly({1: 1, -1: 1})
-    rows = _literal_feedback(q_trace, LaurentPoly.one(), order).coeffs
+    rows = _literal_feedback(q_trace, LaurentPoly({0: 1}), order).coeffs
 
     def f(n, e):
         return rows[n].coeff(e) if n >= 0 else 0
@@ -269,10 +269,9 @@ def test_root_product_matches_naive_series():
     for d, u in ROOT_TRACE.items():
         acc = TruncatedSeries(order, [1])
         for i in range(1, order + 1):
-            num = TruncatedSeries.monomial(0, order) - TruncatedSeries.monomial(i, order)
-            den = (TruncatedSeries.monomial(0, order)
-                   - TruncatedSeries.monomial(i, order, u)
-                   + TruncatedSeries.monomial(2 * i, order))
+            ti = TruncatedSeries(order, [0] * i + [1])
+            num = 1 - ti
+            den = 1 - u * ti + ti * ti
             acc = acc * num * num * invert(den)
         assert acc == expand_root_product(d, order), d
 
@@ -388,10 +387,9 @@ def test_gauss_series_matches_naive_quotient():
     num = TruncatedSeries(order, [1])
     den = TruncatedSeries(order, [1])
     for i in range(1, order + 1):
-        one = TruncatedSeries.monomial(0, order)
-        ti = TruncatedSeries.monomial(i, order)
-        num = num * (one - ti)
-        den = den * (one + ti)
+        ti = TruncatedSeries(order, [0] * i + [1])
+        num = num * (1 - ti)
+        den = den * (1 + ti)
     assert num * invert(den) == gauss_series(order)
 
 
@@ -421,42 +419,41 @@ def test_phi_split_identity():
 
 def test_eta_spec_prefactors():
     for spec in (*ROOT_ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC):
-        assert spec.validate() == 0
-    assert EtaQuotientSpec(((1, 24),)).validate() == 1
+        assert eta_prefactor(spec) == 0
+    assert eta_prefactor(((1, 24),)) == 1
 
 
 def test_eta_spec_rejects_bad_prefactor():
     with pytest.raises(ValueError):
-        EtaQuotientSpec(((1, 1),)).validate()
+        eta_prefactor(((1, 1),))
     with pytest.raises(ValueError):
-        EtaQuotientSpec(((1, -24),)).validate()
+        eta_prefactor(((1, -24),))
     with pytest.raises(ValueError):
-        EtaQuotientSpec(((0, 24),)).validate()
+        eta_prefactor(((0, 24),))
 
 
 def test_eta_discriminant_series():
     # eta(z)^24 expands to the discriminant series, whose first coefficients
     # are the classical 1, -24, 252, -1472, 4830, -6048
-    s = eta_quotient_series(EtaQuotientSpec(((1, 24),)), 6)
+    s = eta_quotient_series(((1, 24),), 6)
     assert s.coeffs == (0, 1, -24, 252, -1472, 4830, -6048)
 
 
 def test_eta_quotient_matches_naive_product():
     order = 40
-    one = TruncatedSeries.monomial(0, order)
     for spec in (*ROOT_ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC,
-                 EtaQuotientSpec(((1, 24),))):
+                 ((1, 24),)):
         acc = TruncatedSeries(order, [1])
-        for scale, e in spec.factors:
+        for scale, e in spec:
             for j in range(scale, order + 1, scale):
-                factor = one - TruncatedSeries.monomial(j, order)
+                factor = 1 - TruncatedSeries(order, [0] * j + [1])
                 if e > 0:
                     for _ in range(e):
                         acc = acc * factor
                 else:
                     for _ in range(-e):
                         acc = acc * invert(factor)
-        assert acc.shift(spec.validate()) == eta_quotient_series(spec, order), spec
+        assert acc.shift(eta_prefactor(spec)) == eta_quotient_series(spec, order), spec
 
 
 def test_eta_cubed_is_jacobi_sum():
@@ -467,7 +464,7 @@ def test_eta_cubed_is_jacobi_sum():
     while (2 * k + 1) ** 2 <= order:
         want[(2 * k + 1) ** 2] = (-1) ** k * (2 * k + 1)
         k += 1
-    spec = EtaQuotientSpec(((8, 3),))
+    spec = ((8, 3),)
     assert eta_quotient_series(spec, order) == TruncatedSeries(order, want)
 
 
@@ -478,7 +475,7 @@ def test_eta_is_euler_sum():
     for k in range(-20, 21):
         if (6 * k + 1) ** 2 <= order:
             want[(6 * k + 1) ** 2] += (-1) ** k
-    spec = EtaQuotientSpec(((24, 1),))
+    spec = ((24, 1),)
     assert eta_quotient_series(spec, order) == TruncatedSeries(order, want)
 
 

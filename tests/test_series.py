@@ -13,7 +13,7 @@ def test_constructor_pads_and_truncates():
 
 
 def test_coeff_bounds():
-    s = TruncatedSeries.one(3)
+    s = TruncatedSeries(3, [1])
     assert s.coeff(0) == 1
     with pytest.raises(IndexError):
         s.coeff(4)
@@ -22,7 +22,7 @@ def test_coeff_bounds():
 
 
 def test_arithmetic():
-    t = TruncatedSeries.monomial(1, 5)
+    t = TruncatedSeries(5, [0, 1])
     s = (1 - t) * (1 + t)
     assert s.coeffs == (1, 0, -1, 0, 0, 0)
     assert (s - s).coeffs == (0,) * 6
@@ -37,11 +37,11 @@ def test_mul_truncates_to_smaller_order():
 
 def test_invert_quadratic_denominator_gives_balanced_sums():
     # 1/(1 - (q + 1/q) t + t^2) = sum_k (q^k + q^(k-2) + ... + q^-k) t^k
-    q = LaurentPoly.monomial(1)
-    u = q + LaurentPoly.monomial(-1)
+    q = LaurentPoly({1: 1})
+    u = q + LaurentPoly({-1: 1})
     order = 8
-    ut = TruncatedSeries.monomial(1, order, u)
-    t2 = TruncatedSeries.monomial(2, order)
+    ut = TruncatedSeries(order, [0, u])
+    t2 = TruncatedSeries(order, [0, 0, 1])
     inv = invert(1 - ut + t2)
     assert inv.coeff(1) == u
     assert inv.coeff(2) == LaurentPoly({2: 1, 0: 1, -2: 1})

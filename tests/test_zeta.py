@@ -91,11 +91,7 @@ def test_series_check_detects_corruption(monkeypatch):
 
 def test_functional_equation_certificates():
     for n in range(1, 40):
-        cert = functional_equation_check(n)
-        assert cert.n == n
-        assert cert.palindromic
-        assert cert.multiplicity_sum == 0
-        assert cert.central_multiplicity % 2 == 0
+        assert functional_equation_check(n) is None  # raises on a failure
 
 
 def test_certificate_fails_on_asymmetry(monkeypatch):
