@@ -8,15 +8,17 @@ b-file against the matching generator).
 Exit codes: 0 on success, 1 when a verification or comparison fails or an
 exact division in compute leaves a remainder, 2 on usage or input-parse
 errors, and for compute pn above PN_MAX_N (P_n has Theta(n) terms, so its
-cost and output grow linearly).  The other compute kinds have no limit:
-each index costs one cached trial-division factorization, of 2n or of n,
-which is O(sqrt n) at worst, for n prime (0.8 s near 10^14 on a 2-vCPU
-machine).
+cost and output grow linearly).  The other compute kinds have no enforced
+limit: each index costs one cached trial-division factorization, of 2n or
+of n, which is O(sqrt n) at worst, for n prime (README's worst measured
+case: 6.3 s for compute cn at the prime 10^16 + 61).
 
 main(argv) may be called any number of times in one process, as the tests
 and the benchmark do: build_parser builds the parser on the first call (not
-at import) and returns the same one afterwards, so later calls pay only for
-parsing and the request itself.
+at import) and returns the same one afterwards.  When argv[0] names a
+subcommand, main parses argv[1:] with that subcommand's own parser alone;
+anything else goes through the top-level parser.  So a later call pays for
+one parse and the request itself.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from .errors import BFileError
 
 COMPUTE_KINDS = ("cn", "pn", "zeta", "hasse-weil", "ad", "sections")
 PN_MAX_N = 10 ** 6
+# each subcommand's parser by name, filled by build_parser
+_COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
 
 
 def _parse_n_range(text: str) -> tuple[int, int]:
@@ -205,15 +209,19 @@ def build_parser() -> argparse.ArgumentParser:
     oeis = sub.add_parser("oeis-compare",
                           help="compare a downloaded OEIS b-file against "
                                "the matching generator")
-    oeis.add_argument("sequence", choices=sorted(bfile.SEQUENCES))
+    oeis.add_argument("sequence", type=str.lower, choices=sorted(bfile.SEQUENCES))
     oeis.add_argument("bfile", help="path to the b-file")
     oeis.add_argument("--max-terms", type=_positive, default=None)
     oeis.set_defaults(func=_cmd_oeis_compare)
+    _COMMAND_PARSERS.update(sub.choices)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
+    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
     return args.func(args)
 
 

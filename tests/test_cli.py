@@ -2,7 +2,11 @@
 
 Runs main() in-process with capsys so exit codes and exact output can be
 asserted without subprocess overhead; main() reuses one parser across
-calls, so consecutive calls are also checked for leaking options.  Three
+calls, so consecutive calls are also checked for leaking options.  main()
+hands a known subcommand straight to that subcommand's parser, so the
+parses of both routes are compared on a table of argv drawn from each
+subcommand's grammar, and the route is checked by making the top-level
+parser refuse to run.  Three
 subprocess tests check that importing the cli builds no parser and loads
 neither fractions nor decimal, and that importing every module loads
 neither dataclasses nor inspect (the package needs none of them, and each
@@ -13,11 +17,13 @@ installer's wrapper calls it, and the installed ``hilbtorus`` script too
 when one is on PATH.
 """
 
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -26,7 +32,7 @@ import hilbtorus
 from hilbtorus import arith, cli, coeffs, verify
 from hilbtorus.arith import r2
 from hilbtorus.bfile import SEQUENCES
-from hilbtorus.cli import PN_MAX_N, main
+from hilbtorus.cli import COMPUTE_KINDS, PN_MAX_N, main
 
 
 def run(capsys, *argv):
@@ -269,6 +275,102 @@ def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+# command: (the words each positional may take, the values each option may
+# take); the first word of each list is valid, most of the rest are not
+GRAMMAR = {
+    "compute": ([[*COMPUTE_KINDS, "bogus"],
+                 ["7", "2..9", "1..1", "0", "-1", "zero", "8..3", "3..", "1..2..3"]],
+                {"--format": ["json", "pretty", "xml"], "--form": ["json"],
+                 "--d": ["2", "3", "4", "6", "5", "x"]}),
+    "table": ([["1", "2", "3", "4", "0", "9", "x"]],
+              {"--max-n": ["3", "0", "x", ""], "--max": ["60"]}),
+    "verify": ([], {"--suite": [*verify.SUITES, "zeta,tables", ",", "", "bogus"],
+                    "--max-n": ["5", "0", "x"], "--max": ["5"],
+                    "--order": ["40", "-1", "1.5"]}),
+    "oeis-compare": ([[*sorted(SEQUENCES), "A004018", "a000001"], ["b.txt"]],
+                     {"--max-terms": ["5", "0", "x"]}),
+}
+
+
+def _argv_table(command):
+    """Each positional word and option value in turn, each option both as
+    two tokens and as NAME=VALUE before the positionals, every option twice,
+    a missing positional and extra arguments."""
+    positionals, options = GRAMMAR[command]
+    base = [command, *(words[0] for words in positionals)]
+    for i, words in enumerate(positionals, 1):
+        yield from ([*base[:i], word, *base[i + 1:]] for word in words)
+    for name, values in options.items():
+        for value in values:
+            yield [*base, name, value]
+            yield [command, f"{name}={value}", *base[1:]]
+    yield [*base, *[t for name, values in options.items()
+                    for t in (name, values[0]) * 2]]
+    if positionals:
+        yield base[:-1]
+    for extra in ("--bogus", "extra", "-h", "--help"):
+        yield [*base, extra]
+
+
+def _parse_outcome(parse, argv):
+    """(exit status, vars of the Namespace, stdout, last stderr line) of one
+    parse; the status is None when it returns, the vars None when it exits."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            found = vars(parse(argv))
+    except SystemExit as exc:
+        return exc.code, None, out.getvalue(), err.getvalue().splitlines()[-1:]
+    return None, found, out.getvalue(), err.getvalue().splitlines()[-1:]
+
+
+@pytest.mark.parametrize("command", sorted(GRAMMAR))
+def test_direct_dispatch_parses_as_the_top_level_parser(command):
+    top_level = cli.build_parser()  # also fills cli._COMMAND_PARSERS
+    assert sorted(cli._COMMAND_PARSERS) == sorted(GRAMMAR)
+    outcomes = set()
+    for argv in _argv_table(command):
+        direct = _parse_outcome(cli._COMMAND_PARSERS[command].parse_args, argv[1:])
+        code, found, out, err = _parse_outcome(top_level.parse_args, argv)
+        if found is not None:
+            assert found.pop("command") == command
+        # the one intended difference: the subcommand's prog on extra arguments
+        err = [line.replace("hilbtorus: error: unrecognized",
+                            f"hilbtorus {command}: error: unrecognized")
+               for line in err]
+        assert direct == (code, found, out, err), argv
+        outcomes.add(code)
+    assert outcomes == {None, 0, 2}  # parsed, help, usage error
+
+
+def test_known_subcommand_skips_the_top_level_parser(capsys, monkeypatch, tmp_path):
+    class TopLevelParse(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise TopLevelParse
+
+    monkeypatch.setitem(vars(cli.build_parser()), "parse_known_args", refuse)
+    path = tmp_path / "b004018.txt"
+    path.write_text("0 1\n1 4\n")
+    for argv in (["compute", "cn", "3"], ["table", "4", "--max-n", "3"],
+                 ["verify", "--suite", "tables", "--max-n", "5"],
+                 ["oeis-compare", "a004018", str(path)]):
+        assert run(capsys, *argv)[0] == 0, argv
+    for argv in ([], ["--help"], ["bogus"], ["-h", "compute"]):
+        with pytest.raises(TopLevelParse):
+            main(argv)
+
+
+def test_unknown_argument_after_subcommand_gets_its_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "cn", "3", "--bogus"])
+    assert exc.value.code == 2
+    # the usage lines above it wrap differently across Python versions
+    assert ("hilbtorus compute: error: unrecognized arguments: --bogus"
+            in capsys.readouterr().err.splitlines())
+
+
 def test_import_builds_no_parser():
     src = Path(hilbtorus.__file__).resolve().parents[1]
     probe = ("from hilbtorus import cli; "
@@ -326,6 +428,15 @@ def test_oeis_compare_ok(capsys, tmp_path):
     path = tmp_path / "b004018.txt"
     path.write_text("".join(f"{i} {seq.value(i)}\n" for i in range(25)))
     code, out, _ = run(capsys, "oeis-compare", "a004018", str(path))
+    assert code == 0
+    assert "all agree" in out
+
+
+def test_oeis_compare_accepts_upper_case_id(capsys, tmp_path):
+    seq = SEQUENCES["a004018"]
+    path = tmp_path / "b004018.txt"
+    path.write_text("".join(f"{i} {seq.value(i)}\n" for i in range(25)))
+    code, out, _ = run(capsys, "oeis-compare", "A004018", str(path))
     assert code == 0
     assert "all agree" in out
 
