@@ -18,15 +18,17 @@ and the benchmark do: build_parser builds the parser on the first call (not
 at import) and returns the same one afterwards.  When argv[0] names a
 subcommand, main parses argv[1:] with that subcommand's own parser alone;
 anything else goes through the top-level parser.  So a later call pays for
-one parse and the request itself.
+one parse and the request itself.  --format json is written by _json, a
+small writer whose output is byte-identical to json.dumps(..., indent=2)
+(a test pins it), without the stdlib's pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import bfile, coeffs, rootvalues, tables, verify, zeta
 from .errors import BFileError
@@ -66,8 +68,27 @@ def _positive(text: str) -> int:
 
 def _poly_json(n: int, poly) -> dict:
     return {"n": n,
-            "coeffs": [{"e": e, "v": str(poly.coeff(e))}
-                       for e in sorted(poly.support())]}
+            "coeffs": [{"e": e, "v": str(v)} for e, v in sorted(poly.items())]}
+
+
+def _json(obj, newline: str = "\n") -> str:
+    """The text json.dumps(obj, indent=2) gives for the values compute
+    builds (dicts with str keys, lists, ints and strs), byte for byte; any
+    other type, bool included, raises TypeError."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = newline + "  "
+    if kind is list:
+        items = [_json(value, inner) for value in obj]
+        return f"[{inner}{(',' + inner).join(items)}{newline}]" if items else "[]"
+    if kind is dict:
+        items = [f"{encode_basestring_ascii(key)}: {_json(value, inner)}"
+                 for key, value in obj.items()]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}" if items else "{}"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _values(n: int, name: str, values: dict, fmt: str):
@@ -120,7 +141,7 @@ def _cmd_compute(args) -> int:
         return 1
     if args.format == "json":
         payload = results[0] if lo == hi else results
-        print(json.dumps(payload, indent=2))
+        print(_json(payload))
     elif lo == hi:
         print(results[0])
     else:

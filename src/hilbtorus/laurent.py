@@ -39,10 +39,6 @@ class LaurentPoly:
     def coeff(self, exponent: int) -> int:
         return self._coeffs.get(exponent, 0)
 
-    def support(self) -> tuple[int, ...]:
-        """Exponents with nonzero coefficient, ascending."""
-        return tuple(sorted(self._coeffs))
-
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._coeffs.items())
 

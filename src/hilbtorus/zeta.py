@@ -13,7 +13,6 @@ zeta_H(s) = prod_s0 zeta(s - s0)^m(s0) with the same exponents.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .errors import expect
@@ -30,32 +29,19 @@ class ZetaRational(NamedTuple):
     n: int
     factors: tuple[tuple[int, int], ...]  # (e, m), e ascending, m != 0
 
-    def denominator_exponents(self) -> list[int]:
-        """q-exponents of denominator factors, repeated by multiplicity."""
-        out = []
-        for e, m in self.factors:
-            if m > 0:
-                out.extend([e] * m)
-        return out
-
-    def numerator_exponents(self) -> list[int]:
-        out = []
-        for e, m in self.factors:
-            if m < 0:
-                out.extend([e] * (-m))
-        return out
-
     def pretty(self) -> str:
         """Display like (1 - q t)(1 - q^2 t) / ((1 - t)(1 - q^3 t)^2)."""
-        num_exps = self.numerator_exponents()
-        den_exps = self.denominator_exponents()
-        num = _factor_string(num_exps) or "1"
-        den = _factor_string(den_exps)
+        num, den = [], []
+        for e, m in self.factors:
+            base = ("(1 - t)" if e == 0 else "(1 - q t)" if e == 1
+                    else f"(1 - q^{e} t)")
+            text = base if abs(m) == 1 else f"{base}^{abs(m)}"
+            (den if m > 0 else num).append(text)
+        top = "".join(num) or "1"
         if not den:
-            return num
-        if len(set(den_exps)) > 1:
-            den = f"({den})"
-        return f"{num} / {den}"
+            return top
+        bottom = "".join(den)
+        return f"{top} / ({bottom})" if len(den) > 1 else f"{top} / {bottom}"
 
     def hasse_weil(self) -> str:
         """Display zeta_H(s) = prod_s0 zeta(s - s0)^m(s0), the product of
@@ -70,20 +56,6 @@ class ZetaRational(NamedTuple):
         if not den:
             return top
         return f"{top} / {' '.join(den)}"
-
-
-def _factor_string(exponents: list[int]) -> str:
-    counts = Counter(exponents)
-    parts = []
-    for e in sorted(counts):
-        if e == 0:
-            base = "(1 - t)"
-        elif e == 1:
-            base = "(1 - q t)"
-        else:
-            base = f"(1 - q^{e} t)"
-        parts.append(base if counts[e] == 1 else f"{base}^{counts[e]}")
-    return "".join(parts)
 
 
 def build_local_zeta(n: int) -> ZetaRational:

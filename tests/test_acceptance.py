@@ -13,6 +13,7 @@ from hilbtorus.laurent import LaurentPoly
 
 from test_coeffs import FROZEN_C, FROZEN_P
 from test_tables import ABS_ROOT_ROWS, C_AT_MINUS_ONE, REDUCED_COLUMNS, SECTION_ROWS
+from zeta_reference import denominator_exponents, numerator_exponents
 
 
 def criterion(num, label, budget, work):
@@ -81,8 +82,8 @@ def test_criterion_5_zeta_certificates():
         }
         for n, (num, den) in displayed.items():
             z = zeta.build_local_zeta(n)
-            assert sorted(z.numerator_exponents()) == num, n
-            assert sorted(z.denominator_exponents()) == den, n
+            assert sorted(numerator_exponents(z)) == num, n
+            assert sorted(denominator_exponents(z)) == den, n
 
     criterion(5, "zeta certificates, series checks, worked factorizations",
               10.0, work)

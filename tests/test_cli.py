@@ -6,7 +6,9 @@ calls, so consecutive calls are also checked for leaking options.  main()
 hands a known subcommand straight to that subcommand's parser, so the
 parses of both routes are compared on a table of argv drawn from each
 subcommand's grammar, and the route is checked by making the top-level
-parser refuse to run.  Three
+parser refuse to run.  The JSON writer is checked byte for byte against
+json.dumps(..., indent=2) of the Python that runs the tests, on every
+compute kind and on synthetic payloads.  Three
 subprocess tests check that importing the cli builds no parser and loads
 neither fractions nor decimal, and that importing every module loads
 neither dataclasses nor inspect (the package needs none of them, and each
@@ -160,6 +162,54 @@ def test_compute_cn_at_a_billion(capsys):
     assert all(terms.get(2 * n - e) == c for e, c in terms.items())
     assert sum(terms.values()) == 0  # C_n(1)
     assert sum(c if e % 2 == 0 else -c for e, c in terms.items()) == r2(n)
+
+
+def _compute_payloads(kind, ns, d=None):
+    """The JSON payload compute prints for each index of ns, and for ns
+    as one range."""
+    one = [cli._compute_one(kind, n, d, "json") for n in ns]
+    return [*one, one]
+
+
+@pytest.mark.parametrize("kind", COMPUTE_KINDS)
+def test_json_writer_matches_json_dumps(kind):
+    ns = [*range(1, 41), 5040]
+    if kind != "pn":
+        ns += [720720, 10 ** 12]
+    payloads = _compute_payloads(kind, ns)
+    if kind == "ad":
+        payloads += _compute_payloads(kind, range(1, 41), d=3)
+    for payload in payloads:
+        assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]],
+    {"a": [{"b": [], "c": {}}]},
+    [0, -1, 7, -(10 ** 25), 12345678901234567890123, 10 ** 40],
+    ["", '"', "\\", "\n", "\x01", "\x7f", "é", "☃", 'a "b" \\ c\n\td'],
+    {'k"\\\n\x1fé☃': 'v"\\\n\x1fé☃', "": ""},
+])
+def test_json_writer_matches_json_dumps_on_synthetic_payloads(payload):
+    assert cli._json(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, None, True, False, [1, True],
+                                   {"a": None}, (1, 2)])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+def test_compute_json_does_not_call_json_dumps(capsys, monkeypatch):
+    expected = json.dumps(cli._compute_one("cn", 5040, None, "json"), indent=2)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("compute called json.dumps")
+
+    monkeypatch.setattr(json, "dumps", refuse)
+    code, out, err = run(capsys, "compute", "cn", "5040", "--format", "json")
+    assert (code, out, err) == (0, expected + "\n", "")
 
 
 def test_d_flag_requires_ad(capsys):

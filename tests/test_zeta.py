@@ -18,12 +18,14 @@ from hilbtorus.zeta import (
     zeta_series_check,
 )
 
+from zeta_reference import denominator_exponents, numerator_exponents
+
 
 def test_one_point_factorization():
     z = build_local_zeta(1)
     assert z.factors == ((0, 1), (1, -2), (2, 1))
-    assert z.numerator_exponents() == [1, 1]
-    assert z.denominator_exponents() == [0, 2]
+    assert numerator_exponents(z) == [1, 1]
+    assert denominator_exponents(z) == [0, 2]
     assert z.pretty() == "(1 - q t)^2 / ((1 - t)(1 - q^2 t))"
 
 
@@ -36,8 +38,8 @@ def test_frozen_exponent_multisets():
     }
     for n, (num, den) in frozen.items():
         z = build_local_zeta(n)
-        assert sorted(z.numerator_exponents()) == num, n
-        assert sorted(z.denominator_exponents()) == den, n
+        assert sorted(numerator_exponents(z)) == num, n
+        assert sorted(denominator_exponents(z)) == den, n
 
 
 def test_three_point_pretty():
