@@ -20,7 +20,8 @@ subcommand, main parses argv[1:] with that subcommand's own parser alone;
 anything else goes through the top-level parser.  So a later call pays for
 one parse and the request itself.  --format json is written by _json, a
 small writer whose output is byte-identical to json.dumps(..., indent=2)
-(a test pins it), without the stdlib's pure-Python indenting encoder.
+(a test pins it), without the pure-Python indenting encoder that CPython
+3.10-3.12 use (3.13 and later indent in C, faster than _json).
 """
 
 from __future__ import annotations
