@@ -5,36 +5,44 @@ sections; pretty text or JSON), table (the four built-in tables), verify
 (the cross-verification suites), and oeis-compare (check a downloaded
 b-file against the matching generator).
 
-Exit codes: 0 on success, 1 when a verification or comparison fails or an
-exact division in compute leaves a remainder, 2 on usage or input-parse
-errors, and for compute pn above PN_MAX_N (P_n has Theta(n) terms, so its
-cost and output grow linearly).  The other compute kinds have no enforced
-limit: each index costs one cached trial-division factorization, of 2n or
-of n, which is O(sqrt n) at worst, for n prime (README's worst measured
-case: 6.3 s for compute cn at the prime 10^16 + 61).
+Exit codes: 0 on success, 1 when a verification or comparison fails, an
+exact division in compute leaves a remainder, or the reader closes stdout
+(no traceback), 2 on usage or input-parse errors, and for compute pn above
+PN_MAX_N (P_n has Theta(n) terms, so its cost and output grow linearly).
+Other compute kinds have no enforced limit: each index costs one cached
+trial-division factorization, of 2n or of n, O(sqrt n) at worst, n prime
+(README's worst measured case: 6.3 s, compute cn at the prime 10^16 + 61).
 
 main(argv) may be called any number of times in one process, as the tests
-and the benchmark do: build_parser builds the parser on the first call (not
-at import) and returns the same one afterwards.  When argv[0] names a
-subcommand, main parses argv[1:] with that subcommand's own parser alone;
-anything else goes through the top-level parser.  So a later call pays for
-one parse and the request itself.  --format json is written by _json, a
-small writer whose output is byte-identical to json.dumps(..., indent=2)
-(a test pins it), without the pure-Python indenting encoder that CPython
-3.10-3.12 use (3.13 and later indent in C, faster than _json).
+and the benchmark do.  It takes one of three routes: a canonical compute
+argv (compute KIND SPEC, then at most one --format and one --d, every word
+valid) is read by _parse_compute without argparse, which it never imports;
+any other argv whose argv[0] names a subcommand is parsed by that
+subcommand's parser alone; everything else goes through the top-level
+parser.  build_parser builds the parsers on its first call, not at import,
+and verify, tables and bfile are imported only by the commands that run
+them.  --format json is written by _json, a small writer whose output is
+byte-identical to json.dumps(..., indent=2) (a test pins it), without the
+pure-Python indenting encoder that CPython 3.10-3.12 use (3.13 and later
+indent in C, faster than _json).
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
+import os
 import sys
 from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
-from . import bfile, coeffs, rootvalues, tables, verify, zeta
+from . import coeffs, rootvalues, zeta
 from .errors import BFileError
 
 COMPUTE_KINDS = ("cn", "pn", "zeta", "hasse-weil", "ad", "sections")
+# compute's options, as add_argument keywords; _parse_compute reads them too
+COMPUTE_OPTIONS = {"--format": {"choices": ("pretty", "json"), "default": "pretty"},
+                   "--d": {"type": int, "choices": (2, 3, 4, 6), "default": None,
+                           "help": "restrict 'ad' to one root order"}}
 PN_MAX_N = 10 ** 6
 # each subcommand's parser by name, filled by build_parser
 _COMMAND_PARSERS: dict[str, argparse.ArgumentParser] = {}
@@ -49,9 +57,11 @@ def _parse_n_range(text: str) -> tuple[int, int]:
         else:
             lo = hi = int(text)
     except ValueError:
+        import argparse  # here only: a valid compute argv never imports it
         raise argparse.ArgumentTypeError(
             f"expected N or A..B, got {text!r}") from None
     if lo < 1 or hi < lo:
+        import argparse
         raise argparse.ArgumentTypeError(
             f"need 1 <= A <= B, got {text!r}")
     return lo, hi
@@ -61,8 +71,10 @@ def _positive(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
+        import argparse
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
     return value
 
@@ -101,22 +113,15 @@ def _values(n: int, name: str, values: dict, fmt: str):
 
 def _compute_one(kind: str, n: int, d: int | None, fmt: str):
     """The pretty text of one n, or its JSON object when fmt is "json"."""
-    if kind == "cn":
-        poly = coeffs.count_poly(n)
+    if kind in ("cn", "pn"):
+        poly = (coeffs.count_poly if kind == "cn" else coeffs.reduced_poly)(n)
         return poly.pretty() if fmt == "pretty" else _poly_json(n, poly)
-    if kind == "pn":
-        poly = coeffs.reduced_poly(n)
-        return poly.pretty() if fmt == "pretty" else _poly_json(n, poly)
-    if kind == "zeta":
+    if kind in ("zeta", "hasse-weil"):
         z = zeta.build_local_zeta(n)
         if fmt == "pretty":
-            return z.pretty()
-        return {"n": n, "factors": [{"e": e, "m": m} for e, m in z.factors]}
-    if kind == "hasse-weil":
-        z = zeta.build_local_zeta(n)
-        if fmt == "pretty":
-            return z.hasse_weil()
-        return {"n": n, "factors": [{"s0": s0, "m": m} for s0, m in z.factors]}
+            return z.pretty() if kind == "zeta" else z.hasse_weil()
+        key = "e" if kind == "zeta" else "s0"  # hasse-weil: zeta(s - s0)^m
+        return {"n": n, "factors": [{key: e, "m": m} for e, m in z.factors]}
     if kind == "ad":
         ds = (d,) if d is not None else rootvalues.ROOT_ORDERS
         return _values(n, "a", rootvalues.root_sequences(n, ds), fmt)
@@ -152,11 +157,13 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import tables
     print(tables.render_table(args.which, args.max_n))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
     names = None
     if args.suite:
         names = [part for chunk in args.suite for part in chunk.split(",") if part]
@@ -176,6 +183,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oeis_compare(args) -> int:
+    from . import bfile
     try:
         report = bfile.compare_bfile(args.sequence, args.bfile, args.max_terms)
     except (BFileError, OSError) as exc:
@@ -190,6 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
     """The hilbtorus argument parser, built on the first call and the same
     object afterwards. It is never changed once built: parse_args returns
     a fresh Namespace each time and the append action copies its default."""
+    import argparse
+    from . import bfile, tables, verify
     parser = argparse.ArgumentParser(
         prog="hilbtorus",
         description="Point counts of the Hilbert schemes of the plane torus: "
@@ -203,10 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     compute.add_argument("kind", choices=COMPUTE_KINDS)
     compute.add_argument("n", type=_parse_n_range,
                          help="an index N, or an inclusive range A..B")
-    compute.add_argument("--format", choices=("pretty", "json"),
-                         default="pretty")
-    compute.add_argument("--d", type=int, choices=(2, 3, 4, 6), default=None,
-                         help="restrict 'ad' to one root order")
+    for name, keywords in COMPUTE_OPTIONS.items():
+        compute.add_argument(name, **keywords)
     compute.set_defaults(func=_cmd_compute)
 
     table = sub.add_parser("table", help="print one of the built-in tables")
@@ -239,12 +247,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_compute(argv: list[str]) -> SimpleNamespace | None:
+    """The compute parser's Namespace for compute KIND SPEC, then each option
+    at most once, as NAME VALUE or NAME=VALUE, all words valid; else None."""
+    if len(argv) < 3 or argv[0] != "compute" or argv[1] not in COMPUTE_KINDS:
+        return None
+    try:
+        n = _parse_n_range(argv[2])
+    except Exception:  # argparse's ArgumentTypeError: argparse reports it
+        return None
+    given, rest = {}, iter(argv[3:])
+    for token in rest:
+        name, eq, value = token.partition("=")
+        keywords = COMPUTE_OPTIONS.get(name, {"choices": ()})
+        value = value if eq else next(rest, None)
+        if name in given or value not in map(str, keywords["choices"]):
+            return None
+        given[name] = keywords.get("type", str)(value)
+    return SimpleNamespace(func=_cmd_compute, kind=argv[1], n=n, **{
+        option[2:]: given.get(option, keywords["default"])
+        for option, keywords in COMPUTE_OPTIONS.items()})
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
-    command = _COMMAND_PARSERS.get(argv[0]) if argv else None
-    args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-    return args.func(args)
+    try:
+        args = _parse_compute(argv)
+        if args is None:
+            parser = build_parser()
+            command = _COMMAND_PARSERS.get(argv[0]) if argv else None
+            args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # the reader left: the recipe in Python's signal docs
+        if sys.stdout is not sys.__stdout__:  # in-process (StringIO, capsys)
+            raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,16 +3,22 @@
 Runs main() in-process with capsys so exit codes and exact output can be
 asserted without subprocess overhead; main() reuses one parser across
 calls, so consecutive calls are also checked for leaking options.  main()
-hands a known subcommand straight to that subcommand's parser, so the
-parses of both routes are compared on a table of argv drawn from each
-subcommand's grammar, and the route is checked by making the top-level
-parser refuse to run.  The JSON writer is checked byte for byte against
-json.dumps(..., indent=2) of the Python that runs the tests, on every
-compute kind and on synthetic payloads.  Three
-subprocess tests check that importing the cli builds no parser and loads
-neither fractions nor decimal, and that importing every module loads
-neither dataclasses nor inspect (the package needs none of them, and each
-slows every start), and two at the end check the entry points:
+reads a canonical compute argv with its own front parser, hands any other
+argv with a known subcommand straight to that subcommand's parser, and
+sends the rest to the top-level parser.  The parses of the argparse routes
+are compared on a table of argv drawn from each subcommand's grammar; the
+front parser is compared with the compute parser on that table and on a
+generated product of words (it must give the same values or decline), and
+the routes are checked by making the parsers refuse to run.  The JSON
+writer is checked byte for byte against json.dumps(..., indent=2) of the
+Python that runs the tests, on every compute kind and on synthetic
+payloads.  Four subprocess tests check that importing the cli builds no
+parser and loads neither fractions nor decimal, that importing every
+module loads neither dataclasses nor inspect (the package needs none of
+them, and each slows every start), and that canonical compute requests
+import neither argparse nor verify, qseries, tables or bfile, while table
+does.  At the end, a closed stdout must give
+exit status 1 and an empty stderr, and two tests check the entry points:
 ``python -m hilbtorus``, and the console script, for which the entry point
 that pyproject.toml declares for ``hilbtorus`` is always run the way an
 installer's wrapper calls it, and the installed ``hilbtorus`` script too
@@ -20,6 +26,7 @@ when one is on PATH.
 """
 
 import io
+import itertools
 import json
 import os
 import shutil
@@ -421,6 +428,115 @@ def test_unknown_argument_after_subcommand_gets_its_usage(capsys):
             in capsys.readouterr().err.splitlines())
 
 
+# words for generated compute argv: ["compute", *up to 4 of FRONT_WORDS],
+# and each (kind, spec) of FRONT_HEADS followed by up to 4 of FRONT_OPTIONS
+FRONT_WORDS = ["cn", "bogus", "7", " 5", "1_000", "-1", "--format", "json",
+               "--d", "3", "--format=json", "--form"]
+FRONT_HEADS = [("ad", "7"), ("cn", "2..4"), ("bogus", "7"), ("zeta", "0")]
+FRONT_OPTIONS = ["--format", "json", "pretty", "--d", "3", "03", "--format=json",
+                 "--d=3", "--form", "--", "-h", "=json"]
+
+
+def _front_table():
+    yield from _argv_table("compute")
+    for k in range(5):
+        yield from (["compute", *words]
+                    for words in itertools.product(FRONT_WORDS, repeat=k))
+    for head, k in itertools.product(FRONT_HEADS, range(5)):
+        yield from (["compute", *head, *words]
+                    for words in itertools.product(FRONT_OPTIONS, repeat=k))
+
+
+def _compute_parse(argv):
+    """vars of the compute parser's Namespace for argv, None on exit."""
+    return _parse_outcome(cli._COMMAND_PARSERS["compute"].parse_args, argv[1:])[1]
+
+
+def test_front_parser_agrees_with_the_compute_parser():
+    cli.build_parser()  # fills cli._COMMAND_PARSERS
+    accepted = []
+    for argv in _front_table():
+        front = cli._parse_compute(argv)
+        if front is not None:
+            assert vars(front) == _compute_parse(argv), argv
+            accepted.append(argv)
+    for argv in (["compute", "cn", "7", "--format=json"],
+                 ["compute", "ad", "7", "--d=3", "--format", "json"],
+                 ["compute", "ad", "7", "--format", "json", "--d", "3"],
+                 ["compute", "cn", " 5"], ["compute", "cn", "1_000", "--d", "3"]):
+        assert argv in accepted, argv
+    # the table exercises the front parser, which still declines most of it
+    assert 50 < len(accepted) < 1000, len(accepted)
+
+
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("kind", COMPUTE_KINDS)
+def test_front_parser_takes_the_sparse_sweep_shape(kind, fmt):
+    cli.build_parser()
+    argv = ["compute", kind, "5040", "--format", fmt]
+    front = cli._parse_compute(argv)
+    assert front is not None
+    assert vars(front) == _compute_parse(argv)
+
+
+def test_canonical_compute_builds_no_parser(capsys, monkeypatch):
+    canonical = [["compute", kind, "12", *fmt, *d]
+                 for kind in COMPUTE_KINDS
+                 for fmt in ([], ["--format", "json"], ["--format=pretty"])
+                 for d in ([], ["--d", "3"], ["--d=6"])]
+    expected = []
+    for argv in canonical:
+        args = cli.build_parser().parse_args(argv)
+        expected.append((args.func(args), *capsys.readouterr()))
+
+    class ParserBuilt(Exception):
+        pass
+
+    def refuse():
+        raise ParserBuilt
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for argv, want in zip(canonical, expected):
+        assert run(capsys, *argv) == want, argv
+    assert {want[0] for want in expected} == {0, 2}  # --d away from ad: 2
+    for argv in (["compute", "--form", "json", "cn", "3"],
+                 ["compute", "cn", "3", "--form", "json"],
+                 ["compute", "cn", "3", "--format", "json", "--format", "pretty"],
+                 ["compute", "cn", "3", "--d", "3", "--d=2"],
+                 ["compute", "cn", "3", "--", "--d", "3"],
+                 ["compute", "cn", "3", "-h"], ["compute", "cn", "3", "--d", "03"],
+                 ["compute", "--format", "json", "cn", "3"], ["compute", "cn"]):
+        with pytest.raises(ParserBuilt):
+            main(argv)
+
+
+def test_compute_imports_only_what_it_runs():
+    src = Path(hilbtorus.__file__).resolve().parents[1]
+    # what a bare interpreter (site included) already holds is not ours
+    probe = """if True:
+        import contextlib, io, sys
+        unwanted = {"argparse", "hilbtorus.verify", "hilbtorus.qseries",
+                    "hilbtorus.tables", "hilbtorus.bfile"}
+        bare = unwanted & set(sys.modules)
+        from hilbtorus import cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = {cli.main(["compute", kind, "12", "--format", fmt, *d])
+                     for kind in ("cn", "zeta", "ad", "sections")
+                     for fmt in ("pretty", "json") for d in ([], ["--d=3"])
+                     if kind == "ad" or not d}
+        print(codes, sorted(unwanted & set(sys.modules) - bare))
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(["table", "1"])
+        print(sorted(unwanted & set(sys.modules) - bare))
+    """
+    proc = subprocess.run([sys.executable, "-c", probe],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("{0} []\n['argparse', 'hilbtorus.bfile', 'hilbtorus.qseries', "
+                           "'hilbtorus.tables', 'hilbtorus.verify']\n")
+
+
 def test_import_builds_no_parser():
     src = Path(hilbtorus.__file__).resolve().parents[1]
     probe = ("from hilbtorus import cli; "
@@ -544,3 +660,18 @@ def test_python_dash_m_runs_cli():
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "q^2 - 2q + 1\n"
+
+
+@pytest.mark.parametrize("argv", [["compute", "pn", "1..300"], ["table", "1"]])
+def test_closed_stdout_exits_1_without_a_traceback(argv):
+    # compute pn 1..300 prints 0.5 MB, more than a pipe holds, after the
+    # reader has taken 10 bytes; table 1 finds the pipe closed at once
+    src = Path(hilbtorus.__file__).resolve().parents[1]
+    with subprocess.Popen([sys.executable, "-m", "hilbtorus", *argv],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": str(src)}) as proc:
+        if argv[0] == "compute":
+            assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (1, b"")
