@@ -19,12 +19,12 @@ _ORDERS = (3, 4)
 class CycInt:
     """a + b*w with w a primitive root of unity of the given order (3 or 4).
 
-    >>> w = CycInt.root(3)
+    >>> w = CycInt(3, 0, 1)
     >>> w * w
     CycInt(order=3, a=-1, b=-1)
     >>> w ** 3
     CycInt(order=3, a=1, b=0)
-    >>> CycInt.root(4) ** 2 == -1
+    >>> CycInt(4, 0, 1) ** 2 == -1
     True
     """
 
@@ -37,11 +37,6 @@ class CycInt:
 
     def __repr__(self) -> str:
         return f"CycInt(order={self.order}, a={self.a}, b={self.b})"
-
-    @classmethod
-    def root(cls, order: int) -> "CycInt":
-        """The primitive root of unity w itself."""
-        return cls(order, 0, 1)
 
     # -- helpers -----------------------------------------------------------
 

@@ -10,8 +10,9 @@ Gauss's product (1 - t^i)/(1 + t^i), the classical theta series phi and psi
 (Gauss's product equals phi(-t)), and eta-quotient expansions.  Everything
 is exact integer arithmetic; these expansions are the independent oracle
 against which the closed forms in coeffs.py and rootvalues.py are checked,
-so none of them may consult those closed forms.  The root products are
-cached per (d, order).
+so none of them may consult those closed forms.  The root, master and
+Gauss products and the eta quotients are cached per argument; only the
+root products' cache is shared, by verify's roots and qseries suites.
 
 The root specializations and Gauss's product share one recurrence, Euler's
 logarithmic derivative.  With p_j = w^j + w^-j for the roots w, 1/w of

@@ -1,16 +1,16 @@
 """Values of C_n and P_n at roots of unity, and section sums of P_n.
 
-The value of C_n at the primitive d-th root w = omega(d) (d = 2, 3, 4, 6)
-is a_d(n) w^n, where the integer sequence a_d(n) has a closed form in the
-lattice representation counts r (x^2 + y^2), r' (x^2 + 2y^2) and lambda;
-root_sequences is the one place that case analysis lives, and every
-division in it is checked exact, never rounded.  Since
-(w - 1)^2 = w (w + 1/w - 2), P_n(w) (w + 1/w - 2) = w^(n-1) a_d(n).
-Order-6 values live in the order-3 basis since -w3 generates the same
-ring, and POWERS holds w^k for each d, so no power is ever raised at run
-time.  evaluate_at_roots computes the same values from a polynomial itself,
-for all four d in one pass over its coefficients (evaluate_at_root is its
-one-d form).
+The value of C_n at the primitive d-th root w (w = -1, v, i and -v for
+d = 2, 3, 4, 6, v the primitive third root) is a_d(n) w^n, where the integer
+sequence a_d(n) has a closed form in the lattice representation counts
+r (x^2 + y^2), r' (x^2 + 2y^2) and lambda; root_sequences is the one place
+that case analysis lives, and every division in it is checked exact.
+Since (w - 1)^2 = w (w + 1/w - 2), P_n(w) (w + 1/w - 2) = w^(n-1) a_d(n).
+Order-6 values live in the order-3 ring, which -v generates too, and the
+literal table _FOLDS holds the coordinates of w^r for r mod 12, so no
+power is ever raised.  evaluate_at_roots computes the same values from a
+polynomial itself, for all four d in one pass over its coefficients
+(evaluate_at_root is its one-d form).
 
 The k-section of P_n (sum of coefficients at exponents divisible by k) has
 closed forms in sigma, r, r', r'' and lambda (section_formulas, which
@@ -33,39 +33,24 @@ ROOT_ORDERS = (2, 3, 4, 6)
 SECTION_KS = (1, 2, 3, 4, 6)
 
 
-def omega(d: int) -> int | CycInt:
-    """The primitive d-th root of unity w at which C_n and P_n are valued:
-    -1 for d = 2, an order-3 or order-4 cyclotomic integer for d = 3 or 4,
-    and -w3 (in the order-3 ring) for d = 6."""
-    if d == 2:
-        return -1
-    if d == 3:
-        return CycInt.root(3)
-    if d == 4:
-        return CycInt.root(4)
-    if d == 6:
-        return -CycInt.root(3)
-    raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
-
-
-# POWERS[d][k] = w^k for w = omega(d), 0 <= k < d; w^n is POWERS[d][n % d]
-POWERS = {d: [omega(d) ** k for k in range(d)] for d in ROOT_ORDERS}
-# _FOLDS[d] = the a and the b coordinates of w^(r mod d) = a + b v for
-# r = 0..11, v the order-3 or order-4 root that CycInt is built on (for
-# d = 2, w^k = +-1 and b = 0)
-_FOLDS = {d: tuple(zip(*((w, 0) if d == 2 else (w.a, w.b)
-                         for w in (POWERS[d][r % d] for r in range(12)))))
-          for d in ROOT_ORDERS}
+# _FOLDS[d] = (ring, a, b): w^r = a[r] + b[r] v for r = 0..11, v the root
+# of the order-`ring` CycInt ring; for d = 2, w = -1 has no ring and b = 0
+_FOLDS = {
+    2: (None, (1, -1) * 6, (0,) * 12),
+    3: (3, (1, 0, -1) * 4, (0, 1, -1) * 4),
+    4: (4, (1, 0, -1, 0) * 3, (0, 1, 0, -1) * 3),
+    6: (3, (1, 0, -1, -1, 0, 1) * 2, (0, -1, -1, 0, 1, 1) * 2),
+}
 
 
 def evaluate_at_root(poly: LaurentPoly, d: int) -> int | CycInt:
-    """poly(w) at w = omega(d), exactly; see evaluate_at_roots."""
+    """poly(w) at the primitive d-th root w, exactly; see evaluate_at_roots."""
     return evaluate_at_roots(poly, (d,))[d]
 
 
 def evaluate_at_roots(poly: LaurentPoly, ds=ROOT_ORDERS) -> dict[int, int | CycInt]:
-    """{d: poly(w) at w = omega(d)} for each d in ds, exactly: a plain int
-    for d = 2, else a cyclotomic integer.
+    """{d: poly(w) at the primitive d-th root w} for each d in ds, exactly:
+    a plain int for d = 2, else a cyclotomic integer.
 
     Every d divides 12, so w^12 = 1: the integer coefficients are summed by
     exponent residue r mod 12 (negative exponents included) in one pass
@@ -73,28 +58,31 @@ def evaluate_at_roots(poly: LaurentPoly, ds=ROOT_ORDERS) -> dict[int, int | CycI
     w^(r mod d), in one integer sum per coordinate.
     """
     for d in ds:
-        if d not in POWERS:
+        if d not in _FOLDS:
             raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
     by12 = [0] * 12
     for e, c in poly.items():
         by12[e % 12] += c
     values = {}
     for d in ds:
-        fold_a, fold_b = _FOLDS[d]
+        ring, fold_a, fold_b = _FOLDS[d]
         a = sum(map(mul, by12, fold_a))
-        values[d] = a if d == 2 else CycInt(
-            POWERS[d][0].order, a, sum(map(mul, by12, fold_b)))
+        values[d] = a if ring is None else CycInt(
+            ring, a, sum(map(mul, by12, fold_b)))
     return values
 
 
 def count_at_root(n: int, d: int) -> int | CycInt:
-    """C_n(w) = a_d(n) w^n at w = omega(d).
+    """C_n(w) = a_d(n) w^n at the primitive d-th root w.
 
     Plain int for d = 2, an order-4 cyclotomic integer for d = 4, and an
     order-3 one for d = 3 and d = 6.
     """
     a = root_sequence(n, d)
-    return POWERS[d][n % d] * a
+    ring, fold_a, fold_b = _FOLDS[d]
+    r = n % 12
+    return a * fold_a[r] if ring is None else CycInt(
+        ring, a * fold_a[r], a * fold_b[r])
 
 
 def root_sequence(n: int, d: int) -> int:
@@ -195,11 +183,9 @@ def section_formulas(n: int, ks=SECTION_KS) -> dict[int, int]:
             third = exact_div(arith.r_hex(n), 3, "r''({})/3", n)
             values[k] = exact_div(sig + third, 3, "s_3({})", n)
         elif k == 4:
-            # i^(n-1) + i^(1-n) is 2, 0, -2, 0 as n-1 = 0, 1, 2, 3 mod 4
-            trace = (2, 0, -2, 0)[(n - 1) % 4]
-            sign = -1 if ((n - 1) // 2) % 2 else 1
-            term = sign * exact_div(arith.r_prime(n) * trace, 2, "r'({}) term", n)
-            values[k] = exact_div(sig + quarter + term, 4, "s_4({})", n)
+            # P_n(i) + P_n(-i) is r'(n) for odd n and 0 for even n
+            at_i = arith.r_prime(n) if n % 2 else 0
+            values[k] = exact_div(sig + quarter + at_i, 4, "s_4({})", n)
         else:  # k == 6, by residue of n mod 3
             lam = arith.lambda_fn(n)
             m = n % 3

@@ -25,9 +25,7 @@ DEFAULT_MAX_N = {1: 12, 2: 12, 3: 18, 4: 18}
 
 
 def _abs_cyclotomic(z) -> int:
-    """|z| for an integer or a cyclotomic integer of square norm."""
-    if isinstance(z, int):
-        return abs(z)
+    """|z| for a cyclotomic integer of square norm."""
     norm = z.norm()
     root = isqrt(norm)
     if root * root != norm:

@@ -146,6 +146,17 @@ def test_compute_arithmetic_error_exits_1(capsys, monkeypatch):
     assert err == "compute ad: a_6(7): 5 is not divisible by 4\n"
 
 
+def test_compute_range_error_prints_nothing_of_the_range(capsys, monkeypatch):
+    # the whole range is computed before the first line is printed, so a
+    # remainder at n = 7 leaves stdout empty even for the indices before it
+    r2 = arith.r2
+    monkeypatch.setattr(arith, "r2", lambda n: 5 if n == 7 else r2(n))
+    code, out, err = run(capsys, "compute", "ad", "1..10", "--d", "6")
+    assert code == 1
+    assert out == ""
+    assert err == "compute ad: a_6(7): 5 is not divisible by 4\n"
+
+
 @pytest.mark.parametrize("n", [str(PN_MAX_N + 1), f"1..{PN_MAX_N + 1}"])
 def test_compute_pn_above_limit_exits_2(capsys, monkeypatch, n):
     def never(n):

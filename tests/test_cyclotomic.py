@@ -4,15 +4,13 @@ import pytest
 
 from hilbtorus.cyclotomic import CycInt
 
-W3 = CycInt.root(3)
-W4 = CycInt.root(4)
+W3 = CycInt(3, 0, 1)
+W4 = CycInt(4, 0, 1)
 
 
 def test_only_orders_three_and_four_exist():
     with pytest.raises(ValueError):
         CycInt(5, 1, 0)
-    with pytest.raises(ValueError):
-        CycInt.root(6)
 
 
 def test_root_powers():

@@ -3,9 +3,11 @@
 The closed forms, and the residue-class fold evaluate_at_roots, are checked
 against the one route that cannot be argued with: build the count
 polynomial itself and evaluate it at an exact cyclotomic root, power by
-power (LaurentPoly.evaluate); the fold for all four roots at once is also
-checked against the one-d-at-a-time fold it replaced.  Every value must stay exact: an int at
-d = 2, a cyclotomic integer otherwise, never a float.
+power (LaurentPoly.evaluate), with the roots and their powers built here
+from CycInt rather than read from rootvalues' literal table; the fold for
+all four roots at once is also checked against the one-d-at-a-time fold it
+replaced.  Every value must stay exact: an int at d = 2, a cyclotomic
+integer otherwise, never a float.
 """
 
 import re
@@ -19,18 +21,28 @@ from hilbtorus.cyclotomic import CycInt
 from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import expand_root_product
 from hilbtorus.rootvalues import (
-    POWERS,
     ROOT_ORDERS,
     SECTION_KS,
     count_at_root,
     evaluate_at_root,
     evaluate_at_roots,
-    omega,
     root_sequence,
     section_direct,
     section_formula,
     section_formulas,
 )
+
+W3 = CycInt(3, 0, 1)
+
+
+def omega(d):
+    """The primitive d-th root w that rootvalues' table holds the powers of:
+    -1, the order-3 root, i, and minus the order-3 root."""
+    return {2: -1, 3: W3, 4: CycInt(4, 0, 1), 6: -W3}[d]
+
+
+# POWERS[d][k] = w^k for 0 <= k < d, raised with the ring arithmetic
+POWERS = {d: [omega(d) ** k for k in range(d)] for d in ROOT_ORDERS}
 
 
 def reduced_at_root(n, d):
@@ -48,8 +60,6 @@ def test_omega_orders():
         assert w ** d == 1
         for m in range(1, d):
             assert w ** m != 1, (d, m)
-    with pytest.raises(ValueError):
-        omega(5)
 
 
 @pytest.mark.parametrize("d", ROOT_ORDERS)
@@ -155,6 +165,11 @@ def test_sections_direct_equals_formula():
         assert section_direct(n) == section_formulas(n), n
         for k in SECTION_KS:
             assert section_direct(n, (k,)) == {k: section_formula(n, k)}, (n, k)
+    # large n, fixed: odd with r'(n) != 0 and with r'(n) = 0, and even,
+    # the cases of s_4's r' term
+    assert arith.r_prime(3 ** 25) != 0 and arith.r_prime(5 ** 17) == 0
+    for n in (3 ** 25, 5 ** 17, 2 ** 40, 720720 * 10 ** 6):
+        assert section_direct(n) == section_formulas(n), n
 
 
 def test_section_direct_matches_reduced_poly_sums():
