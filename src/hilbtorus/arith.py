@@ -4,10 +4,10 @@ Everything here is exact integer arithmetic.  factorize is the one
 primitive: divisors, sigma, lambda and the lattice counts r, r', r'' are
 read off the factorization, the counts as products over split and inert
 primes (Jacobi's two-square theorem and its analogues for x^2 + 2y^2 and
-x^2 + xy + y^2).  divisors keeps its last few answers as tuples, since its
-callers ask for one n several times in a row.  lattice_counts enumerates
-the lattice points themselves; it is the independent route that verify's
-arith suite checks those products against.
+x^2 + xy + y^2).  divisors and factorize keep their last few answers as
+tuples, since their callers ask about one n several times in a row.
+lattice_counts enumerates the lattice points themselves; it is the
+independent route that verify's arith suite checks those products against.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ def exact_div(num: int, den: int, what: str, *args) -> int:
     return q
 
 
-# Enough for every n <= 10^4 that verify's arith suite factorizes, which
-# covers the 2n <= 4000 that count_poly factorizes for the roots suite; a
-# bound, so that long runs such as compute sections over a wide range keep
-# a fixed footprint.
-FACTORIZE_CACHE_SIZE = 1 << 14
+# Callers ask about one n a few times in a row (verify's arith suite six
+# times, compute about n and 2n) and seldom later; keeping every n of a
+# verify run (10^4) would hold 2.8 MB to save 5,866 trial divisions.
+FACTORIZE_CACHE_SIZE = 16
 
 
 @functools.lru_cache(maxsize=FACTORIZE_CACHE_SIZE)

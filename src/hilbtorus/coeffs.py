@@ -12,9 +12,10 @@ odd (Sylvester's count of the ways to write n as a sum of consecutive
 integers), so count_poly reads its O(d(2n)) terms off the divisors of 2n.
 Each divisor d of n counts towards a_{n,i} on one run lo <= i <= hi, which
 divisor_intervals returns, skipping the d <= sqrt(n/2) whose run is empty;
-the dense vector, the coefficient sum and the sections of P_n all derive
-from those runs.  Every route here reads the divisors from arith.divisors,
-whose small cache builds one n's list once however many routes ask.
+P_n's dense vector, exponent runs, residue sums mod 12 (its sum, sections
+and values at roots of unity) and sparse (q - 1)^2 P_n derive from them.
+Every route here reads the divisors from arith.divisors, whose small
+cache builds one n's list once however many routes ask.
 trapezoidal_k, central_coeff, offcentral_coeff and divisor_coeff are the
 per-i scalar forms, kept as the independent check of both enumerators.
 """
@@ -120,6 +121,38 @@ def divisor_intervals(n: int) -> list[tuple[int, int]]:
         if lo <= hi:
             runs.append((lo, hi))
     return runs
+
+
+def reduced_runs(n: int) -> list[tuple[int, int]]:
+    """The exponent runs (A, B) whose indicators q^A + ... + q^B add up to
+    P_n: each divisor's run lo..hi gives q^(n-1+i) for i in lo..hi and
+    q^(n-1-i) for i in max(lo, 1)..hi, empty (A = B + 1) if lo = hi = 0."""
+    return [run for lo, hi in divisor_intervals(n) for run in
+            ((n - 1 + lo, n - 1 + hi), (n - 1 - hi, n - 1 - max(lo, 1)))]
+
+
+def reduced_residue_sums(n: int) -> list[int]:
+    """[the sum of P_n's coefficients at exponents e = r mod 12, r = 0..11]
+    from its runs: a run of length L adds L // 12 to every residue, and 1 to
+    the L % 12 from its start on (a difference array over two laps)."""
+    laps, steps = 0, [0] * 24
+    for a, b in reduced_runs(n):
+        whole, part = divmod(b - a + 1, 12)
+        laps += whole
+        steps[a % 12] += 1
+        steps[a % 12 + part] -= 1
+    lap = list(accumulate(steps))
+    return [laps + lap[r] + lap[r + 12] for r in range(12)]
+
+
+def reduced_times_square(n: int) -> LaurentPoly:
+    """(q - 1)^2 P_n from P_n's runs: a run q^A + ... + q^B is
+    (q^(B+1) - q^A)/(q - 1), so (q - 1)^2 times it has four terms."""
+    terms = {}
+    for a, b in reduced_runs(n):
+        for e, c in ((a, 1), (a + 1, -1), (b + 1, -1), (b + 2, 1)):
+            terms[e] = terms.get(e, 0) + c
+    return LaurentPoly(terms)
 
 
 def divisor_coeff_vector(n: int) -> list[int]:

@@ -10,9 +10,9 @@ Gauss's product (1 - t^i)/(1 + t^i), the classical theta series phi and psi
 (Gauss's product equals phi(-t)), and eta-quotient expansions.  Everything
 is exact integer arithmetic; these expansions are the independent oracle
 against which the closed forms in coeffs.py and rootvalues.py are checked,
-so none of them may consult those closed forms.  The root, master and
-Gauss products and the eta quotients are cached per argument; only the
-root products' cache is shared, by verify's roots and qseries suites.
+so none of them may consult those closed forms.  Only the root products
+are cached per argument, as verify's roots and qseries suites share them;
+every other expansion is built once per run by the one suite that reads it.
 
 The root specializations and Gauss's product share one recurrence, Euler's
 logarithmic derivative.  With p_j = w^j + w^-j for the roots w, 1/w of
@@ -100,7 +100,6 @@ def expand_root_product(d: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, _log_derivative_series(b, order))
 
 
-@functools.lru_cache(maxsize=4)
 def expand_master_product(order: int) -> TruncatedSeries:
     """The two-variable master product: the t^n coefficient is C_n(q)/q^n.
 
@@ -131,7 +130,6 @@ def expand_master_product(order: int) -> TruncatedSeries:
 
 # -- Gauss's product and the theta series ----------------------------------
 
-@functools.lru_cache(maxsize=4)
 def gauss_series(order: int) -> TruncatedSeries:
     """prod_{i>=1} (1 - t^i)/(1 + t^i) by the log-derivative recurrence:
     t d/dt log of the product is sum_k b_k t^k, b_k = -2 sum_{ij=k, j odd} i."""
@@ -208,7 +206,6 @@ def _pentagonal_terms(scale: int, order: int) -> list[tuple[int, int]]:
             if scale * g <= order]
 
 
-@functools.lru_cache(maxsize=16)
 def eta_quotient_series(spec: tuple[tuple[int, int], ...],
                         order: int) -> TruncatedSeries:
     """Expand the eta quotient spec = ((scale, exp), ...), that is

@@ -8,15 +8,15 @@ that case analysis lives, and every division in it is checked exact.
 Since (w - 1)^2 = w (w + 1/w - 2), P_n(w) (w + 1/w - 2) = w^(n-1) a_d(n).
 Order-6 values live in the order-3 ring, which -v generates too, and the
 literal table _FOLDS holds the coordinates of w^r for r mod 12, so no
-power is ever raised.  evaluate_at_roots computes the same values from a
-polynomial itself, for all four d in one pass over its coefficients
-(evaluate_at_root is its one-d form).
+power is ever raised.  Every d divides 12, so fold_at_roots gives a
+polynomial's values at all four roots from its 12 coefficient sums by
+exponent residue mod 12, which evaluate_at_roots takes from a polynomial
+and coeffs.reduced_residue_sums from P_n's divisor runs.
 
 The k-section of P_n (sum of coefficients at exponents divisible by k) has
 closed forms in sigma, r, r', r'' and lambda (section_formulas, which
-computes each count once for all k asked for); section_direct counts the
-same sums for all k asked for on one list of the divisor runs of P_n's
-coefficients instead.
+computes each count once for all k asked for); section_direct folds P_n's
+residue sums for all k asked for instead.
 """
 
 from __future__ import annotations
@@ -48,21 +48,25 @@ def evaluate_at_root(poly: LaurentPoly, d: int) -> int | CycInt:
     return evaluate_at_roots(poly, (d,))[d]
 
 
-def evaluate_at_roots(poly: LaurentPoly, ds=ROOT_ORDERS) -> dict[int, int | CycInt]:
-    """{d: poly(w) at the primitive d-th root w} for each d in ds, exactly:
-    a plain int for d = 2, else a cyclotomic integer.
-
-    Every d divides 12, so w^12 = 1: the integer coefficients are summed by
-    exponent residue r mod 12 (negative exponents included) in one pass
-    over poly, and for each d the 12 sums weight the (a, b) coordinates of
-    w^(r mod d), in one integer sum per coordinate.
-    """
-    for d in ds:
-        if d not in _FOLDS:
-            raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+def evaluate_at_roots(poly: LaurentPoly, ds=ROOT_ORDERS,
+                      shift: int = 0) -> dict[int, int | CycInt]:
+    """{d: poly(w)/w^shift at the primitive d-th root w} for each d in ds:
+    fold_at_roots of poly's coefficient sums by exponent residue mod 12."""
     by12 = [0] * 12
     for e, c in poly.items():
         by12[e % 12] += c
+    return fold_at_roots(by12, ds, shift)
+
+
+def fold_at_roots(by12: list[int], ds=ROOT_ORDERS,
+                  shift: int = 0) -> dict[int, int | CycInt]:
+    """{d: poly(w)/w^shift at the primitive d-th root w} for each d in ds
+    (an int for d = 2), from by12[r], the sum of poly's coefficients at the
+    exponents r mod 12, rotated by shift (w^12 = 1) and weighted by _FOLDS."""
+    for d in ds:
+        if d not in _FOLDS:
+            raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+    by12 = by12[shift % 12:] + by12[:shift % 12]
     values = {}
     for d in ds:
         ring, fold_a, fold_b = _FOLDS[d]
@@ -73,16 +77,9 @@ def evaluate_at_roots(poly: LaurentPoly, ds=ROOT_ORDERS) -> dict[int, int | CycI
 
 
 def count_at_root(n: int, d: int) -> int | CycInt:
-    """C_n(w) = a_d(n) w^n at the primitive d-th root w.
-
-    Plain int for d = 2, an order-4 cyclotomic integer for d = 4, and an
-    order-3 one for d = 3 and d = 6.
-    """
-    a = root_sequence(n, d)
-    ring, fold_a, fold_b = _FOLDS[d]
-    r = n % 12
-    return a * fold_a[r] if ring is None else CycInt(
-        ring, a * fold_a[r], a * fold_b[r])
+    """C_n(w) = a_d(n) w^n at the primitive d-th root w: the fold of a_d(n)
+    at q^0, times w^n (a plain int for d = 2, else a cyclotomic integer)."""
+    return fold_at_roots([root_sequence(n, d)] + [0] * 11, (d,), -n)[d]
 
 
 def root_sequence(n: int, d: int) -> int:
@@ -127,30 +124,14 @@ def root_sequences(n: int, ds=ROOT_ORDERS) -> dict[int, int]:
 
 def section_direct(n: int, ks=SECTION_KS) -> dict[int, int]:
     """{k: s_k(n)} for each k in ks, the sum of the coefficients of P_n at
-    exponents divisible by k, counted on one list of divisor runs
-    (coeffs.divisor_intervals) without building P_n.
-
-    A divisor whose run is lo <= i <= hi puts a one at q^(n-1+i) for each i
-    in it, and another at q^(n-1-i) for each i >= 1 in it; the i that land
-    on multiples of k form one residue class mod k in each case, counted in
-    O(1) per run.
-    """
+    exponents divisible by k: every k divides 12, so it is the sum of every
+    k-th of P_n's residue sums mod 12, which coeffs.reduced_residue_sums
+    counts on the divisor runs without building P_n."""
     for k in ks:
         if k not in SECTION_KS:
             raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
-    runs = coeffs.divisor_intervals(n)
-    values = {}
-    for k in ks:
-        up, down = (1 - n) % k, (n - 1) % k
-        values[k] = sum(_residue_count(lo, hi, up, k)
-                        + _residue_count(max(lo, 1), hi, down, k)
-                        for lo, hi in runs)
-    return values
-
-
-def _residue_count(lo: int, hi: int, r: int, k: int) -> int:
-    """The number of i in lo..hi with i = r mod k (0 when lo > hi)."""
-    return (hi - r) // k - (lo - 1 - r) // k
+    by12 = coeffs.reduced_residue_sums(n)
+    return {k: sum(by12[::k]) for k in ks}
 
 
 def section_formula(n: int, k: int) -> int:
@@ -186,14 +167,8 @@ def section_formulas(n: int, ks=SECTION_KS) -> dict[int, int]:
             # P_n(i) + P_n(-i) is r'(n) for odd n and 0 for even n
             at_i = arith.r_prime(n) if n % 2 else 0
             values[k] = exact_div(sig + quarter + at_i, 4, "s_4({})", n)
-        else:  # k == 6, by residue of n mod 3
-            lam = arith.lambda_fn(n)
-            m = n % 3
-            if m == 0:
-                total = sig - 3 * quarter - lam
-            elif m == 1:
-                total = sig + 3 * quarter + 2 * lam
-            else:
-                total = sig + 3 * quarter - lam
+        else:  # k == 6: r(n)/4 and lambda(n) weighted by n mod 3
+            w_r, w_lam = ((-3, -1), (3, 2), (3, -1))[n % 3]
+            total = sig + w_r * quarter + w_lam * arith.lambda_fn(n)
             values[k] = exact_div(total, 6, "s_6({})", n)
     return values

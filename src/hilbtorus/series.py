@@ -53,14 +53,11 @@ class TruncatedSeries:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _zip_order(self, other: "TruncatedSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other):
         other = _coerce(other, self.order)
         if other is None:
             return NotImplemented
-        n = self._zip_order(other)
+        n = min(self.order, other.order)
         return TruncatedSeries(n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     __radd__ = __add__
@@ -86,7 +83,7 @@ class TruncatedSeries:
         other = _coerce(other, self.order)
         if other is None:
             return NotImplemented
-        n = self._zip_order(other)
+        n = min(self.order, other.order)
         out = [0] * (n + 1)
         for i, a in enumerate(self.coeffs[: n + 1]):
             if not a:

@@ -22,7 +22,6 @@ from typing import Callable, NamedTuple
 
 from . import arith, coeffs, qseries, rootvalues, tables, zeta
 from .errors import VerificationError, expect, expect_rows
-from .laurent import LaurentPoly
 from .series import TruncatedSeries
 
 GENERATING_MAX_I = 20  # coefficient columns i checked against their series
@@ -47,8 +46,8 @@ def verify_coeffs(max_n: int = 300) -> str:
     match the per-i closed form at every i; plus the generating series per
     coefficient column and the reduced-side generating identity."""
     master = qseries.expand_master_product(max_n)
-    square = LaurentPoly({2: 1, 1: -2, 0: 1})  # (q - 1)^2
-    table_cache = []
+    width = GENERATING_MAX_I + 1
+    a_heads, c_heads = [], []  # a_(n,i) and c_(n,i) for i < width, 0 past n
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
         table = coeffs.CoeffTables.build(n)  # table.c[i] is cn's q^(n+i)
@@ -59,18 +58,19 @@ def verify_coeffs(max_n: int = 300) -> str:
         expect("master product t^n vs closed-form C_n / q^n", f"n={n}",
                master.coeff(n), cn.shift(-n))
         expect("(q - 1)^2 P_n vs C_n", f"n={n}",
-               square * coeffs.reduced_poly(n), cn)
+               coeffs.reduced_times_square(n), cn)
         table.check_linking()
-        table_cache.append(table)
-    for i in range(0, GENERATING_MAX_I + 1):
+        a_heads.append(table.a[:width] + (0,) * (width - n))
+        c_heads.append(table.c[:width] + (0,) * (width - n - 1))
+    for i in range(width):
         expect_rows("a-generating series vs a_(n,i)",
                     lambda p: f"n={p + 1}, i={i}",
                     list(coeffs.divisor_coeff_series(i, max_n).coeffs[1:]),
-                    [table.a_at(i) for table in table_cache])
+                    [head[i] for head in a_heads])
         expect_rows("c-generating series vs c_(n,i)",
                     lambda p: f"n={p + 1}, i={i}",
                     list(coeffs.c_coeff_series(i, max_n).coeffs[1:]),
-                    [table.c[i] if i <= table.n else 0 for table in table_cache])
+                    [head[i] for head in c_heads])
     identity_order = min(max_n, REDUCED_IDENTITY_MAX_N)
     coeffs.check_reduced_generating_identity(identity_order)
     return (f"n <= {max_n}: master product, closed forms, divisor route and "
@@ -95,14 +95,14 @@ def verify_roots(max_n: int = 2000) -> str:
         def at(p):
             return f"n={n}, d={ds[p]}"
 
-        cn_at = rootvalues.evaluate_at_roots(coeffs.count_poly(n).shift(-n))
+        cn_at = rootvalues.evaluate_at_roots(coeffs.count_poly(n), shift=n)
         expect_rows("C_n(w)/w^n evaluated vs a_d(n)", at,
                     [cn_at[d] for d in ds], want)
         expect_rows("a_d(n): product expansion vs closed form", at,
                     [product.coeff(n) for product in products], want)
         if n <= relation_max_n:
-            pn_at = rootvalues.evaluate_at_roots(
-                coeffs.reduced_poly(n).shift(1 - n))
+            pn_at = rootvalues.fold_at_roots(
+                coeffs.reduced_residue_sums(n), shift=n - 1)
             expect_rows("(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)", at,
                         [f * pn_at[d] for f, d in zip(factors, ds)], want)
         expect("a_6(n) = 0 vs a_2(n) = 0", f"n={n}", seqs[6] == 0, seqs[2] == 0)
@@ -194,10 +194,11 @@ def verify_arith(max_n: int = 10000) -> str:
         for m in range(d, max_n + 1, d):
             dcount[m] += 1
             dsum[m] += d
-    lam = [0] + [arith.lambda_fn(n) for n in range(1, max_n + 1)]
+    lam = [0]  # filled as n runs, for the multiplicativity pass after it
     e1 = [0]  # E_1(0) = 0 stands in for E_1(n/3) when 3 does not divide n
     for n in range(1, max_n + 1):
         at = (("n", n),)
+        lam.append(arith.lambda_fn(n))
         e1.append(arith.excess_e1(n))
         expect("lambda(n) vs E_1(n) - 3 E_1(n/3)", at, lam[n],
                e1[n] - 3 * e1[n // 3 if n % 3 == 0 else 0])
@@ -211,9 +212,7 @@ def verify_arith(max_n: int = 10000) -> str:
                (len(ds), sum(ds)), (dcount[n], dsum[n]))
         expect("middle divisors vs a_(n,0)", at, arith.middle_divisors(n),
                coeffs.divisor_coeff(n, 0))
-        # P_n(1): a run lo..hi adds 1 at i = 0 and 2 at each i >= 1
-        total = sum(2 * (hi - lo) + (1 if lo == 0 else 2)
-                    for lo, hi in coeffs.divisor_intervals(n))
+        total = sum(b - a + 1 for a, b in coeffs.reduced_runs(n))  # P_n(1)
         expect("P_n(1) over divisor runs vs sigma(n)", at, total, arith.sigma(n))
     pairs = 0
     for m in range(2, math.isqrt(max_n) + 1):

@@ -22,6 +22,8 @@ from hilbtorus.coeffs import (
     divisor_intervals,
     offcentral_coeff,
     reduced_poly,
+    reduced_runs,
+    reduced_times_square,
     trapezoidal_k,
 )
 from hilbtorus.errors import VerificationError
@@ -204,6 +206,29 @@ def test_count_is_reduced_times_square():
     square = LaurentPoly({2: 1, 1: -2, 0: 1})
     for n in range(1, 120):
         assert count_poly(n) == reduced_poly(n) * square
+
+
+def test_reduced_runs_rebuild_reduced_poly():
+    for n in range(1, 300):
+        terms = {}
+        for a, b in reduced_runs(n):
+            assert 0 <= a <= b + 1 <= 2 * n - 1, (n, a, b)
+            for e in range(a, b + 1):
+                terms[e] = terms.get(e, 0) + 1
+        assert LaurentPoly(terms) == reduced_poly(n), n
+    # the middle divisors 2 and 3 of 6 start their runs at i = 0, and the
+    # run of 2, lo = hi = 0, has an empty lower half
+    assert divisor_intervals(6) == [(0, 0), (0, 1), (2, 5)]
+    assert reduced_runs(6) == [(5, 5), (5, 4), (5, 6), (4, 4), (7, 10), (0, 3)]
+
+
+def test_sparse_reduced_times_square_is_count():
+    # (q - 1)^2 P_n from the divisor runs of n against C_n from the
+    # factorizations of 2n: two enumerations of different divisors, at
+    # every n <= 2000 and at large n with many divisors or few
+    for n in (*range(1, 2001), 10 ** 12, 2 ** 40, 720720 * 10 ** 6,
+              3 ** 25, 5 ** 17):
+        assert reduced_times_square(n) == count_poly(n), n
 
 
 def test_frozen_numeric_columns():

@@ -16,7 +16,7 @@ import pytest
 
 from hilbtorus import arith
 from hilbtorus.arith import exact_div
-from hilbtorus.coeffs import count_poly, reduced_poly
+from hilbtorus.coeffs import count_poly, reduced_poly, reduced_residue_sums
 from hilbtorus.cyclotomic import CycInt
 from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import expand_root_product
@@ -26,6 +26,7 @@ from hilbtorus.rootvalues import (
     count_at_root,
     evaluate_at_root,
     evaluate_at_roots,
+    fold_at_roots,
     root_sequence,
     section_direct,
     section_formula,
@@ -173,15 +174,28 @@ def test_sections_direct_equals_formula():
 
 
 def test_section_direct_matches_reduced_poly_sums():
-    # the sections read straight off the dense polynomial, one P_n per n
+    # the sections and the residue sums read straight off the dense
+    # polynomial, one P_n per n, and the values at the roots folded from
+    # the residue sums against those of the dense polynomial
     for n in range(1, 1001):
-        terms = reduced_poly(n).items()
+        pn = reduced_poly(n)
         sums = {k: 0 for k in SECTION_KS}
-        for e, c in terms:
+        by12 = [0] * 12
+        for e, c in pn.items():
+            by12[e % 12] += c
             for k in SECTION_KS:
                 if e % k == 0:
                     sums[k] += c
         assert section_direct(n) == sums, n
+        runs_by12 = reduced_residue_sums(n)
+        assert runs_by12 == by12, n
+        assert fold_at_roots(runs_by12) == evaluate_at_roots(pn), n
+
+
+def test_residue_sums_add_up_to_sigma():
+    for n in (*range(1, 1001), 10 ** 12, 2 ** 40, 720720 * 10 ** 6,
+              3 ** 25, 5 ** 17):
+        assert sum(reduced_residue_sums(n)) == arith.sigma(n), n
 
 
 def test_count_poly_at_roots_property():
@@ -219,6 +233,10 @@ def assert_all_roots_agree(poly, power_by_power=True):
             assert values[d] == poly.evaluate(omega(d)), d
         assert evaluate_at_roots(poly, (d,)) == {d: values[d]}
         assert evaluate_at_root(poly, d) == values[d]
+    # w^12 = 1: dividing by w^shift rotates the residue sums
+    for shift in (-13, 31):
+        assert evaluate_at_roots(poly, shift=shift) \
+            == evaluate_at_roots(poly.shift(-shift)), shift
 
 
 def test_evaluate_at_roots_matches_per_d_loop():

@@ -248,11 +248,12 @@ def test_product_coefficient_off_by_one_fails_roots(monkeypatch):
 def test_reduced_value_off_at_i_fails_roots(monkeypatch):
     # q^4 (1 + q)(1 + q + q^2) vanishes at w = -1 and at the cube root but
     # not at w = i, where P_5(w)/w^4 moves by i - 1: the relation's row
-    # fails at d = 4, its third position
-    good = coeffs.reduced_poly
-    bump = LaurentPoly({4: 1, 5: 2, 6: 2, 7: 1})
-    monkeypatch.setattr(coeffs, "reduced_poly",
-                        lambda n: good(n) + (bump if n == 5 else 0))
+    # fails at d = 4, its third position; the relation reads P_n's residue
+    # sums mod 12, so the bump adds 1, 2, 2, 1 at the residues 4..7
+    good = coeffs.reduced_residue_sums
+    bump = [0, 0, 0, 0, 1, 2, 2, 1, 0, 0, 0, 0]
+    monkeypatch.setattr(coeffs, "reduced_residue_sums",
+                        lambda n: [s + b * (n == 5) for s, b in zip(good(n), bump)])
     with pytest.raises(VerificationError) as info:
         verify.verify_roots(max_n=8)
     assert_witness(info.value, "(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)",
@@ -310,6 +311,23 @@ def test_arith_builds_each_divisor_list_once():
     info = arith.divisors.cache_info()
     assert info.misses == 200
     assert info.hits == 4 * 200  # five asks per n: one build, four reads
+
+
+def test_arith_factorizes_each_n_once():
+    # lambda, divisors, sigma, r, r' and r'' ask about one n in a row, so a
+    # cache of a few entries factorizes each n once
+    arith.factorize.cache_clear()
+    verify.verify_arith(max_n=200)
+    info = arith.factorize.cache_info()
+    assert info.misses == 200
+    assert info.hits == 5 * 200
+    assert info.maxsize == arith.FACTORIZE_CACHE_SIZE
+
+
+def test_only_the_root_products_are_cached_in_qseries():
+    cached = [name for name, member in vars(qseries).items()
+              if hasattr(member, "cache_info")]
+    assert cached == ["expand_root_product"]
 
 
 def test_roots_raises_no_cyclotomic_power(monkeypatch):
