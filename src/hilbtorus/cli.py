@@ -8,7 +8,8 @@ b-file against the matching generator).
 Exit codes: 0 on success, 1 when a verification or comparison fails, an
 exact division in compute leaves a remainder, or the reader closes stdout
 (no traceback), 2 on usage or input-parse errors, and for compute pn above
-PN_MAX_N (P_n has Theta(n) terms, so its cost and output grow linearly).
+PN_MAX_N (P_n has Theta(n) terms, so its cost and output grow linearly),
+130 on Ctrl-C (KeyboardInterrupt: one stderr line, no traceback).
 Other compute kinds have no enforced limit: each index costs one cached
 trial-division factorization, of 2n or of n, O(sqrt n) at worst, n prime
 (README's worst measured case: 6.3 s, compute cn at the prime 10^16 + 61).
@@ -285,6 +286,9 @@ def main(argv: list[str] | None = None) -> int:
             raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except KeyboardInterrupt:  # Ctrl-C: 128 + SIGINT, as a shell reports it
+        print("hilbtorus: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

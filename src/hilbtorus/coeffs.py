@@ -10,10 +10,15 @@ Each family comes from one divisor enumerator.  c_{n,i} is nonzero only
 where n = k(k + 2i +- 1)/2, that is where 2n = k m with m > k and m - k
 odd (Sylvester's count of the ways to write n as a sum of consecutive
 integers), so count_poly reads its O(d(2n)) terms off the divisors of 2n.
-Each divisor d of n counts towards a_{n,i} on one run lo <= i <= hi, which
-divisor_intervals returns, skipping the d <= sqrt(n/2) whose run is empty;
-P_n's dense vector, exponent runs, residue sums mod 12 (its sum, sections
-and values at roots of unity) and sparse (q - 1)^2 P_n derive from them.
+Each divisor d of n counts towards a_{n,i} on one run lo <= i <= hi read
+off the pair (d, e = n/d), lo = max(0, ceil(d/2) - e) and
+hi = d - 1 - floor(e/2), which divisor_intervals returns, skipping the
+d <= sqrt(n/2) whose run is empty; P_n's dense vector, exponent runs,
+residue sums mod 12 (its sum, sections and values at roots of unity) and
+sparse (q - 1)^2 P_n (its point counts, read by zeta_series_check) derive
+from them, and the reduced generating identity reads the runs times
+1 - q^2.  Only the linking check, the tables and compute pn read the
+dense P_n.
 Every route here reads the divisors from arith.divisors, whose small
 cache builds one n's list once however many routes ask.
 trapezoidal_k, central_coeff, offcentral_coeff and divisor_coeff are the
@@ -28,7 +33,7 @@ from math import isqrt
 from typing import NamedTuple
 
 from .errors import expect, expect_rows
-from .laurent import LaurentPoly, _raw, balanced_power_sum
+from .laurent import LaurentPoly, _raw
 from .series import TruncatedSeries
 from . import arith
 
@@ -104,20 +109,19 @@ def divisor_intervals(n: int) -> list[tuple[int, int]]:
     """The run (lo, hi) of indices i on which each divisor d of n counts
     towards a_{n,i}, for the divisors whose run is not empty.
 
-    The interval conditions of divisor_coeff are linear in i once squared,
-    so each divisor's i form one contiguous run inside 0 <= i <= n-1.
+    With e = n / d, the interval conditions of divisor_coeff are linear in
+    i once squared: d <= i + sqrt(2n + i^2) is i >= d/2 - e, and
+    d > (i + sqrt(2n + i^2))/2 is i < d - e/2, so each divisor's i form
+    the run max(0, ceil(d/2) - e) <= i <= d - 1 - floor(e/2) inside
+    0 <= i <= n-1, empty unless 2d^2 > n, that is d > isqrt(n // 2).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     ds = arith.divisors(n)
     runs = []
-    # d > (i + sqrt(2n+i^2))/2  <=>  2di <= 2d^2 - n - 1: no i >= 0 unless
-    # 2d^2 > n, that is d > isqrt(n // 2); then hi = floor(d - (n+1)/(2d)) < d
     for d in ds[bisect_right(ds, isqrt(n // 2)):]:
-        # d <= i + sqrt(2n+i^2)     <=>  2di >= d^2 - 2n
-        num = d * d - 2 * n
-        lo = max(0, -(-num // (2 * d)))
-        hi = (2 * d * d - n - 1) // (2 * d)
+        e = n // d
+        lo, hi = max(0, (d + 1) // 2 - e), d - 1 - e // 2
         if lo <= hi:
             runs.append((lo, hi))
     return runs
@@ -216,9 +220,10 @@ class CoeffTables(NamedTuple):
     a: tuple[int, ...]
 
     @classmethod
-    def build(cls, n: int) -> "CoeffTables":
+    def build(cls, n: int, cn: LaurentPoly) -> "CoeffTables":
+        """The tables of n from cn = count_poly(n), which the caller holds."""
         c = [0] * (n + 1)
-        for e, value in count_poly(n).items():
+        for e, value in cn.items():
             if e >= n:
                 c[e - n] = value
         return cls(n, tuple(c), tuple(divisor_coeff_vector(n)))
@@ -288,26 +293,27 @@ def c_coeff_series(i: int, order: int) -> TruncatedSeries:
 def check_reduced_generating_identity(order: int) -> None:
     """Verify  sum_n (P_n(q)/q^(n-1)) t^n  =
     sum_{k>=1} (-1)^(k-1) t^(k(k+1)/2) (1 + t^k) / ((1 - q t^k)(1 - q^(-1) t^k))
-    as series over Laurent polynomials, through t^order.
+    as series over Laurent polynomials, through t^order, both sides times
+    1 - q^2 (injective on Laurent polynomials), where both are sparse.
 
     1/((1-qs)(1-s/q)) expands to sum_j (q^j + q^(j-2) + ... + q^(-j)) s^j,
-    which is balanced_power_sum(j).
+    and 1 - q^2 times that block is q^(-j) - q^(j+2); 1 - q^2 times a run
+    q^A + ... + q^B of P_n is q^A + q^(A+1) - q^(B+1) - q^(B+2).
     """
-    rhs: list[LaurentPoly] = [LaurentPoly.zero() for _ in range(order + 1)]
+    rhs: list[dict[int, int]] = [{} for _ in range(order + 1)]
     k = 1
     while k * (k + 1) // 2 <= order:
         base = k * (k + 1) // 2
         sgn = 1 if k % 2 == 1 else -1
-        j = 0
-        while base + j * k <= order:
-            block = sgn * balanced_power_sum(j)
-            e1 = base + j * k
-            rhs[e1] = rhs[e1] + block
-            e2 = e1 + k
-            if e2 <= order:
-                rhs[e2] = rhs[e2] + block
-            j += 1
+        for j, at in enumerate(range(base, order + 1, k)):
+            for row in rhs[at:at + k + 1:k]:  # t^at and t^(at + k)
+                row[-j] = row.get(-j, 0) + sgn
+                row[j + 2] = row.get(j + 2, 0) - sgn
         k += 1
     for n in range(1, order + 1):
-        lhs = reduced_poly(n).shift(-(n - 1))
-        expect("reduced generating identity", f"t^{n}", lhs, rhs[n])
+        lhs: dict[int, int] = {}
+        for a, b in reduced_runs(n):
+            for e, c in ((a, 1), (a + 1, 1), (b + 1, -1), (b + 2, -1)):
+                lhs[e + 1 - n] = lhs.get(e + 1 - n, 0) + c
+        expect("reduced generating identity", f"t^{n}",
+               LaurentPoly(lhs), LaurentPoly(rhs[n]))

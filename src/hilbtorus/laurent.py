@@ -2,7 +2,10 @@
 
 The counting polynomials handled here are sparse (a handful of terms spread
 over a wide exponent range), so coefficients are stored as a dict from
-exponent to nonzero integer coefficient.
+exponent to nonzero integer coefficient.  C_n has O(d(2n)) terms, and the
+checks read P_n as (q - 1)^2 P_n or (1 - q^2) P_n, four terms per divisor
+run (coeffs.reduced_runs); only the dense P_n of the linking check, the
+tables and compute pn has Theta(n) terms.
 """
 
 from __future__ import annotations
@@ -27,12 +30,6 @@ class LaurentPoly:
         # operator.index raises TypeError on a float instead of rounding it
         self._coeffs = {index(e): v for e, c in (coeffs or {}).items()
                         if (v := index(c))}
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
 
     # -- inspection --------------------------------------------------------
 
@@ -172,7 +169,7 @@ class LaurentPoly:
         'q^4 - q^3 - q + 1'
         >>> LaurentPoly({1: 1, 0: -2, -1: 1}).pretty()
         'q - 2 + q^-1'
-        >>> LaurentPoly.zero().pretty()
+        >>> LaurentPoly().pretty()
         '0'
         """
         if not self._coeffs:
@@ -210,18 +207,4 @@ def _coerce(x) -> LaurentPoly | None:
     if isinstance(x, int):
         return LaurentPoly({0: x})
     return None
-
-
-def balanced_power_sum(k: int) -> LaurentPoly:
-    """q^k + q^(k-2) + ... + q^(-k), the balanced geometric block of width k+1.
-
-    These are exactly the coefficients of 1/(1 - (q + 1/q) t + t^2) as a
-    series in t.
-
-    >>> balanced_power_sum(2)
-    LaurentPoly({2: 1, 0: 1, -2: 1})
-    """
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return _raw({e: 1 for e in range(-k, k + 1, 2)})
 

@@ -50,7 +50,7 @@ def verify_coeffs(max_n: int = 300) -> str:
     a_heads, c_heads = [], []  # a_(n,i) and c_(n,i) for i < width, 0 past n
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
-        table = coeffs.CoeffTables.build(n)  # table.c[i] is cn's q^(n+i)
+        table = coeffs.CoeffTables.build(n, cn)  # table.c[i] is cn's q^(n+i)
         expect_rows("c_(n,i): divisor enumerator vs per-i closed form",
                     lambda i: f"n={n}, i={i}", list(table.c),
                     [coeffs.central_coeff(n)]

@@ -18,7 +18,8 @@ module loads neither dataclasses nor inspect (the package needs none of
 them, and each slows every start), and that canonical compute requests
 import neither argparse nor verify, qseries, tables or bfile, while table
 does.  At the end, a closed stdout must give
-exit status 1 and an empty stderr, and two tests check the entry points:
+exit status 1 and an empty stderr, Ctrl-C (KeyboardInterrupt) exit status
+130 and one stderr line, and two tests check the entry points:
 ``python -m hilbtorus``, and the console script, for which the entry point
 that pyproject.toml declares for ``hilbtorus`` is always run the way an
 installer's wrapper calls it, and the installed ``hilbtorus`` script too
@@ -686,3 +687,13 @@ def test_closed_stdout_exits_1_without_a_traceback(argv):
         proc.stdout.close()
         err = proc.stderr.read()
     assert (proc.returncode, err) == (1, b"")
+
+
+def test_ctrl_c_exits_130_with_one_line_and_no_traceback(monkeypatch, capsys):
+    def interrupt(n):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(coeffs, "count_poly", interrupt)
+    assert main(["compute", "cn", "5"]) == 130
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "hilbtorus: interrupted\n")

@@ -9,7 +9,7 @@ divisor_intervals is also checked against the clipped loop it replaced.
 
 import pytest
 
-from hilbtorus import arith
+from hilbtorus import arith, coeffs
 from hilbtorus.coeffs import (
     CoeffTables,
     c_coeff_series,
@@ -198,7 +198,10 @@ def test_divisor_intervals_rebuild_vector():
 
 
 def test_divisor_intervals_match_clipped_loop():
-    for n in range(1, 20001):
+    # the large n have divisor pairs d, n/d far apart, which the run bounds
+    # from (d, n/d) must handle as the squared comparisons do
+    for n in (*range(1, 20001), 10 ** 12, 2 ** 40, 720720 * 10 ** 6,
+              3 ** 25, 5 ** 17):
         assert divisor_intervals(n) == clipped_intervals(n), n
 
 
@@ -245,11 +248,11 @@ def test_frozen_numeric_columns():
 
 def test_coeff_tables_linking():
     for n in range(1, 120):
-        CoeffTables.build(n).check_linking()
+        CoeffTables.build(n, count_poly(n)).check_linking()
 
 
 def test_coeff_tables_boundaries():
-    t = CoeffTables.build(5)
+    t = CoeffTables.build(5, count_poly(5))
     assert t.a_at(-1) == 0
     assert t.a_at(5) == 0
     assert t.a_at(6) == 0
@@ -257,7 +260,7 @@ def test_coeff_tables_boundaries():
 
 
 def test_corrupted_linking_detected():
-    t = CoeffTables.build(6)
+    t = CoeffTables.build(6, count_poly(6))
     for i in (0, 3):  # the boundary form at i = 0, the interior form at i >= 1
         bad = CoeffTables(6, t.c[:i] + (t.c[i] + 1,) + t.c[i + 1:], t.a)
         with pytest.raises(VerificationError) as info:
@@ -289,6 +292,18 @@ def test_c_coeff_series():
 
 def test_reduced_generating_identity():
     check_reduced_generating_identity(40)
+
+
+def test_extra_exponent_of_p5_fails_reduced_generating_identity(monkeypatch):
+    good = coeffs.reduced_runs
+    monkeypatch.setattr(coeffs, "reduced_runs",
+                        lambda n: good(n) + [(4, 4)] * (n == 5))
+    with pytest.raises(VerificationError) as info:
+        check_reduced_generating_identity(10)
+    exc = info.value
+    assert (exc.identity, exc.index) == ("reduced generating identity", "t^5")
+    # q^4 of P_5 is q^0 of P_5 / q^4, and 1 - q^2 times it is 1 - q^2
+    assert exc.got - exc.want == LaurentPoly({0: 1, 2: -1})
 
 
 def test_enumerators_property_at_large_n():

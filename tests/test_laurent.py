@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from hilbtorus.laurent import LaurentPoly, balanced_power_sum
+from hilbtorus.laurent import LaurentPoly
 
 C1 = LaurentPoly({2: 1, 1: -2, 0: 1})  # q^2 - 2q + 1
 
@@ -13,10 +13,10 @@ def _random_poly(rng, terms=4, span=6, bound=9):
 
 
 def test_zero_and_one():
-    assert not LaurentPoly.zero()
-    assert LaurentPoly.zero() == 0
+    assert not LaurentPoly()
+    assert LaurentPoly() == 0
     assert LaurentPoly({0: 1}) == 1
-    assert len(LaurentPoly.zero()) == 0
+    assert len(LaurentPoly()) == 0
 
 
 def test_canonicalization_drops_zero_coefficients():
@@ -35,7 +35,7 @@ def test_non_integer_exponent_or_coefficient_raises():
 def test_addition_cancels_to_zero():
     p = LaurentPoly({5: 7, -2: -3})
     assert p - p == 0
-    assert (p + (-p)) == LaurentPoly.zero()
+    assert (p + (-p)) == LaurentPoly()
 
 
 def test_int_interop_both_sides():
@@ -83,15 +83,5 @@ def test_evaluate_generic_matches_int():
 def test_pretty_formatting():
     assert C1.pretty() == "q^2 - 2q + 1"
     assert LaurentPoly({1: 1, -1: 1, 0: -2}).pretty() == "q - 2 + q^-1"
-    assert LaurentPoly.zero().pretty() == "0"
+    assert LaurentPoly().pretty() == "0"
     assert LaurentPoly({0: 1}).pretty() == "1"
-
-
-def test_balanced_power_sum():
-    assert balanced_power_sum(0) == 1
-    assert balanced_power_sum(1) == LaurentPoly({1: 1, -1: 1})
-    assert balanced_power_sum(3) == LaurentPoly({3: 1, 1: 1, -1: 1, -3: 1})
-    # these are the coefficients of 1/(1 - (q + 1/q)t + t^2)
-    q = LaurentPoly({1: 1})
-    u = q + LaurentPoly({-1: 1})
-    assert balanced_power_sum(2) == u * balanced_power_sum(1) - balanced_power_sum(0)

@@ -102,8 +102,8 @@ def test_linking_entry_fails_coeffs(monkeypatch):
     # only the linking check reads the table's a row before i = 3 fails
     good = coeffs.CoeffTables.build.__func__
 
-    def bumped(cls, n):
-        table = good(cls, n)
+    def bumped(cls, n, cn):
+        table = good(cls, n, cn)
         if n != 9:
             return table
         a = list(table.a)
@@ -115,7 +115,7 @@ def test_linking_entry_fails_coeffs(monkeypatch):
         verify.verify_coeffs(max_n=12)
     assert_witness(info.value, "c_(n,i) vs second difference of a_(n,i)",
                    "n=9, i=3")
-    c93 = good(coeffs.CoeffTables, 9).c[3]
+    c93 = good(coeffs.CoeffTables, 9, coeffs.count_poly(9)).c[3]
     assert (info.value.got, info.value.want) == (c93, c93 + 1)
 
 
@@ -322,6 +322,20 @@ def test_arith_factorizes_each_n_once():
     assert info.misses == 200
     assert info.hits == 5 * 200
     assert info.maxsize == arith.FACTORIZE_CACHE_SIZE
+
+
+def test_coeffs_builds_each_count_poly_once(monkeypatch):
+    # the tables of n are built from the C_n that the suite already holds
+    calls = []
+    good = coeffs.count_poly
+
+    def counted(n):
+        calls.append(n)
+        return good(n)
+
+    monkeypatch.setattr(coeffs, "count_poly", counted)
+    verify.verify_coeffs(max_n=30)
+    assert calls == list(range(1, 31))
 
 
 def test_only_the_root_products_are_cached_in_qseries():

@@ -91,6 +91,20 @@ def test_series_check_detects_corruption(monkeypatch):
     assert str(exc) == f"{exc.identity} at {exc.index}: {exc.got!r} != {exc.want!r}"
 
 
+def test_series_check_detects_extra_exponent_of_p5(monkeypatch):
+    # the point counts come from P_n's runs: one more q^4 in P_5 adds
+    # (x - 1)^2 x^4 to C_5(x), 16 at x = 2
+    good = zeta.coeffs.reduced_runs
+    monkeypatch.setattr(zeta.coeffs, "reduced_runs",
+                        lambda n: good(n) + [(4, 4)] * (n == 5))
+    with pytest.raises(VerificationError) as info:
+        zeta_series_check(5, 2, 3)
+    exc = info.value
+    assert (exc.identity, exc.index) == ("zeta log-derivative vs point count",
+                                         "n=5, q0=2, t^1")
+    assert exc.want - exc.got == 16
+
+
 def test_functional_equation_certificates():
     for n in range(1, 40):
         assert functional_equation_check(n) is None  # raises on a failure
