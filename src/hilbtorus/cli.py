@@ -5,8 +5,12 @@ sections; pretty text or JSON), table (the four built-in tables), verify
 (the cross-verification suites), and oeis-compare (check a downloaded
 b-file against the matching generator).
 
+A compute range prints each index as soon as it is computed, so its
+memory is that of one index and a reader gets the first line at once.
+
 Exit codes: 0 on success, 1 when a verification or comparison fails, an
-exact division in compute leaves a remainder, or the reader closes stdout
+exact division in compute leaves a remainder (the indices of a range before
+it stay printed; a JSON range is left unclosed), or the reader closes stdout
 (no traceback), 2 on usage or input-parse errors, and for compute pn above
 PN_MAX_N (P_n has Theta(n) terms, so its cost and output grow linearly),
 130 on Ctrl-C (KeyboardInterrupt: one stderr line, no traceback).
@@ -141,19 +145,22 @@ def _cmd_compute(args) -> int:
               f"2n - 1 coefficients", file=sys.stderr)
         return 2
     try:
-        results = [_compute_one(args.kind, n, args.d, args.format)
-                   for n in range(lo, hi + 1)]
+        if lo == hi:
+            result = _compute_one(args.kind, lo, args.d, args.format)
+            print(_json(result) if args.format == "json" else result)
+        elif args.format == "json":  # json.dumps(list, indent=2), streamed
+            separator = "[\n  "
+            for n in range(lo, hi + 1):
+                item = _compute_one(args.kind, n, args.d, "json")
+                sys.stdout.write(separator + _json(item, "\n  "))
+                separator = ",\n  "
+            print("\n]")
+        else:
+            for n in range(lo, hi + 1):
+                print(f"{n}: {_compute_one(args.kind, n, args.d, 'pretty')}")
     except ArithmeticError as exc:
         print(f"compute {args.kind}: {exc}", file=sys.stderr)
         return 1
-    if args.format == "json":
-        payload = results[0] if lo == hi else results
-        print(_json(payload))
-    elif lo == hi:
-        print(results[0])
-    else:
-        for n, text in zip(range(lo, hi + 1), results):
-            print(f"{n}: {text}")
     return 0
 
 

@@ -34,7 +34,6 @@ from typing import NamedTuple
 
 from .errors import expect, expect_rows
 from .laurent import LaurentPoly, _raw
-from .series import TruncatedSeries
 from . import arith
 
 
@@ -244,52 +243,6 @@ class CoeffTables(NamedTuple):
                     lambda i: f"n={self.n}, i={i}", self.c, second)
 
 
-# -- generating series along fixed i --------------------------------------
-
-def divisor_coeff_series(i: int, order: int) -> TruncatedSeries:
-    """sum_n a_{n,i} t^n as a theta-like sum:
-
-        sum_{k>=1} (-1)^(k-1) t^(k(k+1)/2 + ki) / (1 - t^k).
-    """
-    if i < 0:
-        raise ValueError("need i >= 0")
-    out = [0] * (order + 1)
-    k = 1
-    while k * (k + 1) // 2 + k * i <= order:
-        base = k * (k + 1) // 2 + k * i
-        sgn = 1 if k % 2 == 1 else -1
-        for e in range(base, order + 1, k):
-            out[e] += sgn
-        k += 1
-    return TruncatedSeries(order, out)
-
-
-def c_coeff_series(i: int, order: int) -> TruncatedSeries:
-    """sum_n c_{n,i} t^n.
-
-    i = 0:  2 sum_{k>=1} (-1)^k t^(k(k+1)/2)
-    i >= 1: sum_{k>=1} (-1)^k (t^(k(k+2i+1)/2) - t^(k(k+2i-1)/2))
-    """
-    if i < 0:
-        raise ValueError("need i >= 0")
-    out = [0] * (order + 1)
-    k = 1
-    if i == 0:
-        while k * (k + 1) // 2 <= order:
-            out[k * (k + 1) // 2] += 2 * (-1) ** k
-            k += 1
-    else:
-        while k * (k + 2 * i - 1) <= 2 * order:
-            sgn = (-1) ** k
-            up = k * (k + 2 * i + 1) // 2
-            dn = k * (k + 2 * i - 1) // 2
-            if up <= order:
-                out[up] += sgn
-            out[dn] -= sgn
-            k += 1
-    return TruncatedSeries(order, out)
-
-
 def check_reduced_generating_identity(order: int) -> None:
     """Verify  sum_n (P_n(q)/q^(n-1)) t^n  =
     sum_{k>=1} (-1)^(k-1) t^(k(k+1)/2) (1 + t^k) / ((1 - q t^k)(1 - q^(-1) t^k))
@@ -299,6 +252,9 @@ def check_reduced_generating_identity(order: int) -> None:
     1/((1-qs)(1-s/q)) expands to sum_j (q^j + q^(j-2) + ... + q^(-j)) s^j,
     and 1 - q^2 times that block is q^(-j) - q^(j+2); 1 - q^2 times a run
     q^A + ... + q^B of P_n is q^A + q^(A+1) - q^(B+1) - q^(B+2).
+    The q^i slice of the right side, sum_k (-1)^(k-1) t^(k(k+1)/2 + k|i|)
+    / (1 - t^k), is the generating series of the column a_(n,|i|), so
+    this one check covers every column through t^order.
     """
     rhs: list[dict[int, int]] = [{} for _ in range(order + 1)]
     k = 1

@@ -147,14 +147,17 @@ def test_compute_arithmetic_error_exits_1(capsys, monkeypatch):
     assert err == "compute ad: a_6(7): 5 is not divisible by 4\n"
 
 
-def test_compute_range_error_prints_nothing_of_the_range(capsys, monkeypatch):
-    # the whole range is computed before the first line is printed, so a
-    # remainder at n = 7 leaves stdout empty even for the indices before it
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+def test_compute_range_error_keeps_the_indices_before_it(capsys, monkeypatch, fmt):
+    # a range prints each index as it is computed, so a remainder at n = 7
+    # leaves n = 1..6 on stdout; a JSON range stays unclosed
+    code, before, _ = run(capsys, "compute", "ad", "1..6", "--d", "6", "--format", fmt)
+    assert code == 0
     r2 = arith.r2
     monkeypatch.setattr(arith, "r2", lambda n: 5 if n == 7 else r2(n))
-    code, out, err = run(capsys, "compute", "ad", "1..10", "--d", "6")
+    code, out, err = run(capsys, "compute", "ad", "1..10", "--d", "6", "--format", fmt)
     assert code == 1
-    assert out == ""
+    assert out == (before if fmt == "pretty" else before.removesuffix("\n]\n"))
     assert err == "compute ad: a_6(7): 5 is not divisible by 4\n"
 
 

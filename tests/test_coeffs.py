@@ -1,8 +1,8 @@
 """Tests for the closed-form coefficient routines.
 
 The twelve smallest count polynomials and their reduced forms are frozen
-here verbatim; everything else (the divisor enumerators, generating
-series, linking relations) is checked against those or against the scalar
+here verbatim; everything else (the divisor enumerators, the generating
+identity, linking relations) is checked against those or against the scalar
 closed forms, which also build the per-i reference polynomial below.
 divisor_intervals is also checked against the clipped loop it replaced.
 """
@@ -12,12 +12,10 @@ import pytest
 from hilbtorus import arith, coeffs
 from hilbtorus.coeffs import (
     CoeffTables,
-    c_coeff_series,
     central_coeff,
     check_reduced_generating_identity,
     count_poly,
     divisor_coeff,
-    divisor_coeff_series,
     divisor_coeff_vector,
     divisor_intervals,
     offcentral_coeff,
@@ -268,26 +266,6 @@ def test_corrupted_linking_detected():
         exc = info.value
         assert (exc.index, exc.got, exc.want) == (f"n=6, i={i}", t.c[i] + 1, t.c[i])
         assert str(exc) == f"{exc.identity} at n=6, i={i}: {t.c[i] + 1} != {t.c[i]}"
-
-
-def test_divisor_coeff_series():
-    order = 60
-    for i in range(6):
-        s = divisor_coeff_series(i, order)
-        assert s.coeff(0) == 0
-        for n in range(1, order + 1):
-            assert s.coeff(n) == divisor_coeff(n, i), (n, i)
-
-
-def test_c_coeff_series():
-    order = 60
-    s0 = c_coeff_series(0, order)
-    for n in range(1, order + 1):
-        assert s0.coeff(n) == central_coeff(n)
-    for i in range(1, 6):
-        s = c_coeff_series(i, order)
-        for n in range(1, order + 1):
-            assert s.coeff(n) == offcentral_coeff(n, i), (n, i)
 
 
 def test_reduced_generating_identity():

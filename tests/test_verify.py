@@ -139,6 +139,27 @@ def test_eta_quotient_coefficient_mid_row_fails_qseries(monkeypatch):
     assert (info.value.got, info.value.want) == (want + 1, want)
 
 
+def test_psi_coefficient_off_by_one_fails_the_signed_recombination(monkeypatch):
+    # psi(q^16) enters only the blocks psi(q^16) phi(q^4) and
+    # psi(q^8) psi(q^16), where a bump at t^16 stays on the exponents 4k
+    # and nonnegative, so only the recombination sees it
+    good = qseries.psi_series
+
+    def bumped(scale, order):
+        series = good(scale, order)
+        if scale != 16:
+            return series
+        cs = list(series.coeffs)
+        cs[16] += 1
+        return TruncatedSeries(order, cs)
+
+    monkeypatch.setattr(qseries, "psi_series", bumped)
+    with pytest.raises(VerificationError) as info:
+        verify.verify_qseries(order=60)
+    assert_witness(info.value, "multisection recombination, signed", "t^18")
+    assert (info.value.got, info.value.want) == (-8, -6)
+
+
 def test_lambda_value_breaking_a_coprime_pair_fails_arith(monkeypatch):
     # lambda(91) one too high, with E_1(91), r''(91) and the hexagonal
     # lattice count moved to agree, passes every per-n law; 91 = 7 * 13 is
@@ -289,13 +310,14 @@ def test_roots_expands_its_products_to_max_n_only(monkeypatch):
     assert sorted(asked) == [(d, 50) for d in rootvalues.ROOT_ORDERS]
 
 
-def test_coeffs_checks_the_reduced_identity_to_at_most_max_n(monkeypatch):
+@pytest.mark.parametrize("max_n", [10, 100])
+def test_coeffs_checks_the_reduced_identity_to_max_n(monkeypatch, max_n):
     orders = []
     monkeypatch.setattr(coeffs, "check_reduced_generating_identity",
                         orders.append)
-    detail = verify.verify_coeffs(max_n=10)
-    assert orders == [10]
-    assert detail.endswith("reduced generating identity holds to order 10")
+    detail = verify.verify_coeffs(max_n=max_n)
+    assert orders == [max_n]
+    assert detail.endswith(f"reduced generating identity holds to order {max_n}")
 
 
 def test_roots_and_qseries_share_the_root_products():
