@@ -24,9 +24,9 @@ TABLE_NUMBERS = (1, 2, 3, 4)
 DEFAULT_MAX_N = {1: 12, 2: 12, 3: 18, 4: 18}
 
 
-def _abs_cyclotomic(z) -> int:
-    """|z| for a cyclotomic integer of square norm."""
-    norm = z.norm()
+def abs_cyclotomic(z) -> int:
+    """|z| for a cyclotomic integer of square norm, or for an int."""
+    norm = z * z if isinstance(z, int) else z.norm()
     root = isqrt(norm)
     if root * root != norm:
         raise ArithmeticError(f"|{z}| is irrational (norm {norm})")
@@ -57,8 +57,8 @@ def table_data(which: int, max_n: int | None = None) -> dict:
                 pn.pretty(),
                 pn.evaluate_int(1),
                 pn.evaluate_int(-1),
-                _abs_cyclotomic(at[3]),
-                _abs_cyclotomic(at[4]),
+                abs_cyclotomic(at[3]),
+                abs_cyclotomic(at[4]),
                 pn.coeff(n - 1),
             ))
     elif which == 3:

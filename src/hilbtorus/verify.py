@@ -68,8 +68,7 @@ def verify_coeffs(max_n: int = 300) -> str:
 def verify_roots(max_n: int = 2000) -> str:
     """Three-way agreement for the root-of-unity sequences a_d(n): closed
     form, cyclotomic evaluation of C_n(w)/w^n, and product expansion; plus
-    the reduced-polynomial relation and the shared-vanishing property of
-    the order-2 and order-6 sequences.  w^n is a unit, so each route is
+    the reduced-polynomial relation.  w^n is a unit, so each route is
     compared with the integer a_d(n) itself."""
     ds = rootvalues.ROOT_ORDERS
     relation_max_n = min(RELATION_MAX_N, max_n)
@@ -92,7 +91,6 @@ def verify_roots(max_n: int = 2000) -> str:
                 coeffs.reduced_residue_sums(n), shift=n - 1)
             expect_rows("(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)", at,
                         [f * pn_at[d] for f, d in zip(factors, ds)], want)
-        expect("a_6(n) = 0 vs a_2(n) = 0", f"n={n}", seqs[6] == 0, seqs[2] == 0)
     return (f"n <= {max_n}: closed forms, cyclotomic evaluation and product "
             "expansion agree for d in 2, 3, 4, 6; "
             f"reduced-polynomial relation holds for n <= {relation_max_n}")
@@ -117,8 +115,10 @@ def verify_qseries(order: int = 2000) -> str:
     theta series phi(-q), and phi(-q)^2 against the order-2 root product,
     the eta-quotient forms of all four root products, the phi/psi
     expressions for the order-4 sequence and its absolute values, and the
-    signed four-way multisection recombination of the order-4 sequence;
-    its absolute value follows, as each block is nonnegative."""
+    four-way multisection of the order-4 sequence as a series identity,
+    B_0 - 2t B_1 - 2t^2 B_2 + 4t^3 B_3, each block B_j a product of phi and
+    psi at t^4, t^8 and t^16, so nonnegative and supported on the exponents
+    4k by construction."""
     phi, psi = qseries.phi_series, qseries.psi_series
     theta = phi(1, order, True)
     _require_series_equal(qseries.gauss_series(order), theta,
@@ -141,28 +141,15 @@ def verify_qseries(order: int = 2000) -> str:
                           "phi(q) phi(q^2) vs absolute order-4 sequence")
     _require_series_equal(phi(4, order) + 2 * psi(8, order).shift(1),
                           phi(1, order), "phi(q^4) + 2q psi(q^8) vs phi(q)")
-    _require_series_equal(phi(4, order) - 2 * psi(8, order).shift(1), theta,
-                          "phi(q^4) - 2q psi(q^8) vs phi(-q)")
     blocks = (
         phi(4, order) * phi(8, order),
         psi(8, order) * phi(8, order),
         psi(16, order) * phi(4, order),
         psi(8, order) * psi(16, order),
     )
-    for which, block in enumerate(blocks):
-        # the p-th exponent e with e % 4 != 0 is p + p // 3 + 1
-        off_grid = [c for e, c in enumerate(block.coeffs) if e % 4]
-        expect_rows("multisection block off the exponents 4k",
-                    lambda p: f"block {which}, t^{p + p // 3 + 1}",
-                    off_grid, [0] * len(off_grid))
-        expect_rows("multisection block vs its absolute value",
-                    lambda e: f"block {which}, t^{e}",
-                    block.coeffs, tuple(map(abs, block.coeffs)))
-    signs = (1, -2, -2, 4)
-    signed = [signs[m % 4] * blocks[m % 4].coeff(m - m % 4)
-              for m in range(order + 1)]
-    _require_series_equal(TruncatedSeries(order, signed), rp[4],
-                          "multisection recombination, signed")
+    _require_series_equal(
+        blocks[0] - 2 * blocks[1].shift(1) - 2 * blocks[2].shift(2)
+        + 4 * blocks[3].shift(3), rp[4], "multisection recombination, signed")
     return (f"order {order}: Gauss identity, eta quotients, phi/psi "
             f"identities and multisection recombination all hold")
 
@@ -188,7 +175,6 @@ def verify_arith(max_n: int = 10000) -> str:
         expect("lambda(n) vs E_1(n) - 3 E_1(n/3)", at, lam[n],
                e1[n] - 3 * e1[n // 3 if n % 3 == 0 else 0])
         r, r_hex = arith.r2(n), arith.r_hex(n)
-        expect("r(n) mod 4", at, r % 4, 0)
         expect("r''(n) vs 6 E_1(n)", at, r_hex, 6 * e1[n])
         for (what, counts), value in zip(sweeps, (r, arith.r_prime(n), r_hex)):
             expect(what, at, value, counts[n])
@@ -206,7 +192,7 @@ def verify_arith(max_n: int = 10000) -> str:
         expect_rows("lambda(mn) vs lambda(m) lambda(n)",
                     lambda p: f"m={m}, n={ns[p]}",
                     [lam[m * n] for n in ns], [lam[m] * lam[n] for n in ns])
-    return (f"n <= {max_n}: excess formula, divisibility, hexagonal and "
+    return (f"n <= {max_n}: excess formula, hexagonal and "
             f"middle-divisor laws, sigma law, product forms of r, r' and r'' "
             f"vs lattice sweeps, divisors vs divisor sieve; multiplicativity "
             f"on {pairs} coprime pairs")
@@ -238,14 +224,11 @@ def verify_tables(max_n: int = 18) -> str:
         expect("table 2 2 |P_n(i)| vs r'(n)", at, 2 * absi, arith.r_prime(n))
         expect("table 2 a_(n,0) vs middle divisors", at, central,
                arith.middle_divisors(n))
+    ds = rootvalues.ROOT_ORDERS
     for n, *cells in tables.table_data(3, max_n)["rows"]:
-        for d, cell in zip(rootvalues.ROOT_ORDERS, cells):
-            at = f"n={n}, d={d}"
-            expect("C_n(w) evaluated vs count_at_root", at,
-                   rootvalues.evaluate_at_root(coeffs.count_poly(n), d),
-                   rootvalues.count_at_root(n, d))
-            expect("table 3 |a_d(n)| vs closed form", at, cell,
-                   abs(rootvalues.root_sequence(n, d)))
+        cn_at = rootvalues.evaluate_at_roots(coeffs.count_poly(n))
+        expect_rows("table 3 |a_d(n)| vs |C_n(w)|", lambda p: f"n={n}, d={ds[p]}",
+                    cells, [tables.abs_cyclotomic(cn_at[d]) for d in ds])
     ks = (2, 3, 4, 6)
     for n, *cells in tables.table_data(4, max_n)["rows"]:
         direct = rootvalues.section_direct(n, ks)

@@ -3,9 +3,11 @@
 expect and expect_rows are the only places a VerificationError is raised,
 so a failed identity always carries its name, index and both values; a row
 check reports the first differing position, as a check per position would,
-and formats no index unless a check fails.  Each mutation test below puts
-one route off by one, some in the middle of a row, and checks the witness
-the suite raises; the harness must reject unknown suite names before
+and formats no index unless a check fails.  Each mutation test below runs
+one row of the mutation table (tests/test_mutations.py), which puts one
+route off by one, some in the middle of a row, and checks the witness the
+suite raises; a failed suite's detail is that witness.  The harness must
+reject unknown suite names before
 running any suite, every suite must take exactly one size keyword (order
 for qseries, max_n for the rest), and the roots suite must expand its root
 products to its own max_n, which at equal sizes qseries then reuses.
@@ -19,7 +21,8 @@ from hilbtorus import arith, coeffs, qseries, rootvalues, verify
 from hilbtorus.cyclotomic import CycInt
 from hilbtorus.errors import VerificationError, expect, expect_rows
 from hilbtorus.laurent import LaurentPoly
-from hilbtorus.series import TruncatedSeries
+
+from test_mutations import check_row
 
 
 def assert_witness(exc, identity, index):
@@ -86,202 +89,55 @@ def test_expect_rows_fails_rows_of_different_lengths():
 
 
 def test_offcentral_coeff_mid_row_fails_coeffs(monkeypatch):
-    good = coeffs.offcentral_coeff
-    monkeypatch.setattr(coeffs, "offcentral_coeff",
-                        lambda n, i: good(n, i) + ((n, i) == (7, 3)))
-    with pytest.raises(VerificationError) as info:
-        verify.verify_coeffs(max_n=10)
-    assert_witness(info.value,
-                   "c_(n,i): divisor enumerator vs per-i closed form",
-                   "n=7, i=3")
-    assert (info.value.got, info.value.want) == (good(7, 3), good(7, 3) + 1)
+    check_row(monkeypatch, "c_(n,i): divisor enumerator vs per-i closed form")
 
 
 def test_linking_entry_fails_coeffs(monkeypatch):
-    # a_(9,4) one too high moves the second difference at i = 3, 4 and 5;
-    # only the linking check reads the table's a row before i = 3 fails
-    good = coeffs.CoeffTables.build.__func__
-
-    def bumped(cls, n, cn):
-        table = good(cls, n, cn)
-        if n != 9:
-            return table
-        a = list(table.a)
-        a[4] += 1
-        return cls(n, table.c, tuple(a))
-
-    monkeypatch.setattr(coeffs.CoeffTables, "build", classmethod(bumped))
-    with pytest.raises(VerificationError) as info:
-        verify.verify_coeffs(max_n=12)
-    assert_witness(info.value, "c_(n,i) vs second difference of a_(n,i)",
-                   "n=9, i=3")
-    c93 = good(coeffs.CoeffTables, 9, coeffs.count_poly(9)).c[3]
-    assert (info.value.got, info.value.want) == (c93, c93 + 1)
+    check_row(monkeypatch, "c_(n,i) vs second difference of a_(n,i)")
 
 
 def test_eta_quotient_coefficient_mid_row_fails_qseries(monkeypatch):
-    good = qseries.eta_quotient_series
-    spec = qseries.ROOT_ETA_SPECS[3]
-
-    def bumped(s, order):
-        series = good(s, order)
-        if s != spec:
-            return series
-        cs = list(series.coeffs)
-        cs[17] += 1
-        return TruncatedSeries(order, cs)
-
-    monkeypatch.setattr(qseries, "eta_quotient_series", bumped)
-    with pytest.raises(VerificationError) as info:
-        verify.verify_qseries(order=40)
-    assert_witness(info.value, "eta quotient vs root product, d=3", "t^17")
-    want = qseries.expand_root_product(3, 40).coeffs[17]
-    assert (info.value.got, info.value.want) == (want + 1, want)
+    check_row(monkeypatch, "eta quotient vs root product, d=3")
 
 
 def test_psi_coefficient_off_by_one_fails_the_signed_recombination(monkeypatch):
-    # psi(q^16) enters only the blocks psi(q^16) phi(q^4) and
-    # psi(q^8) psi(q^16), where a bump at t^16 stays on the exponents 4k
-    # and nonnegative, so only the recombination sees it
-    good = qseries.psi_series
-
-    def bumped(scale, order):
-        series = good(scale, order)
-        if scale != 16:
-            return series
-        cs = list(series.coeffs)
-        cs[16] += 1
-        return TruncatedSeries(order, cs)
-
-    monkeypatch.setattr(qseries, "psi_series", bumped)
-    with pytest.raises(VerificationError) as info:
-        verify.verify_qseries(order=60)
-    assert_witness(info.value, "multisection recombination, signed", "t^18")
-    assert (info.value.got, info.value.want) == (-8, -6)
+    check_row(monkeypatch, "multisection recombination, signed")
 
 
 def test_lambda_value_breaking_a_coprime_pair_fails_arith(monkeypatch):
-    # lambda(91) one too high, with E_1(91), r''(91) and the hexagonal
-    # lattice count moved to agree, passes every per-n law; 91 = 7 * 13 is
-    # then caught only by multiplicativity, mid-way through the m = 7 row
-    bumps = {arith.lambda_fn: 1, arith.excess_e1: 1, arith.r_hex: 6}
-    for f, bump in bumps.items():
-        monkeypatch.setattr(arith, f.__name__,
-                            lambda n, f=f, bump=bump: f(n) + bump * (n == 91))
-    good_counts = arith.lattice_counts
-
-    def counts(b, c, limit):
-        out = good_counts(b, c, limit)
-        if (b, c) == (1, 1):
-            out[91] += 6
-        return out
-
-    monkeypatch.setattr(arith, "lattice_counts", counts)
-    with pytest.raises(VerificationError) as info:
-        verify.verify_arith(max_n=150)
-    assert_witness(info.value, "lambda(mn) vs lambda(m) lambda(n)",
-                   "m=7, n=13")
-    assert (info.value.got, info.value.want) == (5, 4)
+    check_row(monkeypatch, "lambda(mn) vs lambda(m) lambda(n)")
 
 
 def test_sigma_off_by_one_fails_arith(monkeypatch):
-    good = arith.sigma
-    monkeypatch.setattr(arith, "sigma", lambda n: good(n) + (n == 7))
-    with pytest.raises(VerificationError) as info:
-        verify.verify_arith(max_n=10)
-    assert_witness(info.value, "P_n(1) over divisor runs vs sigma(n)", "n=7")
-    assert (info.value.got, info.value.want) == (8, 9)
+    # run_suites reports the witness of a failed suite as its detail
+    check_row(monkeypatch, "P_n(1) over divisor runs vs sigma(n)")
     [result] = verify.run_suites(["arith"], max_n=10)
     assert not result.ok
-    assert result.detail == str(info.value)
+    assert result.detail == "P_n(1) over divisor runs vs sigma(n) at n=7: 8 != 9"
 
 
 def test_product_form_off_by_one_fails_arith(monkeypatch):
-    good = arith.r_prime
-    monkeypatch.setattr(arith, "r_prime", lambda n: good(n) + (n == 9))
-    with pytest.raises(VerificationError) as info:
-        verify.verify_arith(max_n=10)
-    assert_witness(info.value, "r'(n): product form vs lattice sweep", "n=9")
-    assert (info.value.got, info.value.want) == (7, 6)
+    check_row(monkeypatch, "r'(n): product form vs lattice sweep")
 
 
 def test_dropped_divisor_fails_arith(monkeypatch):
-    # 3 = 0 mod 3 leaves E_1(6) as it is, so the divisor sieve is what fails
-    good = arith.divisors
-    monkeypatch.setattr(arith, "divisors",
-                        lambda n: [d for d in good(n) if (n, d) != (6, 3)])
-    with pytest.raises(VerificationError) as info:
-        verify.verify_arith(max_n=10)
-    assert_witness(info.value, "divisors(n): count and sum vs divisor sieve",
-                   "n=6")
-    assert (info.value.got, info.value.want) == ((3, 9), (4, 12))
+    check_row(monkeypatch, "divisors(n): count and sum vs divisor sieve")
 
 
 def test_table_cell_off_by_one_fails_tables(monkeypatch):
-    good = rootvalues.section_formulas
-
-    def shifted(n, ks=rootvalues.SECTION_KS):
-        values = good(n, ks)
-        if n == 5:
-            values[4] += 1
-        return values
-
-    monkeypatch.setattr(rootvalues, "section_formulas", shifted)
-    with pytest.raises(VerificationError) as info:
-        verify.verify_tables(max_n=6)
-    assert_witness(info.value, "table 4 s_k(n) vs divisor runs", "n=5, k=4")
-    assert info.value.got == info.value.want + 1
+    check_row(monkeypatch, "table 4 s_k(n) vs divisor runs")
 
 
 def test_count_value_off_at_a_cube_root_fails_roots(monkeypatch):
-    # q^7 (1 + q) vanishes at w = -1 but not at the cube root: C_7 moved by
-    # it fails the evaluated row at d = 3, its second position
-    good = coeffs.count_poly
-    monkeypatch.setattr(coeffs, "count_poly", lambda n: good(n) + (
-        LaurentPoly({7: 1, 8: 1}) if n == 7 else 0))
-    with pytest.raises(VerificationError) as info:
-        verify.verify_roots(max_n=10)
-    assert_witness(info.value, "C_n(w)/w^n evaluated vs a_d(n)", "n=7, d=3")
-    want = rootvalues.root_sequence(7, 3)
-    assert (info.value.got, info.value.want) == (CycInt(3, want + 1, 1), want)
+    check_row(monkeypatch, "C_n(w)/w^n evaluated vs a_d(n)")
 
 
 def test_product_coefficient_off_by_one_fails_roots(monkeypatch):
-    good = qseries.expand_root_product
-
-    def bumped(d, order):
-        series = good(d, order)
-        if d != 4:
-            return series
-        cs = list(series.coeffs)
-        cs[9] += 1
-        return TruncatedSeries(order, cs)
-
-    monkeypatch.setattr(qseries, "expand_root_product", bumped)
-    with pytest.raises(VerificationError) as info:
-        verify.verify_roots(max_n=12)
-    assert_witness(info.value, "a_d(n): product expansion vs closed form",
-                   "n=9, d=4")
-    want = rootvalues.root_sequence(9, 4)
-    assert (info.value.got, info.value.want) == (want + 1, want)
+    check_row(monkeypatch, "a_d(n): product expansion vs closed form")
 
 
 def test_reduced_value_off_at_i_fails_roots(monkeypatch):
-    # q^4 (1 + q)(1 + q + q^2) vanishes at w = -1 and at the cube root but
-    # not at w = i, where P_5(w)/w^4 moves by i - 1: the relation's row
-    # fails at d = 4, its third position; the relation reads P_n's residue
-    # sums mod 12, so the bump adds 1, 2, 2, 1 at the residues 4..7
-    good = coeffs.reduced_residue_sums
-    bump = [0, 0, 0, 0, 1, 2, 2, 1, 0, 0, 0, 0]
-    monkeypatch.setattr(coeffs, "reduced_residue_sums",
-                        lambda n: [s + b * (n == 5) for s, b in zip(good(n), bump)])
-    with pytest.raises(VerificationError) as info:
-        verify.verify_roots(max_n=8)
-    assert_witness(info.value, "(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)",
-                   "n=5, d=4")
-    want = rootvalues.root_sequence(5, 4)
-    # (i + 1/i - 2)(i - 1) = -2i + 2
-    assert (info.value.got, info.value.want) == (CycInt(4, want + 2, -2), want)
+    check_row(monkeypatch, "(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)")
 
 
 def test_run_suites_rejects_unknown_names_before_running(monkeypatch):

@@ -18,6 +18,7 @@ from hilbtorus.zeta import (
     zeta_series_check,
 )
 
+from test_mutations import check_row
 from zeta_reference import denominator_exponents, numerator_exponents
 
 
@@ -92,17 +93,7 @@ def test_series_check_detects_corruption(monkeypatch):
 
 
 def test_series_check_detects_extra_exponent_of_p5(monkeypatch):
-    # the point counts come from P_n's runs: one more q^4 in P_5 adds
-    # (x - 1)^2 x^4 to C_5(x), 16 at x = 2
-    good = zeta.coeffs.reduced_runs
-    monkeypatch.setattr(zeta.coeffs, "reduced_runs",
-                        lambda n: good(n) + [(4, 4)] * (n == 5))
-    with pytest.raises(VerificationError) as info:
-        zeta_series_check(5, 2, 3)
-    exc = info.value
-    assert (exc.identity, exc.index) == ("zeta log-derivative vs point count",
-                                         "n=5, q0=2, t^1")
-    assert exc.want - exc.got == 16
+    check_row(monkeypatch, "zeta log-derivative vs point count")
 
 
 def test_functional_equation_certificates():
