@@ -4,8 +4,8 @@ the checks behind every certified identity.
 Every identity the package certifies goes through expect(identity, index,
 got, want), or expect_rows for a row of values, so every failure is a
 VerificationError whose witness carries the identity's name, the index it
-failed at (formatted only on failure) and both values, and whose message
-has one format: "identity at index: got != want".
+failed at (a string; expect_rows builds it only on failure) and both
+values, and whose message has one format: "identity at index: got != want".
 """
 
 
@@ -24,12 +24,10 @@ class VerificationError(Exception):
         return f"{self.identity} at {self.index}: {self.got!r} != {self.want!r}"
 
 
-def expect(identity: str, index, got, want) -> None:
-    """Raise VerificationError(identity, index, got, want) unless got == want;
-    index is a string, or (name, value) pairs joined as "name=value, ..."."""
+def expect(identity: str, index: str, got, want) -> None:
+    """Raise VerificationError(identity, index, got, want) unless got == want."""
     if got != want:
-        raise VerificationError(identity, index if isinstance(index, str) else
-                                ", ".join(f"{k}={v}" for k, v in index), got, want)
+        raise VerificationError(identity, index, got, want)
 
 
 def expect_rows(identity: str, index, got, want) -> None:

@@ -257,12 +257,16 @@ def test_lambda_fn_divisor_route():
 
 
 def test_lambda_fn_multiplicative():
+    # every coprime pair 2 <= m < n with mn <= 10^4
     from math import gcd
 
-    for m in range(2, 30):
-        for n in range(2, 30):
-            if gcd(m, n) == 1:
-                assert lambda_fn(m * n) == lambda_fn(m) * lambda_fn(n)
+    top = 10**4
+    lam = [0] + [lambda_fn(n) for n in range(1, top + 1)]
+    pairs = [(m, n) for m in range(2, isqrt(top) + 1)
+             for n in range(m + 1, top // m + 1) if gcd(m, n) == 1]
+    assert len(pairs) == 21935
+    assert [(m, n, lam[m * n], lam[m] * lam[n]) for m, n in pairs
+            if lam[m * n] != lam[m] * lam[n]] == []
 
 
 def test_middle_divisors():

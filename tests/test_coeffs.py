@@ -4,7 +4,8 @@ The twelve smallest count polynomials and their reduced forms are frozen
 here verbatim; everything else (the divisor enumerators, the generating
 identity, linking relations) is checked against those or against the scalar
 closed forms, which also build the per-i reference polynomial below.
-divisor_intervals is also checked against the clipped loop it replaced.
+divisor_intervals is also checked against the clipped loop it replaced, and
+C_n(p) against the number of ideals counted by linear algebra over F_p.
 """
 
 import pytest
@@ -27,6 +28,7 @@ from hilbtorus.coeffs import (
 from hilbtorus.errors import VerificationError
 from hilbtorus.laurent import LaurentPoly
 
+from ideal_count_reference import ideal_count
 from test_mutations import check_row
 
 
@@ -232,6 +234,18 @@ def test_sparse_reduced_times_square_is_count():
     for n in (*range(1, 2001), 10 ** 12, 2 ** 40, 720720 * 10 ** 6,
               3 ** 25, 5 ** 17):
         assert reduced_times_square(n) == count_poly(n), n
+
+
+def test_count_is_the_number_of_ideals_over_small_fields():
+    # C_n(p) and (p - 1)^2 P_n(p) against the ideals of codimension n of
+    # F_p[x^±1, y^±1] counted by linear algebra, with no closed form
+    counts = {(n, p): ideal_count(n, p)
+              for n, p in [(1, 2), (1, 3), (1, 5), (2, 2), (2, 3), (2, 5), (3, 2)]}
+    assert counts == {(1, 2): 1, (1, 3): 4, (1, 5): 16, (2, 2): 7, (2, 3): 52,
+                      (2, 5): 496, (3, 2): 27}
+    for (n, p), count in counts.items():
+        assert count_poly(n).evaluate_int(p) == count, (n, p)
+        assert reduced_times_square(n).evaluate_int(p) == count, (n, p)
 
 
 def test_frozen_numeric_columns():

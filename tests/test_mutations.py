@@ -85,16 +85,6 @@ def reduced_value_off_at_i(monkeypatch):
         s + b * (n == 5) for s, b in zip(good(n), step)])
 
 
-def coprime_pair_broken(monkeypatch):
-    # lambda(91) one too high, with E_1(91), r''(91) and the hexagonal
-    # lattice count moved to agree, passes every per-n law; 91 = 7 * 13 is
-    # then caught only by multiplicativity, mid-way through the m = 7 row
-    bump(monkeypatch, arith, "lambda_fn", (91,))
-    bump(monkeypatch, arith, "excess_e1", (91,))
-    bump(monkeypatch, arith, "r_hex", (91,), 6)
-    bump_entry(monkeypatch, arith, "lattice_counts", (1, 1, 150), 91, 6)
-
-
 def dropped_divisor(monkeypatch):
     # 3 = 0 mod 3 leaves E_1(6) as it is, so the divisor sieve is what fails
     good = arith.divisors
@@ -214,9 +204,6 @@ ROWS = [
         lambda mp: bump(mp, arith, "middle_divisors", (8,))),
     Row("P_n(1) over divisor runs vs sigma(n)", "n=7", 8, 9, suite("arith", 10),
         lambda mp: bump(mp, arith, "sigma", (7,))),
-    # the m = 7 row of coprime pairs needs n = 13, so max_n is 150 here
-    Row("lambda(mn) vs lambda(m) lambda(n)", "m=7, n=13", 5, 4,
-        suite("arith", 150), coprime_pair_broken),
     # -- sections
     Row("s_k(n): divisor runs vs closed formula", "n=9, k=3", 5, 6,
         suite("sections", 10),
@@ -326,7 +313,6 @@ POSITIONS_AT_20_40 = {
     'divisors(n): count and sum vs divisor sieve': 20,
     'middle divisors vs a_(n,0)': 20,
     'P_n(1) over divisor runs vs sigma(n)': 20,
-    'lambda(mn) vs lambda(m) lambda(n)': 7,
     's_k(n): divisor runs vs closed formula': 100,
     'table 1 C_n(-1) vs r(n)': 12,
     'table 2 P_n(1) vs sigma(n)': 12,
