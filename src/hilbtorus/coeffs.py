@@ -21,8 +21,9 @@ from them, and the reduced generating identity reads the runs times
 dense P_n.
 Every route here reads the divisors from arith.divisors, whose small
 cache builds one n's list once however many routes ask.
-trapezoidal_k, central_coeff, offcentral_coeff and divisor_coeff are the
-per-i scalar forms, kept as the independent check of both enumerators.
+trapezoidal_k and divisor_coeff are the per-i scalar forms, and
+closed_form_row is C_n's row read off trapezoidal_k, one probe per i; they
+are kept as the independent check of both enumerators.
 """
 
 from __future__ import annotations
@@ -54,33 +55,19 @@ def trapezoidal_k(n: int, i: int) -> int | None:
     return None
 
 
-def central_coeff(n: int) -> int:
-    """c_{n,0}: equals 2*(-1)^k when n = k(k+1)/2, else 0."""
-    k = trapezoidal_k(n, 0)
-    if k is None:
-        return 0
-    return 2 if k % 2 == 0 else -2
-
-
-def offcentral_coeff(n: int, i: int) -> int:
-    """c_{n,i} for i >= 1.
-
-    (-1)^k when n = k(k + 2i + 1)/2, and (-1)^(k-1) when n = k(k + 2i - 1)/2;
-    the two cases never fire together, which the code asserts rather than
-    assumes.
+def closed_form_row(n: int) -> list[int]:
+    """[c_{n,0}, ..., c_{n,n}] from the sign row s(j) = (-1)^k when
+    n = k(k + 2j + 1)/2, else 0, for j = 0..n: c_{n,0} = 2 s(0) and
+    c_{n,i} = s(i) - s(i - 1) for i >= 1.  The two terms of c_{n,i} never
+    fire together, which the code asserts rather than assumes.
     """
-    if i < 1:
-        raise ValueError("offcentral_coeff needs i >= 1; use central_coeff for i = 0")
-    k_up = trapezoidal_k(n, i)
-    k_dn = trapezoidal_k(n, i - 1)
-    if k_up is not None and k_dn is not None:
-        raise AssertionError(
-            f"trapezoidal cases collided at n={n}, i={i}: k={k_up} and k={k_dn}")
-    if k_up is not None:
-        return 1 if k_up % 2 == 0 else -1
-    if k_dn is not None:
-        return -1 if k_dn % 2 == 0 else 1
-    return 0
+    ks = [trapezoidal_k(n, j) for j in range(n + 1)]
+    s = [0 if k is None else 1 - 2 * (k % 2) for k in ks]
+    for i in range(1, n + 1):
+        if s[i] and s[i - 1]:
+            raise AssertionError(f"trapezoidal cases collided at n={n}, "
+                                 f"i={i}: k={ks[i]} and k={ks[i - 1]}")
+    return [2 * s[0]] + [s[i] - s[i - 1] for i in range(1, n + 1)]
 
 
 def divisor_coeff(n: int, i: int) -> int:
@@ -113,6 +100,8 @@ def divisor_intervals(n: int) -> list[tuple[int, int]]:
     d > (i + sqrt(2n + i^2))/2 is i < d - e/2, so each divisor's i form
     the run max(0, ceil(d/2) - e) <= i <= d - 1 - floor(e/2) inside
     0 <= i <= n-1, empty unless 2d^2 > n, that is d > isqrt(n // 2).
+    No run it returns is empty: 2d^2 > n = de gives e <= 2d - 1, so
+    hi >= 0, and ceil(d/2) - e <= hi since floor(d/2) + ceil(e/2) >= 1.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -120,9 +109,7 @@ def divisor_intervals(n: int) -> list[tuple[int, int]]:
     runs = []
     for d in ds[bisect_right(ds, isqrt(n // 2)):]:
         e = n // d
-        lo, hi = max(0, (d + 1) // 2 - e), d - 1 - e // 2
-        if lo <= hi:
-            runs.append((lo, hi))
+        runs.append((max(0, (d + 1) // 2 - e), d - 1 - e // 2))
     return runs
 
 
@@ -130,8 +117,10 @@ def reduced_runs(n: int) -> list[tuple[int, int]]:
     """The exponent runs (A, B) whose indicators q^A + ... + q^B add up to
     P_n: each divisor's run lo..hi gives q^(n-1+i) for i in lo..hi and
     q^(n-1-i) for i in max(lo, 1)..hi, empty (A = B + 1) if lo = hi = 0."""
-    return [run for lo, hi in divisor_intervals(n) for run in
-            ((n - 1 + lo, n - 1 + hi), (n - 1 - hi, n - 1 - max(lo, 1)))]
+    runs = []
+    for lo, hi in divisor_intervals(n):
+        runs += (n - 1 + lo, n - 1 + hi), (n - 1 - hi, n - 1 - (lo or 1))
+    return runs
 
 
 def reduced_residue_sums(n: int) -> list[int]:
@@ -175,7 +164,7 @@ def count_poly(n: int) -> LaurentPoly:
     Each one is n = k(k + 2u + 1)/2 with u = (m - k - 1)/2: it puts
     s = (-1)^k at i = u (2s at q^n when u = 0) and -s at i = u + 1.  No two
     factorizations may land on the same i, which the code asserts rather
-    than assumes, as offcentral_coeff does.
+    than assumes, as closed_form_row does.
     """
     if n < 1:
         raise ValueError("need n >= 1")

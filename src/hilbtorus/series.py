@@ -85,12 +85,13 @@ class TruncatedSeries:
             return NotImplemented
         n = min(self.order, other.order)
         out = [0] * (n + 1)
+        terms = [(j, b) for j, b in enumerate(other.coeffs[: n + 1]) if b]
         for i, a in enumerate(self.coeffs[: n + 1]):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs[: n + 1 - i]):
-                if not b:
-                    continue
+            for j, b in terms:
+                if i + j > n:
+                    break
                 out[i + j] = out[i + j] + a * b
         return TruncatedSeries(n, out)
 

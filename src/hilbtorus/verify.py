@@ -43,22 +43,21 @@ def verify_coeffs(max_n: int = 300) -> str:
     """Triple-oracle agreement: the master product expansion, the
     closed-form coefficients, and the divisor-count route must produce
     the same polynomials; the divisor enumerator behind count_poly must
-    match the per-i closed form at every i; plus the reduced-side
-    generating identity to order max_n, whose q^i slices are the
-    generating series of every coefficient column a_(n,i).  That identity
-    is never the first witness of a fault here (a fault in P_n's runs
-    fails "(q - 1)^2 P_n vs C_n" at the same n first); it stays because it
-    certifies the paper's generating function for the a-columns, and its
-    row in the mutation table calls check_reduced_generating_identity
-    alone."""
+    match closed_form_row, C_n's row read off one trapezoidal probe per i;
+    plus the reduced-side generating identity to order max_n, whose q^i
+    slices are the generating series of every coefficient column a_(n,i).
+    That identity is never the first witness of a fault here (a fault in
+    P_n's runs fails "(q - 1)^2 P_n vs C_n" at the same n first); it stays
+    because it certifies the paper's generating function for the
+    a-columns, and its row in the mutation table calls
+    check_reduced_generating_identity alone."""
     master = qseries.expand_master_product(max_n)
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
         table = coeffs.CoeffTables.build(n, cn)  # table.c[i] is cn's q^(n+i)
         expect_rows("c_(n,i): divisor enumerator vs per-i closed form",
                     lambda i: f"n={n}, i={i}", list(table.c),
-                    [coeffs.central_coeff(n)]
-                    + [coeffs.offcentral_coeff(n, i) for i in range(1, n + 1)])
+                    coeffs.closed_form_row(n))
         expect("master product t^n vs closed-form C_n / q^n", f"n={n}",
                master.coeff(n), cn.shift(-n))
         expect("(q - 1)^2 P_n vs C_n", f"n={n}",
@@ -190,7 +189,10 @@ def verify_arith(max_n: int = 10000) -> str:
                (len(ds), sum(ds)), (dcount[n], dsum[n]))
         expect("middle divisors vs a_(n,0)", at, arith.middle_divisors(n),
                coeffs.divisor_coeff(n, 0))
-        total = sum(b - a + 1 for a, b in coeffs.reduced_runs(n))  # P_n(1)
+        # P_n(1): a run lo..hi of a_(n,i) adds q^(n-1+i) for each i in it and
+        # q^(n-1-i) for each i >= 1 in it
+        total = sum(2 * (hi - lo) + 1 + (lo > 0)
+                    for lo, hi in coeffs.divisor_intervals(n))
         expect("P_n(1) over divisor runs vs sigma(n)", at, total, arith.sigma(n))
     return (f"n <= {max_n}: excess formula, hexagonal and "
             f"middle-divisor laws, sigma law, product forms of r, r' and r'' "

@@ -100,9 +100,8 @@ def test_criterion_7_property_suite():
         for n in range(1, 1001):
             vec = coeffs.divisor_coeff_vector(n)
             assert all(v >= 0 for v in vec), n
-            table = coeffs.CoeffTables(n, (coeffs.central_coeff(n),)
-                                       + tuple(coeffs.offcentral_coeff(n, i)
-                                               for i in range(1, n + 1)), tuple(vec))
+            table = coeffs.CoeffTables(n, tuple(coeffs.closed_form_row(n)),
+                                       tuple(vec))
             assert abs(table.c[0]) in (0, 2), n
             assert all(abs(c) <= 1 for c in table.c[1:]), n
             for i in range(n + 1):
@@ -112,8 +111,9 @@ def test_criterion_7_property_suite():
 
         # the two trapezoidal cases never coincide (the closed form asserts)
         for n in range(1, 10001):
+            ks = [coeffs.trapezoidal_k(n, j) for j in range(101)]
             for i in range(1, 101):
-                coeffs.offcentral_coeff(n, i)
+                assert ks[i] is None or ks[i - 1] is None, (n, i)
 
         # some n force a repeated reduced coefficient
         for n in (6, 12, 18, 20, 24, 28, 30):

@@ -2,24 +2,25 @@
 
 The twelve smallest count polynomials and their reduced forms are frozen
 here verbatim; everything else (the divisor enumerators, the generating
-identity, linking relations) is checked against those or against the scalar
-closed forms, which also build the per-i reference polynomial below.
+identity, linking relations) is checked against those or against the
+closed-form row, which also builds the per-i reference polynomial below.
 divisor_intervals is also checked against the clipped loop it replaced, and
 C_n(p) against the number of ideals counted by linear algebra over F_p.
 """
+
+from math import isqrt
 
 import pytest
 
 from hilbtorus import arith, coeffs
 from hilbtorus.coeffs import (
     CoeffTables,
-    central_coeff,
     check_reduced_generating_identity,
+    closed_form_row,
     count_poly,
     divisor_coeff,
     divisor_coeff_vector,
     divisor_intervals,
-    offcentral_coeff,
     reduced_poly,
     reduced_runs,
     reduced_times_square,
@@ -33,17 +34,19 @@ from test_mutations import check_row
 
 
 def count_poly_per_i(n):
-    """C_n from the per-i closed form: two isqrt probes for every i <= n."""
+    """C_n from the closed-form row: one isqrt probe for every i <= n."""
     coeffs = {}
-    c0 = central_coeff(n)
-    if c0:
-        coeffs[n] = c0
-    for i in range(1, n + 1):
-        c = offcentral_coeff(n, i)
+    for i, c in enumerate(closed_form_row(n)):
         if c:
             coeffs[n + i] = c
             coeffs[n - i] = c
     return LaurentPoly(coeffs)
+
+
+def sign_at(n, j):
+    """s(j) of closed_form_row at one j: (-1)^k when n = k(k + 2j + 1)/2."""
+    k = trapezoidal_k(n, j)
+    return 0 if k is None else (-1) ** k
 
 
 def clipped_intervals(n):
@@ -129,24 +132,34 @@ def test_trapezoidal_k_matches_direct_sum():
 def test_central_coeff():
     triangular = {1: -2, 3: 2, 6: -2, 10: 2, 15: -2, 21: 2, 28: -2}
     for n in range(1, 30):
-        assert central_coeff(n) == triangular.get(n, 0)
+        assert closed_form_row(n)[0] == triangular.get(n, 0)
 
 
 def test_offcentral_coeff():
-    assert offcentral_coeff(2, 1) == -1
-    assert offcentral_coeff(2, 2) == 1
-    assert offcentral_coeff(5, 2) == -1
-    assert offcentral_coeff(4, 2) == 0
+    assert closed_form_row(2)[1:] == [-1, 1]
+    assert closed_form_row(5)[2] == -1
+    assert closed_form_row(4)[2] == 0
+    assert [len(closed_form_row(n)) for n in (1, 2, 7)] == [2, 3, 8]
     with pytest.raises(ValueError):
-        offcentral_coeff(3, 0)
+        closed_form_row(0)
 
 
 def test_offcentral_cases_never_collide():
     # the two trapezoidal representations are mutually exclusive, so the
     # internal assertion must never fire
     for n in range(1, 400):
-        for i in range(1, 40):
-            offcentral_coeff(n, i)
+        closed_form_row(n)
+
+
+def test_closed_form_row_collision_guard(monkeypatch):
+    # 6 = 1 + 2 + 3 puts k = 3 at j = 0; a false k = 1 at j = 1 sits next
+    # to it, so both terms of c_(6,1) fire
+    real = coeffs.trapezoidal_k
+    monkeypatch.setattr(coeffs, "trapezoidal_k",
+                        lambda n, j: 1 if (n, j) == (6, 1) else real(n, j))
+    with pytest.raises(AssertionError,
+                       match="collided at n=6, i=1: k=1 and k=3"):
+        closed_form_row(6)
 
 
 def test_divisor_coeff():
@@ -197,6 +210,15 @@ def test_divisor_intervals_rebuild_vector():
         assert vec == divisor_coeff_vector(n), n
     with pytest.raises(ValueError):
         divisor_intervals(0)
+
+
+def test_divisor_intervals_one_run_per_large_divisor():
+    # every divisor above isqrt(n // 2) has a run, and none is empty
+    for n in range(1, 10001):
+        runs = divisor_intervals(n)
+        large = [d for d in arith.divisors(n) if d > isqrt(n // 2)]
+        assert len(runs) == len(large), n
+        assert all(lo <= hi for lo, hi in runs), n
 
 
 def test_divisor_intervals_match_clipped_loop():
@@ -303,7 +325,8 @@ def test_enumerators_property_at_large_n():
         assert cn.evaluate_int(1) == 0
         drawn = data.draw(st.lists(st.integers(0, n), max_size=5))
         for i in {abs(e - n) for e, _ in cn.items()} | set(drawn):
-            want = central_coeff(n) if i == 0 else offcentral_coeff(n, i)
+            want = (2 * sign_at(n, 0) if i == 0
+                    else sign_at(n, i) - sign_at(n, i - 1))
             assert cn.coeff(n + i) == cn.coeff(n - i) == want, (n, i)
 
     check()

@@ -120,7 +120,7 @@ ROWS = [
     # -- coeffs
     Row("c_(n,i): divisor enumerator vs per-i closed form", "n=7, i=3", -1, 0,
         suite("coeffs", 10),
-        lambda mp: bump(mp, coeffs, "offcentral_coeff", (7, 3))),
+        lambda mp: bump_entry(mp, coeffs, "closed_form_row", (7,), 3)),
     Row("master product t^n vs closed-form C_n / q^n", "n=5", C5 + 1, C5,
         suite("coeffs", 10),
         lambda mp: bump_entry(mp, qseries, "expand_master_product", (10,), 5,
