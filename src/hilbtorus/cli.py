@@ -128,8 +128,8 @@ def _compute_one(kind: str, n: int, d: int | None, fmt: str):
         key = "e" if kind == "zeta" else "s0"  # hasse-weil: zeta(s - s0)^m
         return {"n": n, "factors": [{key: e, "m": m} for e, m in z.factors]}
     if kind == "ad":
-        ds = (d,) if d is not None else rootvalues.ROOT_ORDERS
-        return _values(n, "a", rootvalues.root_sequences(n, ds), fmt)
+        values = rootvalues.root_sequences(n)
+        return _values(n, "a", values if d is None else {d: values[d]}, fmt)
     if kind == "sections":
         return _values(n, "s", rootvalues.section_formulas(n), fmt)
     raise AssertionError(kind)

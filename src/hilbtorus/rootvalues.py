@@ -15,8 +15,10 @@ and coeffs.reduced_residue_sums from P_n's divisor runs.
 
 The k-section of P_n (sum of coefficients at exponents divisible by k) has
 closed forms in sigma, r, r', r'' and lambda (section_formulas, which
-computes each count once for all k asked for); section_direct folds P_n's
-residue sums for all k asked for instead.
+computes each count once for every k in SECTION_KS); section_direct folds
+P_n's residue sums instead.  Each function answers for every root order or
+every k at once; root_sequence, section_formula and count_at_root pick one
+value and reject any other d or k.
 """
 
 from __future__ import annotations
@@ -43,33 +45,24 @@ _FOLDS = {
 }
 
 
-def evaluate_at_root(poly: LaurentPoly, d: int) -> int | CycInt:
-    """poly(w) at the primitive d-th root w, exactly; see evaluate_at_roots."""
-    return evaluate_at_roots(poly, (d,))[d]
-
-
-def evaluate_at_roots(poly: LaurentPoly, ds=ROOT_ORDERS,
+def evaluate_at_roots(poly: LaurentPoly,
                       shift: int = 0) -> dict[int, int | CycInt]:
-    """{d: poly(w)/w^shift at the primitive d-th root w} for each d in ds:
-    fold_at_roots of poly's coefficient sums by exponent residue mod 12."""
+    """{d: poly(w)/w^shift at the primitive d-th root w} for d in
+    ROOT_ORDERS: fold_at_roots of poly's coefficient sums by exponent
+    residue mod 12."""
     by12 = [0] * 12
     for e, c in poly.items():
         by12[e % 12] += c
-    return fold_at_roots(by12, ds, shift)
+    return fold_at_roots(by12, shift)
 
 
-def fold_at_roots(by12: list[int], ds=ROOT_ORDERS,
-                  shift: int = 0) -> dict[int, int | CycInt]:
-    """{d: poly(w)/w^shift at the primitive d-th root w} for each d in ds
+def fold_at_roots(by12: list[int], shift: int = 0) -> dict[int, int | CycInt]:
+    """{d: poly(w)/w^shift at the primitive d-th root w} for d in ROOT_ORDERS
     (an int for d = 2), from by12[r], the sum of poly's coefficients at the
     exponents r mod 12, rotated by shift (w^12 = 1) and weighted by _FOLDS."""
-    for d in ds:
-        if d not in _FOLDS:
-            raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
     by12 = by12[shift % 12:] + by12[:shift % 12]
     values = {}
-    for d in ds:
-        ring, fold_a, fold_b = _FOLDS[d]
+    for d, (ring, fold_a, fold_b) in _FOLDS.items():
         a = sum(map(mul, by12, fold_a))
         values[d] = a if ring is None else CycInt(
             ring, a, sum(map(mul, by12, fold_b)))
@@ -79,16 +72,18 @@ def fold_at_roots(by12: list[int], ds=ROOT_ORDERS,
 def count_at_root(n: int, d: int) -> int | CycInt:
     """C_n(w) = a_d(n) w^n at the primitive d-th root w: the fold of a_d(n)
     at q^0, times w^n (a plain int for d = 2, else a cyclotomic integer)."""
-    return fold_at_roots([root_sequence(n, d)] + [0] * 11, (d,), -n)[d]
+    return fold_at_roots([root_sequence(n, d)] + [0] * 11, -n)[d]
 
 
 def root_sequence(n: int, d: int) -> int:
     """a_d(n) = C_n(w)/w^n as a rational integer; see root_sequences."""
-    return root_sequences(n, (d,))[d]
+    if d not in ROOT_ORDERS:
+        raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
+    return root_sequences(n)[d]
 
 
-def root_sequences(n: int, ds=ROOT_ORDERS) -> dict[int, int]:
-    """{d: a_d(n)} for each d in ds, each lattice count computed once.
+def root_sequences(n: int) -> dict[int, int]:
+    """{d: a_d(n)} for d in ROOT_ORDERS, each lattice count computed once.
 
         a_2(n) = (-1)^n r(n)
         a_3(n) = -3 lambda(n)
@@ -98,77 +93,58 @@ def root_sequences(n: int, ds=ROOT_ORDERS) -> dict[int, int]:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    for d in ds:
-        if d not in ROOT_ORDERS:
-            raise ValueError(f"d must be one of {ROOT_ORDERS}, got {d}")
-    r = arith.r2(n) if 2 in ds or 6 in ds else None
+    r = arith.r2(n)
     sign = -1 if n % 2 else 1
-    values = {}
-    for d in ds:
-        if d == 2:
-            values[d] = sign * r
-        elif d == 3:
-            values[d] = -3 * arith.lambda_fn(n)
-        elif d == 4:
-            values[d] = (-1 if ((n + 1) // 2) % 2 else 1) * arith.r_prime(n)
-        elif n % 3 == 0:
-            values[d] = sign * r
-        elif n % 3 == 1:
-            values[d] = sign * exact_div(r, 4, "a_6({})", n)
-        else:
-            values[d] = -sign * exact_div(r, 2, "a_6({})", n)
-    return values
+    return {
+        2: sign * r,
+        3: -3 * arith.lambda_fn(n),
+        4: (-1 if ((n + 1) // 2) % 2 else 1) * arith.r_prime(n),
+        6: (sign * r if n % 3 == 0
+            else sign * exact_div(r, 4, "a_6({})", n) if n % 3 == 1
+            else -sign * exact_div(r, 2, "a_6({})", n)),
+    }
 
 
 # -- sections of P_n -------------------------------------------------------
 
-def section_direct(n: int, ks=SECTION_KS) -> dict[int, int]:
-    """{k: s_k(n)} for each k in ks, the sum of the coefficients of P_n at
-    exponents divisible by k: every k divides 12, so it is the sum of every
-    k-th of P_n's residue sums mod 12, which coeffs.reduced_residue_sums
-    counts on the divisor runs without building P_n."""
-    for k in ks:
-        if k not in SECTION_KS:
-            raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
+def section_direct(n: int) -> dict[int, int]:
+    """{k: s_k(n)} for k in SECTION_KS, the sum of the coefficients of P_n
+    at exponents divisible by k: every k divides 12, so it is the sum of
+    every k-th of P_n's residue sums mod 12, which
+    coeffs.reduced_residue_sums counts on the divisor runs without building
+    P_n."""
     by12 = coeffs.reduced_residue_sums(n)
-    return {k: sum(by12[::k]) for k in ks}
+    return {k: sum(by12[::k]) for k in SECTION_KS}
 
 
 def section_formula(n: int, k: int) -> int:
     """The k-section of P_n from the closed formulas; see section_formulas."""
-    return section_formulas(n, (k,))[k]
+    if k not in SECTION_KS:
+        raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
+    return section_formulas(n)[k]
 
 
-def section_formulas(n: int, ks=SECTION_KS) -> dict[int, int]:
-    """{k: s_k(n)} for each k in ks from the closed formulas, computing
-    each of sigma, r, r', r'' and lambda at most once.
+def section_formulas(n: int) -> dict[int, int]:
+    """{k: s_k(n)} for k in SECTION_KS from the closed formulas, computing
+    each of sigma, r, r', r'' and lambda once.
 
     Every division is checked exact; a remainder would mean a wrong input
     to the formula and raises instead of rounding.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    for k in ks:
-        if k not in SECTION_KS:
-            raise ValueError(f"k must be one of {SECTION_KS}, got {k}")
     sig = arith.sigma(n)
-    if 2 in ks or 4 in ks or 6 in ks:
-        quarter = exact_div(arith.r2(n), 4, "r({})/4", n)
-    values = {}
-    for k in ks:
-        if k == 1:
-            values[k] = sig
-        elif k == 2:
-            values[k] = exact_div(sig + quarter, 2, "s_2({})", n)
-        elif k == 3:
-            third = exact_div(arith.r_hex(n), 3, "r''({})/3", n)
-            values[k] = exact_div(sig + third, 3, "s_3({})", n)
-        elif k == 4:
-            # P_n(i) + P_n(-i) is r'(n) for odd n and 0 for even n
-            at_i = arith.r_prime(n) if n % 2 else 0
-            values[k] = exact_div(sig + quarter + at_i, 4, "s_4({})", n)
-        else:  # k == 6: r(n)/4 and lambda(n) weighted by n mod 3
-            w_r, w_lam = ((-3, -1), (3, 2), (3, -1))[n % 3]
-            total = sig + w_r * quarter + w_lam * arith.lambda_fn(n)
-            values[k] = exact_div(total, 6, "s_6({})", n)
-    return values
+    quarter = exact_div(arith.r2(n), 4, "r({})/4", n)
+    # P_n(i) + P_n(-i) is r'(n) for odd n and 0 for even n
+    at_i = arith.r_prime(n) if n % 2 else 0
+    # s_6 weighs r(n)/4 and lambda(n) by n mod 3
+    w_r, w_lam = ((-3, -1), (3, 2), (3, -1))[n % 3]
+    return {
+        1: sig,
+        2: exact_div(sig + quarter, 2, "s_2({})", n),
+        3: exact_div(sig + exact_div(arith.r_hex(n), 3, "r''({})/3", n), 3,
+                     "s_3({})", n),
+        4: exact_div(sig + quarter + at_i, 4, "s_4({})", n),
+        6: exact_div(sig + w_r * quarter + w_lam * arith.lambda_fn(n), 6,
+                     "s_6({})", n),
+    }

@@ -17,6 +17,7 @@ forms.  Renderings are deterministic tab-separated text.
 from __future__ import annotations
 
 from math import isqrt
+from operator import itemgetter
 
 from . import coeffs, rootvalues
 
@@ -51,7 +52,7 @@ def table_data(which: int, max_n: int | None = None) -> dict:
         rows = []
         for n in range(1, max_n + 1):
             pn = coeffs.reduced_poly(n)
-            at = rootvalues.evaluate_at_roots(pn, (3, 4))
+            at = rootvalues.evaluate_at_roots(pn)
             rows.append((
                 n,
                 pn.pretty(),
@@ -70,8 +71,9 @@ def table_data(which: int, max_n: int | None = None) -> dict:
     else:
         ks = (2, 3, 4, 6)
         columns = ("n",) + tuple(f"s_{k}(n)" for k in ks)
+        pick = itemgetter(*ks)
         rows = [
-            (n,) + tuple(rootvalues.section_formulas(n, ks).values())
+            (n, *pick(rootvalues.section_formulas(n)))
             for n in range(1, max_n + 1)
         ]
     return {"columns": columns, "rows": rows}

@@ -232,7 +232,7 @@ def verify_tables(max_n: int = 18) -> str:
                     cells, [tables.abs_cyclotomic(cn_at[d]) for d in ds])
     ks = (2, 3, 4, 6)
     for n, *cells in tables.table_data(4, max_n)["rows"]:
-        direct = rootvalues.section_direct(n, ks)
+        direct = rootvalues.section_direct(n)
         expect_rows("table 4 s_k(n) vs divisor runs", lambda p: f"n={n}, k={ks[p]}",
                     cells, [direct[k] for k in ks])
     return (f"tables 1-2 (n <= {small}) and 3-4 (n <= {max_n}) consistent "

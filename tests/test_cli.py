@@ -124,6 +124,29 @@ def test_compute_ad_single_order(capsys):
     assert out == "a_2(5) = -8\n"
 
 
+@pytest.mark.parametrize("fmt", ["pretty", "json"])
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_compute_ad_range_selects_one_order(capsys, d, fmt):
+    # --d D prints exactly the D entries of the all-orders range
+    code, full, _ = run(capsys, "compute", "ad", "1..300", "--format", fmt)
+    assert code == 0
+    code, out, err = run(capsys, "compute", "ad", "1..300", "--d", str(d),
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    if fmt == "json":
+        want = [{"n": item["n"], "values": {str(d): item["values"][str(d)]}}
+                for item in json.loads(full)]
+        assert json.loads(out) == want
+        return
+    want = []
+    for line in full.splitlines():
+        n, entries = line.split(": ", 1)
+        want += [f"{n}: {entry}" for entry in entries.split(", ")
+                 if entry.startswith(f"a_{d}(")]
+    assert len(want) == 300
+    assert out.splitlines() == want
+
+
 def test_compute_ad_json(capsys):
     code, out, _ = run(capsys, "compute", "ad", "5", "--format", "json")
     assert code == 0

@@ -49,6 +49,6 @@ def test_every_member_is_named_outside_tests():
                 continue
             if corpus[name] <= _words(def_line)[name]:
                 unnamed.append(qualname)
-    assert "rootvalues.evaluate_at_root" in found
+    assert "rootvalues.count_at_root" in found
     assert "laurent.LaurentPoly.pretty" in found
     assert not unnamed, unnamed
