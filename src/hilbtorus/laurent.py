@@ -162,7 +162,7 @@ class LaurentPoly:
 
     # -- formatting --------------------------------------------------------
 
-    def pretty(self, var: str = "q") -> str:
+    def pretty(self) -> str:
         """Human layout, descending exponents:  q^4 - q^3 - q + 1.
 
         >>> LaurentPoly({4: 1, 3: -1, 1: -1, 0: 1}).pretty()
@@ -182,7 +182,7 @@ class LaurentPoly:
             if e == 0:
                 body = str(mag)
             else:
-                power = var if e == 1 else f"{var}^{e}"
+                power = "q" if e == 1 else f"q^{e}"
                 body = power if mag == 1 else f"{mag}{power}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")

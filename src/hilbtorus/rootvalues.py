@@ -15,10 +15,12 @@ and coeffs.reduced_residue_sums from P_n's divisor runs.
 
 The k-section of P_n (sum of coefficients at exponents divisible by k) has
 closed forms in sigma, r, r', r'' and lambda (section_formulas, which
-computes each count once for every k in SECTION_KS); section_direct folds
-P_n's residue sums instead.  Each function answers for every root order or
-every k at once; root_sequence, section_formula and count_at_root pick one
-value and reject any other d or k.
+computes each count once for every k in SECTION_KS); section_direct adds
+up P_n's residue sums instead, which the caller counts once on P_n's
+divisor runs (coeffs.reduced_residue_sums) and may fold at the roots
+too.  Each function answers for every root order or every k at once;
+root_sequence, section_formula and count_at_root pick one value and
+reject any other d or k.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from operator import mul
 from .cyclotomic import CycInt
 from .laurent import LaurentPoly
 from . import arith
-from . import coeffs
 from .arith import exact_div
 
 ROOT_ORDERS = (2, 3, 4, 6)
@@ -107,13 +108,12 @@ def root_sequences(n: int) -> dict[int, int]:
 
 # -- sections of P_n -------------------------------------------------------
 
-def section_direct(n: int) -> dict[int, int]:
+def section_direct(by12: list[int]) -> dict[int, int]:
     """{k: s_k(n)} for k in SECTION_KS, the sum of the coefficients of P_n
     at exponents divisible by k: every k divides 12, so it is the sum of
-    every k-th of P_n's residue sums mod 12, which
+    every k-th of by12, P_n's residue sums mod 12, which
     coeffs.reduced_residue_sums counts on the divisor runs without building
     P_n."""
-    by12 = coeffs.reduced_residue_sums(n)
     return {k: sum(by12[::k]) for k in SECTION_KS}
 
 

@@ -23,13 +23,6 @@ from . import arith, coeffs, qseries, rootvalues, tables, zeta
 from .errors import VerificationError, expect, expect_rows
 from .series import TruncatedSeries
 
-# the two fixed sub-sizes, kept for cost: on a 2-vCPU machine the relation
-# at every n <= 2000 added 70 ms to a default verify (root products cached)
-# and the zeta series at every n <= 100 added 47 ms
-RELATION_MAX_N = 300  # n checked by the reduced-polynomial relation
-ZETA_SERIES_MAX_N = 20  # n whose zeta log-derivative series is checked
-ZETA_SERIES_TERMS = 10  # terms of each of those series
-
 
 def _require_series_equal(got: TruncatedSeries, want: TruncatedSeries,
                           what: str) -> None:
@@ -70,13 +63,10 @@ def verify_coeffs(max_n: int = 300) -> str:
 
 def verify_roots(max_n: int = 2000) -> str:
     """Three-way agreement for the root-of-unity sequences a_d(n): closed
-    form, cyclotomic evaluation of C_n(w)/w^n, and product expansion; plus
-    the reduced-polynomial relation.  w^n is a unit, so each route is
-    compared with the integer a_d(n) itself."""
+    form, cyclotomic evaluation of C_n(w)/w^n, and product expansion.  w^n
+    is a unit, so each route is compared with the integer a_d(n) itself."""
     ds = rootvalues.ROOT_ORDERS
-    relation_max_n = min(RELATION_MAX_N, max_n)
     products = [qseries.expand_root_product(d, max_n) for d in ds]
-    factors = [qseries.ROOT_TRACE[d] - 2 for d in ds]  # w + 1/w - 2
     for n in range(1, max_n + 1):
         seqs = rootvalues.root_sequences(n)
         want = [seqs[d] for d in ds]
@@ -89,28 +79,19 @@ def verify_roots(max_n: int = 2000) -> str:
                     [cn_at[d] for d in ds], want)
         expect_rows("a_d(n): product expansion vs closed form", at,
                     [product.coeff(n) for product in products], want)
-        if n <= relation_max_n:
-            pn_at = rootvalues.fold_at_roots(
-                coeffs.reduced_residue_sums(n), shift=n - 1)
-            expect_rows("(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)", at,
-                        [f * pn_at[d] for f, d in zip(factors, ds)], want)
     return (f"n <= {max_n}: closed forms, cyclotomic evaluation and product "
-            "expansion agree for d in 2, 3, 4, 6; "
-            f"reduced-polynomial relation holds for n <= {relation_max_n}")
+            "expansion agree for d in 2, 3, 4, 6")
 
 
 def verify_zeta(max_n: int = 100) -> str:
     """Functional-equation certificates, and the log-derivative series of
-    the factored zeta against direct point counts."""
+    the factored zeta against the point counts at every prime power, one
+    identity of Laurent polynomials per n."""
     for n in range(1, max_n + 1):
         zeta.functional_equation_check(n)
-    series_max_n = min(ZETA_SERIES_MAX_N, max_n)
-    for n in range(1, series_max_n + 1):
-        for q0 in (2, 3):
-            zeta.zeta_series_check(n, q0, ZETA_SERIES_TERMS)
+        zeta.zeta_series_check(n)
     return (f"n <= {max_n}: functional-equation certificates pass; "
-            f"log-derivative series match point counts for "
-            f"n <= {series_max_n}, q0 in (2, 3), {ZETA_SERIES_TERMS} terms")
+            "log-derivative series match point counts at every prime power")
 
 
 def verify_qseries(order: int = 2000) -> str:
@@ -200,24 +181,34 @@ def verify_arith(max_n: int = 10000) -> str:
 
 
 def verify_sections(max_n: int = 1000) -> str:
-    """Section sums counted on the divisor runs of P_n's coefficients
-    against the closed section formulas in sigma, r, r', r'' and lambda."""
-    ks = rootvalues.SECTION_KS
+    """Two linear functionals of P_n's residue sums mod 12, counted once per
+    n on its divisor runs: its values at the roots of unity against a_d(n)
+    through the reduced-polynomial relation, then its section sums against
+    the closed section formulas in sigma, r, r', r'' and lambda."""
+    ds, ks = rootvalues.ROOT_ORDERS, rootvalues.SECTION_KS
+    factors = [qseries.ROOT_TRACE[d] - 2 for d in ds]  # w + 1/w - 2
     for n in range(1, max_n + 1):
+        by12 = coeffs.reduced_residue_sums(n)
+        seqs = rootvalues.root_sequences(n)
+        pn_at = rootvalues.fold_at_roots(by12, shift=n - 1)
+        expect_rows("(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)",
+                    lambda p: f"n={n}, d={ds[p]}",
+                    [f * pn_at[d] for f, d in zip(factors, ds)],
+                    [seqs[d] for d in ds])
+        direct = rootvalues.section_direct(by12)
         formulas = rootvalues.section_formulas(n)
-        direct = rootvalues.section_direct(n)
         expect_rows("s_k(n): divisor runs vs closed formula",
                     lambda p: f"n={n}, k={ks[p]}",
                     [direct[k] for k in ks], [formulas[k] for k in ks])
-    return f"n <= {max_n}: direct and closed-form sections agree for k in 1, 2, 3, 4, 6"
+    return (f"n <= {max_n}: reduced-polynomial relation holds for d in 2, 3, "
+            "4, 6; direct and closed-form sections agree for k in 1, 2, 3, 4, 6")
 
 
 def verify_tables(max_n: int = 18) -> str:
     """Every table cell recomputed along an independent route."""
-    small = min(max_n, 12)
-    for (n, _text, at_minus1) in tables.table_data(1, small)["rows"]:
+    for (n, _text, at_minus1) in tables.table_data(1, max_n)["rows"]:
         expect("table 1 C_n(-1) vs r(n)", f"n={n}", at_minus1, arith.r2(n))
-    for (n, _text, at1, atm1, absj, absi, central) in tables.table_data(2, small)["rows"]:
+    for (n, _text, at1, atm1, absj, absi, central) in tables.table_data(2, max_n)["rows"]:
         at = f"n={n}"
         expect("table 2 P_n(1) vs sigma(n)", at, at1, arith.sigma(n))
         expect("table 2 4 P_n(-1) vs r(n)", at, 4 * atm1, arith.r2(n))
@@ -232,11 +223,10 @@ def verify_tables(max_n: int = 18) -> str:
                     cells, [tables.abs_cyclotomic(cn_at[d]) for d in ds])
     ks = (2, 3, 4, 6)
     for n, *cells in tables.table_data(4, max_n)["rows"]:
-        direct = rootvalues.section_direct(n)
+        direct = rootvalues.section_direct(coeffs.reduced_residue_sums(n))
         expect_rows("table 4 s_k(n) vs divisor runs", lambda p: f"n={n}, k={ks[p]}",
                     cells, [direct[k] for k in ks])
-    return (f"tables 1-2 (n <= {small}) and 3-4 (n <= {max_n}) consistent "
-            f"with the independent routes")
+    return f"tables 1-4 (n <= {max_n}) consistent with the independent routes"
 
 
 # -- registry --------------------------------------------------------------

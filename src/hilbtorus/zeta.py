@@ -10,7 +10,9 @@ total degree zero, even central multiplicity), and replacing each local
 factor by a shifted Riemann zeta gives the Hasse-Weil product
 zeta_H(s) = prod_s0 zeta(s - s0)^m(s0) with the same exponents.  The
 factored form comes from C_n's factorization enumerator; the point counts
-it is checked against come from P_n's divisor runs instead.
+it is checked against, at every prime power and every power of it at once,
+as one identity of Laurent polynomials, come from P_n's divisor runs
+instead.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import expect
+from .laurent import LaurentPoly
 from . import coeffs
 
 
@@ -66,25 +69,21 @@ def build_local_zeta(n: int) -> ZetaRational:
     return ZetaRational(n, tuple(sorted(coeffs.count_poly(n).items())))
 
 
-def zeta_series_check(n: int, q0: int, terms: int) -> None:
-    """Verify t Z'/Z = sum_m C_n(q0^m) t^m through t^terms, exactly.
+def zeta_series_check(n: int) -> None:
+    """Verify t Z'/Z = sum_m C_n(q^m) t^m for every prime power q and every
+    m, exactly, as one identity of Laurent polynomials.
 
     The log-derivative of the factored form is
-    sum_e m(e) q0^e t / (1 - q0^e t), whose t^m coefficient is
-    sum_e m(e) q0^(e m); the point count at F_{q0^m} comes from the divisor
-    route instead, C_n(x) = (x - 1)^2 P_n(x) read off the runs of P_n
-    (coeffs.reduced_times_square), so a wrong trapezoidal factor fails the
+    sum_e m(e) q^e t / (1 - q^e t), whose t^m coefficient is
+    sum_e m(e) q^(e m), the polynomial sum_e m(e) X^e at X = q^m; so the
+    series match the point counts at every q and m exactly when that
+    polynomial is C_n(X) = (X - 1)^2 P_n(X), read off the runs of P_n
+    (coeffs.reduced_times_square), and a wrong trapezoidal factor fails the
     check.
     """
-    if q0 < 2:
-        raise ValueError("q0 should be a prime power >= 2")
-    z = build_local_zeta(n)
-    count = coeffs.reduced_times_square(n)
-    for m in range(1, terms + 1):
-        x = q0 ** m
-        lhs = sum(mult * x ** e for e, mult in z.factors)
-        expect("zeta log-derivative vs point count", f"n={n}, q0={q0}, t^{m}",
-               lhs, count.evaluate_int(x))
+    expect("zeta log-derivative vs point count", f"n={n}",
+           LaurentPoly(dict(build_local_zeta(n).factors)),
+           coeffs.reduced_times_square(n))
 
 
 def functional_equation_check(n: int) -> None:

@@ -153,19 +153,22 @@ def test_section_frozen_values():
 
 def test_section_direct_small():
     # P_6 has coefficients 1,1,1,1,1,2,1,1,1,1,1 at q^0..q^10
-    assert section_direct(6) == {1: 12, 2: 6, 3: 4, 4: 3, 6: 2}
+    assert section_direct(reduced_residue_sums(6)) \
+        == {1: 12, 2: 6, 3: 4, 4: 3, 6: 2}
 
 
 def test_sections_direct_equals_formula():
     for n in range(1, 200):
-        assert section_direct(n) == section_formulas(n), n
+        direct = section_direct(reduced_residue_sums(n))
+        assert direct == section_formulas(n), n
         for k in SECTION_KS:
-            assert section_direct(n)[k] == section_formula(n, k), (n, k)
+            assert direct[k] == section_formula(n, k), (n, k)
     # large n, fixed: odd with r'(n) != 0 and with r'(n) = 0, and even,
     # the cases of s_4's r' term
     assert arith.r_prime(3 ** 25) != 0 and arith.r_prime(5 ** 17) == 0
     for n in (3 ** 25, 5 ** 17, 2 ** 40, 720720 * 10 ** 6):
-        assert section_direct(n) == section_formulas(n), n
+        assert section_direct(reduced_residue_sums(n)) \
+            == section_formulas(n), n
 
 
 def test_section_direct_matches_reduced_poly_sums():
@@ -181,8 +184,8 @@ def test_section_direct_matches_reduced_poly_sums():
             for k in SECTION_KS:
                 if e % k == 0:
                     sums[k] += c
-        assert section_direct(n) == sums, n
         runs_by12 = reduced_residue_sums(n)
+        assert section_direct(runs_by12) == sums, n
         assert runs_by12 == by12, n
         assert fold_at_roots(runs_by12) == evaluate_at_roots(pn), n
 
@@ -264,7 +267,7 @@ def test_section_direct_equals_formula_property():
     @hypothesis.settings(derandomize=True, max_examples=40, deadline=None)
     @hypothesis.given(n=st.integers(1, 10 ** 6))
     def check(n):
-        assert section_direct(n) == section_formulas(n)
+        assert section_direct(reduced_residue_sums(n)) == section_formulas(n)
 
     check()
 
@@ -276,7 +279,7 @@ def test_section_input_validation():
         with pytest.raises(ValueError):
             section_formula(n, k)
     with pytest.raises(ValueError):
-        section_direct(0)
+        reduced_residue_sums(0)
 
 
 def test_first_section_is_divisor_sum():

@@ -7,10 +7,10 @@ and formats no index unless a check fails.  Each mutation test below runs
 one row of the mutation table (tests/test_mutations.py), which puts one
 route off by one, some in the middle of a row, and checks the witness the
 suite raises; a failed suite's detail is that witness.  The harness must
-reject unknown suite names before
-running any suite, every suite must take exactly one size keyword (order
-for qseries, max_n for the rest), and the roots suite must expand its root
-products to its own max_n, which at equal sizes qseries then reuses.
+reject unknown suite names before running any suite, every suite must take
+exactly one size keyword (order for qseries, max_n for the rest) and check
+every n up to it, and the roots suite must expand its root products to its
+own max_n, which at equal sizes qseries then reuses.
 """
 
 import inspect
@@ -22,7 +22,7 @@ from hilbtorus.cyclotomic import CycInt
 from hilbtorus.errors import VerificationError, expect, expect_rows
 from hilbtorus.laurent import LaurentPoly
 
-from test_mutations import check_row
+from test_mutations import bump, check_row, moved_in_p, reduced_value_off_at_i
 
 
 def assert_witness(exc, identity, index):
@@ -131,8 +131,44 @@ def test_product_coefficient_off_by_one_fails_roots(monkeypatch):
     check_row(monkeypatch, "a_d(n): product expansion vs closed form")
 
 
-def test_reduced_value_off_at_i_fails_roots(monkeypatch):
+def test_reduced_value_off_at_i_fails_sections(monkeypatch):
     check_row(monkeypatch, "(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)")
+
+
+# each suite checks every n up to its one size, so a fault at any such n,
+# here at n above the old sub-sizes 300, 20 and 12, is caught first by its
+# own identity
+
+def test_sections_checks_the_relation_at_every_n(monkeypatch):
+    reduced_value_off_at_i(monkeypatch, at=301)
+    with pytest.raises(VerificationError) as info:
+        verify.verify_sections(max_n=310)
+    assert_witness(info.value, "(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)",
+                   "n=301, d=4")
+
+
+@pytest.mark.parametrize("n", range(21, 26))
+def test_zeta_checks_the_point_counts_at_every_n(monkeypatch, n):
+    # one more q^(n-1) in P_n, as one more divisor run, adds (q - 1)^2
+    # q^(n-1) to the point counts
+    bump(monkeypatch, coeffs, "reduced_runs", (n,), [(n - 1, n - 1)])
+    with pytest.raises(VerificationError) as info:
+        verify.verify_zeta(max_n=30)
+    exc = info.value
+    assert_witness(exc, "zeta log-derivative vs point count", f"n={n}")
+    assert exc.want - exc.got == LaurentPoly({n + 1: 1, n: -2, n - 1: 1})
+
+
+@pytest.mark.parametrize("n", range(13, 19))
+def test_tables_check_table_2_at_every_n(monkeypatch, n):
+    # a move by 12 keeps P_n's values at the roots; from q^(n-1) it lowers
+    # the central coefficient a_(n,0)
+    moved_in_p(n, n - 1, n + 11)(monkeypatch)
+    with pytest.raises(VerificationError) as info:
+        verify.verify_tables(max_n=18)
+    exc = info.value
+    assert_witness(exc, "table 2 a_(n,0) vs middle divisors", f"n={n}")
+    assert exc.got == exc.want - 1 == arith.middle_divisors(n) - 1
 
 
 def test_run_suites_rejects_unknown_names_before_running(monkeypatch):

@@ -2,8 +2,9 @@
 
 The four worked factorizations (n = 1, 3, 5, 6) are frozen as exponent
 multisets and one rendered string; the log-derivative series check pins
-the factored form to point counts over small prime powers taken from the
-divisor route, and fails when one coefficient of the factored form is off.
+the factored form to the point counts at every prime power, one identity
+of Laurent polynomials against the divisor route, and fails when one
+coefficient of the factored form is off.
 """
 
 import pytest
@@ -59,20 +60,22 @@ def test_multiplicity_lookup():
 
 def test_series_check_small():
     # spot values first: C_1(q0) = (q0 - 1)^2
-    from hilbtorus.coeffs import count_poly
+    from hilbtorus.coeffs import count_poly, reduced_times_square
 
     c1 = count_poly(1)
     assert [c1.evaluate_int(v) for v in (2, 4, 8)] == [1, 9, 49]
     c2 = count_poly(2)
     assert [c2.evaluate_int(v) for v in (2, 4)] == [7, 189]
     for n in range(1, 12):
+        zeta_series_check(n)
+        # the identity it checks, read as series: the t^m coefficient of
+        # t Z'/Z is the point count over F_(q0^m)
+        z = build_local_zeta(n)
         for q0 in (2, 3):
-            zeta_series_check(n, q0, 8)
-
-
-def test_series_check_rejects_bad_base():
-    with pytest.raises(ValueError):
-        zeta_series_check(3, 1, 5)
+            for m in range(1, 9):
+                x = q0 ** m
+                assert sum(mult * x ** e for e, mult in z.factors) \
+                    == reduced_times_square(n).evaluate_int(x), (n, q0, m)
 
 
 def test_series_check_detects_corruption(monkeypatch):
@@ -84,11 +87,12 @@ def test_series_check_detects_corruption(monkeypatch):
 
     monkeypatch.setattr(zeta.coeffs, "count_poly", corrupted)
     with pytest.raises(VerificationError) as info:
-        zeta_series_check(5, 2, 3)
+        zeta_series_check(5)
     exc = info.value
     assert (exc.identity, exc.index) == ("zeta log-derivative vs point count",
-                                         "n=5, q0=2, t^1")
-    assert exc.got - exc.want == 2 ** 6 + 2 ** 4  # the two corrupted factors
+                                         "n=5")
+    # the two corrupted factors
+    assert exc.got - exc.want == LaurentPoly({6: 1, 4: 1})
     assert str(exc) == f"{exc.identity} at {exc.index}: {exc.got!r} != {exc.want!r}"
 
 
