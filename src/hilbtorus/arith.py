@@ -66,8 +66,8 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 # Callers ask for one n several times in a row and rarely come back to it
 # later, so a few entries catch the repeats.  Per n, verify's arith suite
-# calls divisors five times, its sections suite once, its roots suite once
-# for 2n, its zeta suite twice for 2n and once for n, its tables suite
+# calls divisors four times, its sections suite once, its roots suite once
+# for 2n, its zeta suite once for 2n and once for n, its tables suite
 # twice for 2n and three times for n, one table at a time, and its coeffs
 # suite once for 2n and three times for n, the third in the reduced
 # generating identity's later pass, which misses.  A small bound also

@@ -3,8 +3,8 @@
 C_n(q) is the number of ideals of codimension n counted by the Hilbert
 scheme of n points on a two-dimensional torus over F_q; it is palindromic
 about q^n with coefficients c_{n,i} at q^(n +- i).  P_n = C_n / (q-1)^2 has
-nonnegative coefficients a_{n,i} at q^(n-1 +- i) counting divisors of n in
-an explicit interval.
+nonnegative coefficients a_{n,i} at q^(n-1 +- i): a_{n,i} is the number of
+divisors d of n with (i + sqrt(2n + i^2))/2 < d <= i + sqrt(2n + i^2).
 
 Each family comes from one divisor enumerator.  c_{n,i} is nonzero only
 where n = k(k + 2i +- 1)/2, that is where 2n = k m with m > k and m - k
@@ -21,9 +21,9 @@ from them, and the reduced generating identity reads the runs times
 dense P_n.
 Every route here reads the divisors from arith.divisors, whose small
 cache builds one n's list once however many routes ask.
-trapezoidal_k and divisor_coeff are the per-i scalar forms, and
-closed_form_row is C_n's row read off trapezoidal_k, one probe per i; they
-are kept as the independent check of both enumerators.
+trapezoidal_k is the per-i scalar form, and closed_form_row is C_n's row
+read off it, one probe per i; it is kept as the independent check of
+count_poly's enumerator.
 """
 
 from __future__ import annotations
@@ -70,33 +70,13 @@ def closed_form_row(n: int) -> list[int]:
     return [2 * s[0]] + [s[i] - s[i - 1] for i in range(1, n + 1)]
 
 
-def divisor_coeff(n: int, i: int) -> int:
-    """a_{n,i}: the number of divisors d of n with
-
-        (i + sqrt(2n + i^2)) / 2  <  d  <=  i + sqrt(2n + i^2),
-
-    decided by exact squared comparisons (no radicals are ever formed).
-    """
-    if n < 1 or i < 0:
-        raise ValueError("need n >= 1 and i >= 0")
-    s = 2 * n + i * i
-    count = 0
-    for d in arith.divisors(n):
-        lo = 2 * d - i
-        if not (lo > 0 and lo * lo > s):
-            continue
-        hi = d - i
-        if hi <= 0 or hi * hi <= s:
-            count += 1
-    return count
-
-
 def divisor_intervals(n: int) -> list[tuple[int, int]]:
     """The run (lo, hi) of indices i on which each divisor d of n counts
     towards a_{n,i}, for the divisors whose run is not empty.
 
-    With e = n / d, the interval conditions of divisor_coeff are linear in
-    i once squared: d <= i + sqrt(2n + i^2) is i >= d/2 - e, and
+    With e = n / d, the conditions (i + sqrt(2n + i^2))/2 < d <=
+    i + sqrt(2n + i^2) on a_{n,i}'s divisors are linear in i once
+    squared: d <= i + sqrt(2n + i^2) is i >= d/2 - e, and
     d > (i + sqrt(2n + i^2))/2 is i < d - e/2, so each divisor's i form
     the run max(0, ceil(d/2) - e) <= i <= d - 1 - floor(e/2) inside
     0 <= i <= n-1, empty unless 2d^2 > n, that is d > isqrt(n // 2).

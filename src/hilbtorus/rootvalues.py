@@ -137,7 +137,8 @@ def section_formulas(n: int) -> dict[int, int]:
     quarter = exact_div(arith.r2(n), 4, "r({})/4", n)
     # P_n(i) + P_n(-i) is r'(n) for odd n and 0 for even n
     at_i = arith.r_prime(n) if n % 2 else 0
-    # s_6 weighs r(n)/4 and lambda(n) by n mod 3
+    # s_6 weighs r(n)/4 and lambda(n) by n mod 3; lambda(n) = 0 for
+    # n = 2 mod 3, so that w_lam multiplies zero
     w_r, w_lam = ((-3, -1), (3, 2), (3, -1))[n % 3]
     return {
         1: sig,

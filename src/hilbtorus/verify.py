@@ -86,10 +86,11 @@ def verify_roots(max_n: int = 2000) -> str:
 def verify_zeta(max_n: int = 100) -> str:
     """Functional-equation certificates, and the log-derivative series of
     the factored zeta against the point counts at every prime power, one
-    identity of Laurent polynomials per n."""
+    identity of Laurent polynomials per n; both read one factored zeta."""
     for n in range(1, max_n + 1):
-        zeta.functional_equation_check(n)
-        zeta.zeta_series_check(n)
+        z = zeta.build_local_zeta(n)
+        zeta.functional_equation_check(z)
+        zeta.zeta_series_check(z)
     return (f"n <= {max_n}: functional-equation certificates pass; "
             "log-derivative series match point counts at every prime power")
 
@@ -141,12 +142,14 @@ def verify_qseries(order: int = 2000) -> str:
 def verify_arith(max_n: int = 10000) -> str:
     """Number-theoretic laws used by the closed forms, and the product forms
     of divisors and the lattice counts against routes that never factorize:
-    a lattice sweep for each form, and a divisor sieve.  "P_n(1) over
-    divisor runs vs sigma(n)" is the k = 1 case of the sections identity;
-    at the default sizes it alone covers 1000 < n <= max_n, so it stays
-    until a suite checks the sections at large n.  lambda is a product over
-    factorize(n), so multiplicative by construction: no law here checks
-    that."""
+    a lattice sweep for each form, and a divisor sieve.  a_(n,0), the number
+    of P_n's divisor runs from i = 0, and P_n(1) are read off one run list,
+    so a fault in the run bounds fails the middle divisors first.  "P_n(1)
+    over divisor runs vs sigma(n)" is the k = 1 case of the sections
+    identity; at the default sizes it alone covers 1000 < n <= max_n, so
+    it stays until a suite checks the sections at large n.  lambda is a
+    product over factorize(n), so multiplicative by construction: no law
+    here checks that."""
     sweeps = [(f"{name}(n): product form vs lattice sweep",
                arith.lattice_counts(b, c, max_n))
               for name, b, c in (("r", 0, 1), ("r'", 0, 2), ("r''", 1, 1))]
@@ -168,12 +171,12 @@ def verify_arith(max_n: int = 10000) -> str:
         ds = arith.divisors(n)
         expect("divisors(n): count and sum vs divisor sieve", at,
                (len(ds), sum(ds)), (dcount[n], dsum[n]))
+        runs = coeffs.divisor_intervals(n)
         expect("middle divisors vs a_(n,0)", at, arith.middle_divisors(n),
-               coeffs.divisor_coeff(n, 0))
+               sum(lo == 0 for lo, _ in runs))
         # P_n(1): a run lo..hi of a_(n,i) adds q^(n-1+i) for each i in it and
         # q^(n-1-i) for each i >= 1 in it
-        total = sum(2 * (hi - lo) + 1 + (lo > 0)
-                    for lo, hi in coeffs.divisor_intervals(n))
+        total = sum(2 * (hi - lo) + 1 + (lo > 0) for lo, hi in runs)
         expect("P_n(1) over divisor runs vs sigma(n)", at, total, arith.sigma(n))
     return (f"n <= {max_n}: excess formula, hexagonal and "
             f"middle-divisor laws, sigma law, product forms of r, r' and r'' "
@@ -204,11 +207,21 @@ def verify_sections(max_n: int = 1000) -> str:
             "4, 6; direct and closed-form sections agree for k in 1, 2, 3, 4, 6")
 
 
+def _table_rows(which: int, max_n: int, identity: str) -> list[tuple]:
+    """Table which's rows, once its n column is checked to read 1..max_n in
+    order, at index "rows" of the table's first identity."""
+    rows = tables.table_data(which, max_n)["rows"]
+    expect(identity, "rows", [row[0] for row in rows], list(range(1, max_n + 1)))
+    return rows
+
+
 def verify_tables(max_n: int = 18) -> str:
-    """Every table cell recomputed along an independent route."""
-    for (n, _text, at_minus1) in tables.table_data(1, max_n)["rows"]:
+    """Every table has one row per n <= max_n, and every cell recomputed
+    along an independent route."""
+    for (n, _text, at_minus1) in _table_rows(1, max_n, "table 1 C_n(-1) vs r(n)"):
         expect("table 1 C_n(-1) vs r(n)", f"n={n}", at_minus1, arith.r2(n))
-    for (n, _text, at1, atm1, absj, absi, central) in tables.table_data(2, max_n)["rows"]:
+    for (n, _text, at1, atm1, absj, absi, central) in _table_rows(
+            2, max_n, "table 2 P_n(1) vs sigma(n)"):
         at = f"n={n}"
         expect("table 2 P_n(1) vs sigma(n)", at, at1, arith.sigma(n))
         expect("table 2 4 P_n(-1) vs r(n)", at, 4 * atm1, arith.r2(n))
@@ -217,12 +230,12 @@ def verify_tables(max_n: int = 18) -> str:
         expect("table 2 a_(n,0) vs middle divisors", at, central,
                arith.middle_divisors(n))
     ds = rootvalues.ROOT_ORDERS
-    for n, *cells in tables.table_data(3, max_n)["rows"]:
+    for n, *cells in _table_rows(3, max_n, "table 3 |a_d(n)| vs |C_n(w)|"):
         cn_at = rootvalues.evaluate_at_roots(coeffs.count_poly(n))
         expect_rows("table 3 |a_d(n)| vs |C_n(w)|", lambda p: f"n={n}, d={ds[p]}",
                     cells, [tables.abs_cyclotomic(cn_at[d]) for d in ds])
     ks = (2, 3, 4, 6)
-    for n, *cells in tables.table_data(4, max_n)["rows"]:
+    for n, *cells in _table_rows(4, max_n, "table 4 s_k(n) vs divisor runs"):
         direct = rootvalues.section_direct(coeffs.reduced_residue_sums(n))
         expect_rows("table 4 s_k(n) vs divisor runs", lambda p: f"n={n}, k={ks[p]}",
                     cells, [direct[k] for k in ks])

@@ -69,7 +69,7 @@ def build_local_zeta(n: int) -> ZetaRational:
     return ZetaRational(n, tuple(sorted(coeffs.count_poly(n).items())))
 
 
-def zeta_series_check(n: int) -> None:
+def zeta_series_check(z: ZetaRational) -> None:
     """Verify t Z'/Z = sum_m C_n(q^m) t^m for every prime power q and every
     m, exactly, as one identity of Laurent polynomials.
 
@@ -79,14 +79,15 @@ def zeta_series_check(n: int) -> None:
     series match the point counts at every q and m exactly when that
     polynomial is C_n(X) = (X - 1)^2 P_n(X), read off the runs of P_n
     (coeffs.reduced_times_square), and a wrong trapezoidal factor fails the
-    check.
+    check.  The factored side is count_poly itself, so until it gets a
+    route of its own this checks the same two polynomials as the coeffs
+    suite's "(q - 1)^2 P_n vs C_n", through build_local_zeta.
     """
-    expect("zeta log-derivative vs point count", f"n={n}",
-           LaurentPoly(dict(build_local_zeta(n).factors)),
-           coeffs.reduced_times_square(n))
+    expect("zeta log-derivative vs point count", f"n={z.n}",
+           LaurentPoly(dict(z.factors)), coeffs.reduced_times_square(z.n))
 
 
-def functional_equation_check(n: int) -> None:
+def functional_equation_check(z: ZetaRational) -> None:
     """The three finite checks behind the functional equation
     Z(1/(q^2n t)) = Z(t) up to the usual monomial:
 
@@ -94,9 +95,11 @@ def functional_equation_check(n: int) -> None:
       (2) sum_e m(e) = 0 (the rational function has total degree zero),
       (3) m(n) is even (the central factor splits symmetrically).
 
-    Raises VerificationError if any fails.
+    All three hold by construction of count_poly, which writes q^(n+i) and
+    q^(n-i) together; the check is kept as the paper's claim.  Raises
+    VerificationError if any fails.
     """
-    mm = dict(build_local_zeta(n).factors)
+    n, mm = z.n, dict(z.factors)
     expect("functional-equation certificate (palindromic, sum m(e), m(n) mod 2)",
            f"n={n}",
            (all(mm.get(2 * n - e, 0) == m for e, m in mm.items()),

@@ -138,7 +138,7 @@ def test_criterion_8_punctual_values():
         assert coeffs.count_poly(5).evaluate_int(-1) == 8
         assert coeffs.reduced_poly(6).evaluate_int(1) == 12
         assert coeffs.reduced_poly(12).evaluate_int(1) == 28
-        assert coeffs.divisor_coeff(6, 0) == 2
+        assert coeffs.divisor_coeff_vector(6)[0] == 2
         assert abs(rootvalues.root_sequence(9, 4)) == 6
         assert rootvalues.section_formula(12, 2) == 14
         assert rootvalues.section_formula(12, 3) == 10

@@ -4,8 +4,9 @@ The twelve smallest count polynomials and their reduced forms are frozen
 here verbatim; everything else (the divisor enumerators, the generating
 identity, linking relations) is checked against those or against the
 closed-form row, which also builds the per-i reference polynomial below.
-divisor_intervals is also checked against the clipped loop it replaced, and
-C_n(p) against the number of ideals counted by linear algebra over F_p.
+divisor_intervals is also checked against the clipped loop it replaced, its
+a_(n,i) against the per-i interval count of coeffs_reference, and C_n(p)
+against the number of ideals counted by linear algebra over F_p.
 """
 
 from math import isqrt
@@ -18,7 +19,6 @@ from hilbtorus.coeffs import (
     check_reduced_generating_identity,
     closed_form_row,
     count_poly,
-    divisor_coeff,
     divisor_coeff_vector,
     divisor_intervals,
     reduced_poly,
@@ -29,6 +29,7 @@ from hilbtorus.coeffs import (
 from hilbtorus.errors import VerificationError
 from hilbtorus.laurent import LaurentPoly
 
+from coeffs_reference import divisor_coeff
 from ideal_count_reference import ideal_count
 from test_mutations import check_row
 

@@ -282,7 +282,8 @@ def test_every_identity_has_a_row(checks):
 
 # positions at max_n=20, order=40: one per n of a per-n law, 4 or 5 per n
 # of a row over the roots or the sections, order + 2 per series identity (its order and
-# t^0..t^order); every suite checks every n up to its one size
+# t^0..t^order), one more for each table's first identity (its n column);
+# every suite checks every n up to its one size
 POSITIONS_AT_20_40 = {
     'c_(n,i): divisor enumerator vs per-i closed form': 230,
     'master product t^n vs closed-form C_n / q^n': 20,
@@ -314,14 +315,14 @@ POSITIONS_AT_20_40 = {
     'middle divisors vs a_(n,0)': 20,
     'P_n(1) over divisor runs vs sigma(n)': 20,
     's_k(n): divisor runs vs closed formula': 100,
-    'table 1 C_n(-1) vs r(n)': 20,
-    'table 2 P_n(1) vs sigma(n)': 20,
+    'table 1 C_n(-1) vs r(n)': 21,
+    'table 2 P_n(1) vs sigma(n)': 21,
     'table 2 4 P_n(-1) vs r(n)': 20,
     'table 2 |P_n(j)| vs |lambda(n)|': 20,
     "table 2 2 |P_n(i)| vs r'(n)": 20,
     'table 2 a_(n,0) vs middle divisors': 20,
-    'table 3 |a_d(n)| vs |C_n(w)|': 80,
-    'table 4 s_k(n) vs divisor runs': 80,
+    'table 3 |a_d(n)| vs |C_n(w)|': 81,
+    'table 4 s_k(n) vs divisor runs': 81,
 }
 
 

@@ -10,14 +10,16 @@ suite raises; a failed suite's detail is that witness.  The harness must
 reject unknown suite names before running any suite, every suite must take
 exactly one size keyword (order for qseries, max_n for the rest) and check
 every n up to it, and the roots suite must expand its root products to its
-own max_n, which at equal sizes qseries then reuses.
+own max_n, which at equal sizes qseries then reuses.  The tables suite
+must check which rows each table has, and the zeta suite must build each
+local zeta once.
 """
 
 import inspect
 
 import pytest
 
-from hilbtorus import arith, coeffs, qseries, rootvalues, verify
+from hilbtorus import arith, coeffs, qseries, rootvalues, tables, verify, zeta
 from hilbtorus.cyclotomic import CycInt
 from hilbtorus.errors import VerificationError, expect, expect_rows
 from hilbtorus.laurent import LaurentPoly
@@ -159,6 +161,40 @@ def test_zeta_checks_the_point_counts_at_every_n(monkeypatch, n):
     assert exc.want - exc.got == LaurentPoly({n + 1: 1, n: -2, n - 1: 1})
 
 
+def test_run_bound_fault_fails_middle_divisors_first(monkeypatch):
+    # an extra run from i = 0 raises a_(8,0) and P_8(1) alike; a_(n,0) is
+    # read off the same runs and checked first
+    bump(monkeypatch, coeffs, "divisor_intervals", (8,), [(0, 0)])
+    with pytest.raises(VerificationError) as info:
+        verify.verify_arith(max_n=10)
+    assert str(info.value) == "middle divisors vs a_(n,0) at n=8: 1 != 2"
+
+
+@pytest.mark.parametrize("which, identity", [
+    (1, "table 1 C_n(-1) vs r(n)"),
+    (2, "table 2 P_n(1) vs sigma(n)"),
+    (3, "table 3 |a_d(n)| vs |C_n(w)|"),
+    (4, "table 4 s_k(n) vs divisor runs"),
+])
+def test_tables_check_the_set_of_rows(monkeypatch, which, identity):
+    # a table that loses its last row fails its first identity, whose
+    # first check reads the n column
+    good = tables.table_data
+
+    def dropped(table, max_n=None):
+        data = good(table, max_n)
+        if table == which:
+            data["rows"] = data["rows"][:-1]
+        return data
+
+    monkeypatch.setattr(tables, "table_data", dropped)
+    with pytest.raises(VerificationError) as info:
+        verify.verify_tables(max_n=8)
+    exc = info.value
+    assert_witness(exc, identity, "rows")
+    assert (exc.got, exc.want) == (list(range(1, 8)), list(range(1, 9)))
+
+
 @pytest.mark.parametrize("n", range(13, 19))
 def test_tables_check_table_2_at_every_n(monkeypatch, n):
     # a move by 12 keeps P_n's values at the roots; from q^(n-1) it lowers
@@ -219,7 +255,7 @@ def test_arith_builds_each_divisor_list_once():
     verify.verify_arith(max_n=200)
     info = arith.divisors.cache_info()
     assert info.misses == 200
-    assert info.hits == 4 * 200  # five asks per n: one build, four reads
+    assert info.hits == 3 * 200  # four asks per n: one build, three reads
 
 
 def test_arith_factorizes_each_n_once():
@@ -244,6 +280,20 @@ def test_coeffs_builds_each_count_poly_once(monkeypatch):
 
     monkeypatch.setattr(coeffs, "count_poly", counted)
     verify.verify_coeffs(max_n=30)
+    assert calls == list(range(1, 31))
+
+
+def test_zeta_builds_each_local_zeta_once(monkeypatch):
+    # both zeta identities of n read the one factored form
+    calls = []
+    good = zeta.build_local_zeta
+
+    def counted(n):
+        calls.append(n)
+        return good(n)
+
+    monkeypatch.setattr(zeta, "build_local_zeta", counted)
+    verify.verify_zeta(max_n=30)
     assert calls == list(range(1, 31))
 
 
