@@ -82,8 +82,6 @@ class CycInt:
             return NotImplemented
         return CycInt(self.order, self.a + o.a, self.b + o.b)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return CycInt(self.order, -self.a, -self.b)
 
@@ -92,12 +90,6 @@ class CycInt:
         if o is None:
             return NotImplemented
         return CycInt(self.order, self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._wrap(other)
@@ -132,20 +124,3 @@ class CycInt:
         if isinstance(other, int):
             return self.b == 0 and self.a == other
         return NotImplemented
-
-    def __hash__(self) -> int:
-        if self.b == 0:
-            return hash(self.a)  # agree with the embedded integer
-        return hash((self.order, self.a, self.b))
-
-    def __str__(self) -> str:
-        if self.b == 0:
-            return str(self.a)
-        bpart = "w" if self.b == 1 else ("-w" if self.b == -1 else f"{self.b}*w")
-        if self.a == 0:
-            return bpart
-        sign = "+" if self.b > 0 else "-"
-        mag = abs(self.b)
-        term = "w" if mag == 1 else f"{mag}*w"
-        return f"{self.a} {sign} {term}"
-

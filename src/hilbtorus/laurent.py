@@ -42,9 +42,6 @@ class LaurentPoly:
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 
-    def __len__(self) -> int:
-        return len(self._coeffs)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self._coeffs == other._coeffs
@@ -86,12 +83,6 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, int):

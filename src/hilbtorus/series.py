@@ -2,7 +2,8 @@
 
 A series is a tuple of coefficients for t^0 .. t^order (order inclusive).
 Coefficients may be plain ints or any ring element interoperating with int
-via +, -, * (LaurentPoly does); int 0 doubles as the universal zero pad.
+via + and * and having a negation (LaurentPoly does); int 0 doubles as the
+universal zero pad.
 """
 
 from __future__ import annotations
@@ -42,14 +43,6 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         return self.order == other.order and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.order, self.coeffs))
-
-    def __repr__(self) -> str:
-        head = ", ".join(repr(c) for c in self.coeffs[:6])
-        tail = ", ..." if self.order >= 6 else ""
-        return f"TruncatedSeries(order={self.order}, [{head}{tail}])"
 
     # -- arithmetic --------------------------------------------------------
 

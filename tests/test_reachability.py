@@ -7,12 +7,19 @@ own def line: in src/, in README.md, or in perfbench/spans.py, which wraps
 package members by name.  Dunder methods are exempt, since Python calls
 them by protocol.  The search is textual, so a docstring mention counts as
 a use; it catches members that nothing names at all.
+
+The census covers what the static check cannot: every member of the value
+types LaurentPoly, TruncatedSeries and CycInt, dunders included, is either
+called by a command or listed in tests/value_type_census.py with its
+reason to stay.
 """
 
 import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+import value_type_census
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "hilbtorus").glob("*.py"))
@@ -52,3 +59,13 @@ def test_every_member_is_named_outside_tests():
     assert "rootvalues.count_at_root" in found
     assert "laurent.LaurentPoly.pretty" in found
     assert not unnamed, unnamed
+
+
+def test_value_type_members_run_or_have_a_reason():
+    found = value_type_census.census()
+    idle = {member for member, command in found.items() if command is None}
+    assert "CycInt.norm" in found and "CycInt.norm" not in idle
+    assert idle == set(value_type_census.KEPT)
+    spans = {member for member, reason in value_type_census.KEPT.items()
+             if reason == value_type_census.SPANS}
+    assert spans <= value_type_census.spans_wrapped()
