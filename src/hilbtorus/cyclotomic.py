@@ -82,15 +82,6 @@ class CycInt:
             return NotImplemented
         return CycInt(self.order, self.a + o.a, self.b + o.b)
 
-    def __neg__(self):
-        return CycInt(self.order, -self.a, -self.b)
-
-    def __sub__(self, other):
-        o = self._wrap(other)
-        if o is None:
-            return NotImplemented
-        return CycInt(self.order, self.a - o.a, self.b - o.b)
-
     def __mul__(self, other):
         o = self._wrap(other)
         if o is None:

@@ -6,6 +6,11 @@ exponent to nonzero integer coefficient.  C_n has O(d(2n)) terms, and the
 checks read P_n as (q - 1)^2 P_n or (1 - q^2) P_n, four terms per divisor
 run (coeffs.reduced_runs); only the dense P_n of the linking check, the
 tables and compute pn has Theta(n) terms.
+
+A LaurentPoly is a value: the commands build, read, compare, shift, print
+and evaluate_int one, with no arithmetic; the product and evaluate stay
+while perfbench/spans.py times them.  A constant equals its int, so a
+LaurentPoly is unhashable.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Iterator, Mapping
 
 
 class LaurentPoly:
-    """An immutable Laurent polynomial  sum_e c_e q^e  over the integers.
+    """An immutable Laurent polynomial  sum_e c_e q^e  with integer c_e.
 
     >>> p = LaurentPoly({2: 1, 0: -2, -2: 1})
     >>> str(p)
@@ -39,9 +44,6 @@ class LaurentPoly:
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._coeffs.items())
 
-    def __bool__(self) -> bool:
-        return bool(self._coeffs)
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):
             return self._coeffs == other._coeffs
@@ -51,38 +53,11 @@ class LaurentPoly:
             return self._coeffs == {0: other}
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self._coeffs.items()))
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{e}: {c}" for e, c in sorted(self._coeffs.items(), reverse=True))
         return "LaurentPoly({%s})" % inner
 
-    # -- ring operations ---------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return _raw(out)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return _raw({e: -c for e, c in self._coeffs.items()})
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+    # -- product -----------------------------------------------------------
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -138,7 +113,7 @@ class LaurentPoly:
         return total
 
     def evaluate(self, x):
-        """Evaluate at an element of any ring supporting ** with int exponents.
+        """Value at x, for any x with ** by an int, * by an int and +.
 
         Used with cyclotomic integers, where roots of unity are units and
         negative exponents are fine.
@@ -148,7 +123,7 @@ class LaurentPoly:
             term = (x ** e) * c
             total = term if total is None else total + term
         if total is None:
-            return 0 * x  # zero of the target ring
+            return 0 * x  # the zero of x's kind
         return total
 
     # -- formatting --------------------------------------------------------
@@ -190,12 +165,4 @@ def _raw(coeffs: dict[int, int]) -> LaurentPoly:
     p = LaurentPoly.__new__(LaurentPoly)
     p._coeffs = coeffs
     return p
-
-
-def _coerce(x) -> LaurentPoly | None:
-    if isinstance(x, LaurentPoly):
-        return x
-    if isinstance(x, int):
-        return LaurentPoly({0: x})
-    return None
 

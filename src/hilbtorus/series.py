@@ -1,9 +1,9 @@
 """Truncated power series with exact coefficients.
 
-A series is a tuple of coefficients for t^0 .. t^order (order inclusive).
-Coefficients may be plain ints or any ring element interoperating with int
-via + and * and having a negation (LaurentPoly does); int 0 doubles as the
-universal zero pad.
+A series is a tuple of coefficients for t^0 .. t^order (order inclusive);
+int 0 doubles as the zero pad.  The package does series arithmetic on int
+coefficients only: qseries.expand_master_product returns a series of
+LaurentPoly rows, and verify only reads those rows.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ class TruncatedSeries:
     """A power series known exactly up to and including t^order.
 
     >>> t = TruncatedSeries(4, [0, 1])
-    >>> ((1 - t) * (1 - t)).coeffs
+    >>> one_minus_t = TruncatedSeries(4, [1]) - t
+    >>> (one_minus_t * one_minus_t).coeffs
     (1, -2, 1, 0, 0)
     >>> (t * t + 2).shift(1).coeffs
     (0, 2, 0, 1, 0)
@@ -53,8 +54,6 @@ class TruncatedSeries:
         n = min(self.order, other.order)
         return TruncatedSeries(n, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
-    __radd__ = __add__
-
     def __neg__(self):
         return TruncatedSeries(self.order, [-c if c else 0 for c in self.coeffs])
 
@@ -63,12 +62,6 @@ class TruncatedSeries:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce(other, self.order)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, int) and not isinstance(other, bool):

@@ -21,8 +21,9 @@ import pytest
 from hilbtorus import arith, coeffs, qseries, rootvalues, verify, zeta
 from hilbtorus.cyclotomic import CycInt
 from hilbtorus.errors import VerificationError, expect, expect_rows
-from hilbtorus.laurent import LaurentPoly
 from hilbtorus.series import TruncatedSeries
+
+from laurent_ring import Poly
 
 
 def bump(monkeypatch, module, name, at, by=1):
@@ -97,7 +98,7 @@ def moved_in_p(n, old, new):
     to q^new; a move by 12 keeps P_n(w) at every root w of order 2, 3, 4
     or 6."""
     return lambda mp: bump(mp, coeffs, "reduced_poly", (n,),
-                           LaurentPoly({old: -1, new: 1}))
+                           Poly({old: -1, new: 1}))
 
 
 def suite(name, size):
@@ -113,8 +114,8 @@ class Row(NamedTuple):
     fault: Callable[[pytest.MonkeyPatch], None]
 
 
-C5 = LaurentPoly({5: 1, 4: -1, 2: -1, 1: 1,  # C_5 / q^5
-                  -1: 1, -2: -1, -4: -1, -5: 1})
+C5 = Poly({5: 1, 4: -1, 2: -1, 1: 1,  # C_5 / q^5
+           -1: 1, -2: -1, -4: -1, -5: 1})
 SPECS = qseries.ROOT_ETA_SPECS
 ROWS = [
     # -- coeffs
@@ -124,10 +125,10 @@ ROWS = [
     Row("master product t^n vs closed-form C_n / q^n", "n=5", C5 + 1, C5,
         suite("coeffs", 10),
         lambda mp: bump_entry(mp, qseries, "expand_master_product", (10,), 5,
-                              LaurentPoly({0: 1}))),
+                              Poly({0: 1}))),
     # one more q^4 in P_5 adds (q - 1)^2 q^4
     Row("(q - 1)^2 P_n vs C_n", "n=5",
-        C5.shift(5) + LaurentPoly({6: 1, 5: -2, 4: 1}), C5.shift(5),
+        C5.shift(5) + Poly({6: 1, 5: -2, 4: 1}), C5.shift(5),
         suite("coeffs", 10), extra_run_of_p5),
     Row("c_(n,i) vs second difference of a_(n,i)", "n=9, i=3", 1, 2,
         suite("coeffs", 12), linking_entry_of_9),
@@ -135,15 +136,15 @@ ROWS = [
     # C_n" at the same n first, so this row calls the identity's check
     # itself; q^4 of P_5 is q^0 of P_5 / q^4, and 1 - q^2 times it is 1 - q^2
     Row("reduced generating identity", "t^5",
-        LaurentPoly({6: -1, 5: -1, 3: 1, -1: -1, -3: 1, -4: 1}),
-        LaurentPoly({6: -1, 5: -1, 3: 1, -1: -1, -3: 1, -4: 1, 2: 1, 0: -1}),
+        Poly({6: -1, 5: -1, 3: 1, -1: -1, -3: 1, -4: 1}),
+        Poly({6: -1, 5: -1, 3: 1, -1: -1, -3: 1, -4: 1, 2: 1, 0: -1}),
         lambda: coeffs.check_reduced_generating_identity(10), extra_run_of_p5),
     # -- roots
     # q^7 (1 + q) vanishes at w = -1 but not at the cube root v, where C_7
     # moves by v^7 (1 + v) = v + v^2 = -1: the evaluated row fails at d = 3
     Row("C_n(w)/w^n evaluated vs a_d(n)", "n=7, d=3", CycInt(3, -5, 1), -6,
         suite("roots", 10),
-        lambda mp: bump(mp, coeffs, "count_poly", (7,), LaurentPoly({7: 1, 8: 1}))),
+        lambda mp: bump(mp, coeffs, "count_poly", (7,), Poly({7: 1, 8: 1}))),
     Row("a_d(n): product expansion vs closed form", "n=9, d=4", -5, -6,
         suite("roots", 12),
         lambda mp: bump_entry(mp, qseries, "expand_root_product", (4, 12), 9)),
@@ -151,11 +152,11 @@ ROWS = [
     # a constant term in C_4 breaks the palindromy m(0) = m(8)
     Row("functional-equation certificate (palindromic, sum m(e), m(n) mod 2)",
         "n=4", (False, 1, 0), (True, 0, 0), suite("zeta", 10),
-        lambda mp: bump(mp, coeffs, "count_poly", (4,), LaurentPoly({0: 1}))),
+        lambda mp: bump(mp, coeffs, "count_poly", (4,), Poly({0: 1}))),
     # the point counts come from P_n's runs: one more q^4 in P_5 adds
     # (x - 1)^2 x^4 to C_5(x)
     Row("zeta log-derivative vs point count", "n=5", C5.shift(5),
-        C5.shift(5) + LaurentPoly({6: 1, 5: -2, 4: 1}),
+        C5.shift(5) + Poly({6: 1, 5: -2, 4: 1}),
         suite("zeta", 10), extra_run_of_p5),
     # -- qseries
     Row("Gauss product vs theta sum", "t^7", 1, 0, suite("qseries", 40),
@@ -214,9 +215,9 @@ ROWS = [
     # its column is the first that changes and |P_n(j)|, |P_n(i)| stay
     # integers: q^3 = 1 at j, so q^0 -> q^3 moves P_4(-1) and P_4(i) only
     Row("table 1 C_n(-1) vs r(n)", "n=5", 9, 8, suite("tables", 8),
-        lambda mp: bump(mp, coeffs, "count_poly", (5,), LaurentPoly({0: 1}))),
+        lambda mp: bump(mp, coeffs, "count_poly", (5,), Poly({0: 1}))),
     Row("table 2 P_n(1) vs sigma(n)", "n=5", 5, 6, suite("tables", 8),
-        lambda mp: bump(mp, coeffs, "reduced_poly", (5,), LaurentPoly({0: -1}))),
+        lambda mp: bump(mp, coeffs, "reduced_poly", (5,), Poly({0: -1}))),
     Row("table 2 4 P_n(-1) vs r(n)", "n=4", -4, 4, suite("tables", 8),
         moved_in_p(4, 0, 3)),
     Row("table 2 |P_n(j)| vs |lambda(n)|", "n=7", 1, 2, suite("tables", 8),

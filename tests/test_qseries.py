@@ -47,13 +47,14 @@ from hilbtorus.qseries import (
 from hilbtorus.rootvalues import root_sequence
 from hilbtorus.series import TruncatedSeries
 
+from laurent_ring import Poly
 from series_reference import invert
 
 
 def _literal_feedback(u, one, order):
     """prod_i (1 - t^i)^2 / (1 - u t^i + t^{2i}) one factor at a time: multiply
     by (1 - t^i) twice walking down, then divide out the denominator walking
-    up.  u and one are ints for a root product, LaurentPolys for the master."""
+    up.  u and one are ints for a root product, Polys for the master."""
     c = [one] + [one - one] * order
     for i in range(1, order + 1):
         for _ in range(2):
@@ -163,8 +164,8 @@ def _literal_gauss(order):
 def expand_master_product_reference(order: int) -> TruncatedSeries:
     """The master product by generic series multiply and invert (quadratic
     coefficient cost per factor; small orders only)."""
-    u = LaurentPoly({1: 1, -1: 1})  # q + 1/q
-    acc = TruncatedSeries(order, [LaurentPoly({0: 1})])
+    u = Poly({1: 1, -1: 1})  # q + 1/q
+    acc = TruncatedSeries(order, [Poly(1)])
     for i in range(1, order + 1):
         num = TruncatedSeries(order, _monomial_row(order, i))
         den = _denominator_row(order, i, u)
@@ -174,19 +175,19 @@ def expand_master_product_reference(order: int) -> TruncatedSeries:
 
 def _monomial_row(order: int, i: int) -> list:
     row: list = [0] * (order + 1)
-    row[0] = LaurentPoly({0: 1})
+    row[0] = Poly(1)
     if i <= order:
-        row[i] = -LaurentPoly({0: 1})
+        row[i] = Poly(-1)
     return row
 
 
-def _denominator_row(order: int, i: int, u: LaurentPoly) -> TruncatedSeries:
+def _denominator_row(order: int, i: int, u: Poly) -> TruncatedSeries:
     row: list = [0] * (order + 1)
-    row[0] = LaurentPoly({0: 1})
+    row[0] = Poly(1)
     if i <= order:
         row[i] = -u
     if 2 * i <= order:
-        row[2 * i] = LaurentPoly({0: 1})
+        row[2 * i] = Poly(1)
     return TruncatedSeries(order, row)
 
 
@@ -212,9 +213,8 @@ def test_master_product_matches_reference():
 
 def test_master_product_matches_literal_feedback():
     order = 40
-    q_trace = LaurentPoly({1: 1, -1: 1})
     assert expand_master_product(order) == _literal_feedback(
-        q_trace, LaurentPoly({0: 1}), order)
+        Poly({1: 1, -1: 1}), Poly(1), order)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5, 50, 150])
@@ -226,8 +226,7 @@ def test_literal_master_product_obeys_the_q_difference_facts():
     # the three facts the q-difference kernel is built from, read off the
     # factor-by-factor product: f[n][e] = [t^n q^e] F
     order = 40
-    q_trace = LaurentPoly({1: 1, -1: 1})
-    rows = _literal_feedback(q_trace, LaurentPoly({0: 1}), order).coeffs
+    rows = _literal_feedback(Poly({1: 1, -1: 1}), Poly(1), order).coeffs
 
     def f(n, e):
         return rows[n].coeff(e) if n >= 0 else 0
@@ -267,11 +266,11 @@ def test_root_product_rejects_other_orders():
 def test_root_product_matches_naive_series():
     order = 40
     for d, u in ROOT_TRACE.items():
-        acc = TruncatedSeries(order, [1])
+        acc = one = TruncatedSeries(order, [1])
         for i in range(1, order + 1):
             ti = TruncatedSeries(order, [0] * i + [1])
-            num = 1 - ti
-            den = 1 - u * ti + ti * ti
+            num = one - ti
+            den = one - u * ti + ti * ti
             acc = acc * num * num * invert(den)
         assert acc == expand_root_product(d, order), d
 
@@ -384,12 +383,11 @@ def test_gauss_theta_prefix():
 
 def test_gauss_series_matches_naive_quotient():
     order = 40
-    num = TruncatedSeries(order, [1])
-    den = TruncatedSeries(order, [1])
+    num = den = one = TruncatedSeries(order, [1])
     for i in range(1, order + 1):
         ti = TruncatedSeries(order, [0] * i + [1])
-        num = num * (1 - ti)
-        den = den * (1 + ti)
+        num = num * (one - ti)
+        den = den * (one + ti)
     assert num * invert(den) == gauss_series(order)
 
 
@@ -443,10 +441,10 @@ def test_eta_quotient_matches_naive_product():
     order = 40
     for spec in (*ROOT_ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC,
                  ((1, 24),)):
-        acc = TruncatedSeries(order, [1])
+        acc = one = TruncatedSeries(order, [1])
         for scale, e in spec:
             for j in range(scale, order + 1, scale):
-                factor = 1 - TruncatedSeries(order, [0] * j + [1])
+                factor = one - TruncatedSeries(order, [0] * j + [1])
                 if e > 0:
                     for _ in range(e):
                         acc = acc * factor

@@ -38,7 +38,7 @@ W3 = CycInt(3, 0, 1)
 def omega(d):
     """The primitive d-th root w that rootvalues' table holds the powers of:
     -1, the order-3 root, i, and minus the order-3 root."""
-    return {2: -1, 3: W3, 4: CycInt(4, 0, 1), 6: -W3}[d]
+    return {2: -1, 3: W3, 4: CycInt(4, 0, 1), 6: CycInt(3, 0, -1)}[d]
 
 
 # POWERS[d][k] = w^k for 0 <= k < d, raised with the ring arithmetic
@@ -102,7 +102,7 @@ def test_root_values_stay_exact(d):
 @pytest.mark.parametrize("d", ROOT_ORDERS)
 def test_reduced_times_square_is_count(d):
     w = omega(d)
-    square = (w - 1) ** 2
+    square = (w + -1) ** 2
     for n in range(1, 60):
         pn_at_w = evaluate_at_roots(reduced_poly(n))[d]
         assert pn_at_w * square == count_at_root(n, d), (n, d)

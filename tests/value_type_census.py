@@ -7,8 +7,8 @@ tests/test_reachability.py's static check exempts), runs COMMANDS through
 cli.main in-process with stdout captured, and restores the class dicts.
 Every member that no command called must have an entry in KEPT that says
 why it stays; a member with neither a caller nor a reason is dead code.
-The members kept only because perfbench/spans.py wraps them (SPANS) can go
-once the benchmark stops wrapping them.
+The members kept only because perfbench/spans.py wraps them (SPANS), and
+what only they call, can go once the benchmark stops wrapping them.
 
 Run as a script, it prints each member with the first command that reached
 it, or with its reason to stay, and exits 1 if a member has neither:
@@ -41,38 +41,24 @@ COMMANDS = (
 )
 
 SPANS = "perfbench/spans.py wraps it"
-_MASTER = ("tests/series_reference.py and the master-product references in "
-           "tests/test_qseries.py call it")
-_NAIVE = "the naive product references in tests/test_qseries.py call it"
-_PER_D = "the per-d reference in tests/test_rootvalues.py calls it"
-_VALUE = ("a polynomial hashes and prints like the value it is; a failing "
-          "witness shows its repr")
+_WITNESS = "a failing witness shows its repr"
+_INVERSE = "inverse calls it, for __pow__ at a negative exponent"
 
 # member -> why it stays although no command calls it
 KEPT = {
-    "LaurentPoly.__bool__": _MASTER,
-    "LaurentPoly.__hash__": _VALUE,
-    "LaurentPoly.__repr__": _VALUE,
-    "LaurentPoly.__add__": _MASTER,
-    "LaurentPoly.__radd__": _MASTER,
-    "LaurentPoly.__neg__": _MASTER,
-    "LaurentPoly.__sub__": _MASTER,
+    "LaurentPoly.__repr__": _WITNESS,
     "LaurentPoly.__mul__": SPANS,
     "LaurentPoly.__rmul__": SPANS,
     "LaurentPoly.evaluate": SPANS,
-    "LaurentPoly.__str__": _VALUE,
-    "TruncatedSeries.__eq__": "tests/test_qseries.py compares whole series with it",
-    "TruncatedSeries.__radd__": _NAIVE,
-    "TruncatedSeries.__rsub__": _NAIVE,
-    "CycInt.__repr__": "a failing witness shows its repr",
-    "CycInt._check": "the ring operations call it on two CycInts, which the "
-                     "per-d reference in tests/test_rootvalues.py multiplies",
-    "CycInt.conjugate": _PER_D,
-    "CycInt.is_unit": "inverse calls it",
-    "CycInt.inverse": _PER_D,
-    "CycInt.__add__": _PER_D,
-    "CycInt.__neg__": _PER_D,
-    "CycInt.__sub__": _PER_D,
+    "LaurentPoly.__str__": "str() shows the pretty() form the commands print",
+    "TruncatedSeries.__eq__": "a series compares by value; the qseries and "
+                              "series tests compare whole series with it",
+    "CycInt.__repr__": _WITNESS,
+    "CycInt._check": "_wrap calls it when __mul__ or __add__ meets two CycInts",
+    "CycInt.conjugate": _INVERSE,
+    "CycInt.is_unit": _INVERSE,
+    "CycInt.inverse": "__pow__ calls it at a negative exponent",
+    "CycInt.__add__": "LaurentPoly.evaluate sums its terms with it at a root",
     "CycInt.__mul__": SPANS,
     "CycInt.__pow__": SPANS,
 }
