@@ -10,7 +10,7 @@ tables and compute pn has Theta(n) terms.
 A LaurentPoly is a value: the commands build, read, compare, shift, print
 and evaluate_int one, with no arithmetic; the product and evaluate stay
 while perfbench/spans.py times them.  A constant equals its int, so a
-LaurentPoly is unhashable.
+LaurentPoly is unhashable, and the zero polynomial tests false.
 """
 
 from __future__ import annotations
@@ -43,6 +43,9 @@ class LaurentPoly:
 
     def items(self) -> Iterator[tuple[int, int]]:
         return iter(self._coeffs.items())
+
+    def __bool__(self) -> bool:
+        return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, LaurentPoly):

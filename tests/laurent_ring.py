@@ -10,7 +10,8 @@ from hilbtorus.laurent import LaurentPoly
 
 class Poly(LaurentPoly):
     """A LaurentPoly (or an int, as a constant) that also adds, subtracts
-    and negates; sums, differences and products are Polys again."""
+    and negates; sums, differences and products are Polys again.  Any other
+    operand gets NotImplemented, so its reflected operation is tried."""
 
     __slots__ = ()
 
@@ -18,6 +19,8 @@ class Poly(LaurentPoly):
         super().__init__({0: coeffs} if isinstance(coeffs, int) else coeffs)
 
     def __add__(self, other):
+        if not isinstance(other, (int, LaurentPoly)):
+            return NotImplemented
         out = dict(self.items())
         for e, c in Poly(other).items():
             out[e] = out.get(e, 0) + c
@@ -29,10 +32,13 @@ class Poly(LaurentPoly):
         return Poly({e: -c for e, c in self.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, (int, LaurentPoly)):
+            return NotImplemented
         return self + -Poly(other)
 
     def __mul__(self, other):
         # LaurentPoly's product is a plain LaurentPoly
-        return Poly(LaurentPoly.__mul__(self, other))
+        product = LaurentPoly.__mul__(self, other)
+        return product if product is NotImplemented else Poly(product)
 
     __rmul__ = __mul__

@@ -5,19 +5,26 @@ Each mutant makes one change in one module: it flips one operator (+ and -,
 constant.  The sweep copies the tree to a temporary directory once, writes
 each mutant into the copy (never into this checkout) and runs
 
-    python -m hilbtorus verify --max-n MAX_N --order ORDER
+    python -m hilbtorus verify --max-n 120 --order 200
 
 on it in a fresh process, one process at a time, with a per-mutant
-timeout of ten times the unmutated run (at least 5 s).  A mutant that makes verify exit nonzero is killed; one that runs
-past the timeout is hung; one that passes survives.  With --tier1 each
-survivor is run again against Tier-1 (pytest in the copy).
+timeout of ten times the unmutated run (at least 5 s).  The sizes are
+fixed: the survivor list holds at them and at no others.  A mutant that
+makes verify exit nonzero is killed; one that runs past the timeout is
+hung; one that passes survives.  With --tier1 each survivor is run again
+against Tier-1 (pytest in the copy).
 
 Every survivor should have a line in mutation_survivors.txt, beside this
-script, that says why it lives: "equivalent" (no output can change), "only
-tests reach it" (no command runs the code) or "gap" (a check is missing,
-and a ROADMAP item closes it).  The script prints each survivor with its
-listed reason, or UNLISTED, and exits 1 if the unmutated tree fails verify
-or any survivor is unlisted.  It is not a Tier-1 test.
+script, that says why it lives, with one of these reasons:
+  equivalent: no input can tell the mutant apart;
+  equivalent on command inputs: only inputs that no command passes can;
+  only tests reach it: no command runs the mutated code;
+  printed text: only the text a command prints changes, and verify
+    certifies values, not their layout (Tier-1 checks it);
+  gap: a check is missing, and a ROADMAP item closes it.
+The script prints each survivor with its listed reason, or UNLISTED, and
+exits 1 if the unmutated tree fails verify or any survivor is unlisted.
+It is not a Tier-1 test.
 
     PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py
     PYTHONPATH=src python tests/mutation_sweep.py --tier1 cyclotomic.py
@@ -129,13 +136,10 @@ def listed_reasons():
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("modules", nargs="+", help="file names under src/hilbtorus")
-    parser.add_argument("--max-n", type=int, default=120)
-    parser.add_argument("--order", type=int, default=200)
     parser.add_argument("--tier1", action="store_true",
                         help="re-run each survivor against Tier-1")
     args = parser.parse_args(argv)
-    verify = [sys.executable, "-m", "hilbtorus", "verify",
-              "--max-n", str(args.max_n), "--order", str(args.order)]
+    verify = [sys.executable, "-m", "hilbtorus", "verify", "--max-n", "120", "--order", "200"]
     tier1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     reasons = listed_reasons()
     with tempfile.TemporaryDirectory() as tmp:

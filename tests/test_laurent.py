@@ -3,6 +3,8 @@ import random
 import pytest
 
 from hilbtorus.laurent import LaurentPoly
+from hilbtorus.series import TruncatedSeries
+from laurent_ring import Poly
 
 C1 = LaurentPoly({2: 1, 1: -2, 0: 1})  # q^2 - 2q + 1
 
@@ -15,6 +17,8 @@ def _random_poly(rng, terms=4, span=6, bound=9):
 def test_zero_and_one():
     assert LaurentPoly() == 0
     assert LaurentPoly({0: 1}) == 1
+    assert not LaurentPoly()
+    assert LaurentPoly({-1: 1})
 
 
 def test_canonicalization_drops_zero_coefficients():
@@ -45,9 +49,17 @@ def test_unhashable_since_a_constant_equals_its_int():
 def test_ring_laws_on_random_triples():
     rng = random.Random(110)
     for _ in range(60):
-        a, b, c = (_random_poly(rng) for _ in range(3))
+        a, b, c = (Poly(_random_poly(rng)) for _ in range(3))
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
+        assert a * (b + c) == a * b + a * c
+
+
+def test_poly_defers_other_operands():
+    # so the other operand's reflected operation is tried, not Poly(other)
+    p, t = Poly({0: 2}), TruncatedSeries(2, [1, 1])
+    for op in (Poly.__add__, Poly.__sub__, Poly.__mul__):
+        assert op(p, t) is NotImplemented
 
 
 def test_monomial_and_shift():

@@ -46,6 +46,7 @@ _INVERSE = "inverse calls it, for __pow__ at a negative exponent"
 
 # member -> why it stays although no command calls it
 KEPT = {
+    "LaurentPoly.__bool__": "the zero polynomial equals 0, so it tests false",
     "LaurentPoly.__repr__": _WITNESS,
     "LaurentPoly.__mul__": SPANS,
     "LaurentPoly.__rmul__": SPANS,
