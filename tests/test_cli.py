@@ -10,16 +10,18 @@ are compared on a table of argv drawn from each subcommand's grammar; the
 front parser is compared with the compute parser on that table and on a
 generated product of words (it must give the same values or decline), and
 the routes are checked by making the parsers refuse to run.  The JSON
-writer is checked byte for byte against json.dumps(..., indent=2) of the
-Python that runs the tests, on every compute kind and on synthetic
-payloads.  Four subprocess tests check that importing the cli builds no
-parser and loads neither fractions nor decimal, that importing every
-module loads neither dataclasses nor inspect (the package needs none of
-them, and each slows every start), and that canonical compute requests
-import neither argparse nor verify, qseries, tables or bfile, while table
-does.  At the end, a closed stdout must give
-exit status 1 and an empty stderr, Ctrl-C (KeyboardInterrupt) exit status
-130 and one stderr line, and two tests check the entry points:
+that compute prints, for single indices and a range of every kind, is
+checked byte for byte against json.dumps(..., indent=2) of the Python that
+runs the tests, and its decoded values against the library's answers.
+Four subprocess tests check that importing the cli builds no parser and
+loads neither fractions nor decimal, that importing every module loads
+neither dataclasses nor inspect (the package needs none of them, and each
+slows every start), and that canonical compute requests, pretty and JSON,
+import neither argparse, json nor verify, qseries, tables or bfile, while
+table imports argparse and those four modules.  At the end, a closed
+stdout must give exit status 1 and an empty stderr, Ctrl-C
+(KeyboardInterrupt) exit status 130 and one stderr line, and two tests
+check the entry points:
 ``python -m hilbtorus``, and the console script, for which the entry point
 that pyproject.toml declares for ``hilbtorus`` is always run the way an
 installer's wrapper calls it, and the installed ``hilbtorus`` script too
@@ -39,7 +41,7 @@ from pathlib import Path
 import pytest
 
 import hilbtorus
-from hilbtorus import arith, cli, coeffs, verify
+from hilbtorus import arith, cli, coeffs, rootvalues, verify, zeta
 from hilbtorus.arith import r2
 from hilbtorus.bfile import SEQUENCES
 from hilbtorus.cli import COMPUTE_KINDS, PN_MAX_N, main
@@ -209,45 +211,40 @@ def test_compute_cn_at_a_billion(capsys):
     assert sum(c if e % 2 == 0 else -c for e, c in terms.items()) == r2(n)
 
 
-def _compute_payloads(kind, ns, d=None):
-    """The JSON payload compute prints for each index of ns, and for ns
-    as one range."""
-    one = [cli._compute_one(kind, n, d, "json") for n in ns]
-    return [*one, one]
+def _payload(kind, n, d=None):
+    """The object compute prints for one n, built from the library."""
+    if kind in ("cn", "pn"):
+        poly = (coeffs.count_poly if kind == "cn" else coeffs.reduced_poly)(n)
+        return {"n": n, "coeffs": [{"e": e, "v": str(v)} for e, v in sorted(poly.items())]}
+    if kind in ("zeta", "hasse-weil"):
+        key = "e" if kind == "zeta" else "s0"
+        return {"n": n, "factors": [{key: e, "m": m}
+                                    for e, m in zeta.build_local_zeta(n).factors]}
+    values = (rootvalues.root_sequences if kind == "ad" else rootvalues.section_formulas)(n)
+    return {"n": n, "values": {str(k): str(v) for k, v in values.items()
+                               if d is None or k == d}}
 
 
 @pytest.mark.parametrize("kind", COMPUTE_KINDS)
-def test_json_writer_matches_json_dumps(kind):
+def test_json_writer_matches_json_dumps(capsys, kind):
+    # the printed text of each index and of a range is json.dumps(indent=2)
+    # of what it decodes to, which is the library's answer
     ns = [*range(1, 41), 5040]
     if kind != "pn":
         ns += [720720, 10 ** 12]
-    payloads = _compute_payloads(kind, ns)
-    if kind == "ad":
-        payloads += _compute_payloads(kind, range(1, 41), d=3)
-    for payload in payloads:
-        assert cli._json(payload) == json.dumps(payload, indent=2)
-
-
-@pytest.mark.parametrize("payload", [
-    [], {}, [[]], [{}], {"a": []}, {"a": {}}, [[], {}, [[{}]]],
-    {"a": [{"b": [], "c": {}}]},
-    [0, -1, 7, -(10 ** 25), 12345678901234567890123, 10 ** 40],
-    ["", '"', "\\", "\n", "\x01", "\x7f", "é", "☃", 'a "b" \\ c\n\td'],
-    {'k"\\\n\x1fé☃': 'v"\\\n\x1fé☃', "": ""},
-])
-def test_json_writer_matches_json_dumps_on_synthetic_payloads(payload):
-    assert cli._json(payload) == json.dumps(payload, indent=2)
-
-
-@pytest.mark.parametrize("value", [1.5, None, True, False, [1, True],
-                                   {"a": None}, (1, 2)])
-def test_json_writer_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        cli._json(value)
+    for d in ([None, 3] if kind == "ad" else [None]):
+        option = [] if d is None else ["--d", str(d)]
+        cases = [(str(n), _payload(kind, n, d)) for n in ns]
+        cases.append(("1..40", [_payload(kind, n, d) for n in range(1, 41)]))
+        for spec, want in cases:
+            code, out, err = run(capsys, "compute", kind, spec, "--format", "json", *option)
+            assert (code, err) == (0, "")
+            assert json.loads(out) == want, spec
+            assert out == json.dumps(want, indent=2) + "\n", spec
 
 
 def test_compute_json_does_not_call_json_dumps(capsys, monkeypatch):
-    expected = json.dumps(cli._compute_one("cn", 5040, None, "json"), indent=2)
+    expected = json.dumps(_payload("cn", 5040), indent=2)
 
     def refuse(*args, **kwargs):
         raise AssertionError("compute called json.dumps")
@@ -553,13 +550,13 @@ def test_compute_imports_only_what_it_runs():
     # what a bare interpreter (site included) already holds is not ours
     probe = """if True:
         import contextlib, io, sys
-        unwanted = {"argparse", "hilbtorus.verify", "hilbtorus.qseries",
+        unwanted = {"argparse", "json", "hilbtorus.verify", "hilbtorus.qseries",
                     "hilbtorus.tables", "hilbtorus.bfile"}
         bare = unwanted & set(sys.modules)
         from hilbtorus import cli
         with contextlib.redirect_stdout(io.StringIO()):
-            codes = {cli.main(["compute", kind, "12", "--format", fmt, *d])
-                     for kind in ("cn", "zeta", "ad", "sections")
+            codes = {cli.main(["compute", kind, spec, "--format", fmt, *d])
+                     for kind in cli.COMPUTE_KINDS for spec in ("12", "1..3")
                      for fmt in ("pretty", "json") for d in ([], ["--d=3"])
                      if kind == "ad" or not d}
         print(codes, sorted(unwanted & set(sys.modules) - bare))
