@@ -12,7 +12,8 @@ generated product of words (it must give the same values or decline), and
 the routes are checked by making the parsers refuse to run.  The JSON
 that compute prints, for single indices and a range of every kind, is
 checked byte for byte against json.dumps(..., indent=2) of the Python that
-runs the tests, and its decoded values against the library's answers.
+runs the tests, and its decoded values against the library's answers; the
+writer is also checked that way on synthetic rows of every record shape.
 Four subprocess tests check that importing the cli builds no parser and
 loads neither fractions nor decimal, that importing every module loads
 neither dataclasses nor inspect (the package needs none of them, and each
@@ -241,6 +242,40 @@ def test_json_writer_matches_json_dumps(capsys, kind):
             assert (code, err) == (0, "")
             assert json.loads(out) == want, spec
             assert out == json.dumps(want, indent=2) + "\n", spec
+
+
+_FIELDS = {"cn": ("coeffs", "e", "v"), "pn": ("coeffs", "e", "v"),
+           "zeta": ("factors", "e", "m"), "hasse-weil": ("factors", "s0", "m")}
+
+
+@pytest.mark.parametrize("payload", [
+    ("cn", 1, [(0, 1)]),
+    ("pn", 2, [(-2, 1), (-1, -2), (0, 1)]),
+    ("cn", 10 ** 12, [(0, 10 ** 40), (1, -(10 ** 25))]),
+    ("zeta", 1, [(0, 1)]),
+    ("zeta", 5040, [(0, 1), (1, -2), (2, 3)]),
+    ("hasse-weil", 7, [(0, 1), (1, 2)]),
+    ("hasse-weil", 10 ** 12, [(-3, -1), (12345678901234567890123, 10 ** 40)]),
+    ("ad", 1, [(1, 1)]),
+    ("ad", 12, [(1, 0), (2, -7), (3, 10 ** 25)]),
+    ("sections", 3, [(0, -1)]),
+    ("sections", 720720, [(k, (-1) ** k * 10 ** k) for k in range(1, 9)]),
+])
+def test_json_writer_matches_json_dumps_on_synthetic_payloads(payload):
+    # rows no index has produced (signs, zeros, ints past 2**64, one row and
+    # many) fill each kind's template as json.dumps(indent=2) writes them,
+    # alone and at the depth of a range's items
+    kind, n, rows = payload
+    if kind in _FIELDS:
+        name, key, value = _FIELDS[kind]
+        want = {"n": n, name: [{key: k, value: str(v) if value == "v" else v}
+                               for k, v in rows]}
+    else:
+        name = "values"
+        want = {"n": n, name: {str(k): str(v) for k, v in rows}}
+    assert cli._json(kind, n, name, rows, "\n") == json.dumps(want, indent=2)
+    item = cli._json(kind, n, name, rows, "\n  ")
+    assert "[\n  " + item + "\n]" == json.dumps([want], indent=2)
 
 
 def test_compute_json_does_not_call_json_dumps(capsys, monkeypatch):
