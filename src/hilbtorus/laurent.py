@@ -7,8 +7,8 @@ checks read P_n as (q - 1)^2 P_n or (1 - q^2) P_n, four terms per divisor
 run (coeffs.reduced_runs); only the dense P_n of the linking check, the
 tables and compute pn has Theta(n) terms.
 
-A LaurentPoly is a value: the commands build, read, compare, shift, print
-and evaluate_int one, with no arithmetic; the product and evaluate stay
+A LaurentPoly is a value: the commands build, read, compare, print and
+evaluate_int one, with no arithmetic; the product and evaluate stay
 while perfbench/spans.py times them.  A constant equals its int, so a
 LaurentPoly is unhashable, and the zero polynomial tests false.
 """
@@ -85,12 +85,6 @@ class LaurentPoly:
         return _raw(out)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by q^k (shift every exponent by k)."""
-        if k == 0:
-            return self
-        return _raw({e + k: c for e, c in self._coeffs.items()})
 
     # -- evaluation --------------------------------------------------------
 

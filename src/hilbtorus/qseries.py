@@ -7,12 +7,13 @@ The master identity expanded here is
 
 together with its root-of-unity specializations (q + 1/q -> -2, -1, 0, 1),
 Gauss's product (1 - t^i)/(1 + t^i), the classical theta series phi and psi
-(Gauss's product equals phi(-t)), and eta-quotient expansions.  Everything
-is exact integer arithmetic; these expansions are the independent oracle
-against which the closed forms in coeffs.py and rootvalues.py are checked,
-so none of them may consult those closed forms.  Only the root products
-are cached per argument, as verify's roots and qseries suites share them;
-every other expansion is built once per run by the one suite that reads it.
+(Gauss's product equals phi(-t)), and the eta quotients of the order-3 and
+order-6 specializations.  Everything is exact integer arithmetic; these
+expansions are the independent oracle against which the closed forms in
+coeffs.py and rootvalues.py are checked, so none of them may consult those
+closed forms.  Only the root products are cached per argument, as verify's
+roots and qseries suites share them; every other expansion is built once
+per run by the one suite that reads it.
 
 The root specializations and Gauss's product share one recurrence, Euler's
 logarithmic derivative.  With p_j = w^j + w^-j for the roots w, 1/w of
@@ -36,8 +37,9 @@ gives theta(tq) = -theta(q)/q, hence the q-difference equation
     (1 - 1/q) F(t, tq) = (1 - tq) F(t, q):
 
 a three-term recurrence of integer adds on the coefficients [t^n q^e] F
-for e >= 1, with F(t, 1) = 1 fixing the q^0 terms and F(t, q) = F(t, 1/q)
-the negative exponents.
+for e >= 1, with F(t, 1) = 1 fixing the q^0 terms.  F(t, q) = F(t, 1/q)
+mirrors them to the negative exponents, so the expansion is returned as
+its half rows e >= 0, lists of ints.
 
 An eta factor prod_n (1 - t^(scale n)) is Euler's pentagonal series, with only
 ~2 sqrt(2N / (3 scale)) nonzero terms +-1 below order N, so a positive
@@ -51,7 +53,6 @@ import math
 from operator import add, sub
 
 from .arith import exact_div
-from .laurent import LaurentPoly
 from .series import TruncatedSeries
 
 # q + 1/q at a primitive d-th root of unity, for the orders with
@@ -100,17 +101,18 @@ def expand_root_product(d: int, order: int) -> TruncatedSeries:
     return TruncatedSeries(order, _log_derivative_series(b, order))
 
 
-def expand_master_product(order: int) -> TruncatedSeries:
-    """The two-variable master product: the t^n coefficient is C_n(q)/q^n.
+def expand_master_product(order: int) -> list[list[int]]:
+    """The two-variable master product, whose t^n coefficient is C_n(q)/q^n,
+    as its half rows half[n] = [c_(n,0), ..., c_(n,n)], n = 0..order.
 
-    half[n][e] is [t^n q^e] F for 0 <= e <= n, and zero for e > n.  The
+    half[n][e] is [t^n q^e] F for 0 <= e <= n, and zero for e > n; the q^-e
+    coefficient equals the q^e one, since F(t, q) = F(t, 1/q).  The
     q-difference equation (1 - 1/q) F(t, tq) = (1 - tq) F(t, q) gives, for
     e >= 1,
 
         half[n][e] = half[n-1][e-1] + half[n-e][e] - half[n-e-1][e+1],
 
-    and F(t, 1) = 1 gives half[n][0] = -2 sum_{e>=1} half[n][e] for n >= 1;
-    each row is its half row mirrored, since F(t, q) = F(t, 1/q)."""
+    and F(t, 1) = 1 gives half[n][0] = -2 sum_{e>=1} half[n][e] for n >= 1."""
     half = [[1]]
     for n in range(1, order + 1):
         row = [0, *half[n - 1]]
@@ -120,12 +122,7 @@ def expand_master_product(order: int) -> TruncatedSeries:
                 row[e] -= half[n - e - 1][e + 1]
         row[0] = -2 * sum(row)
         half.append(row)
-    rows = []
-    for row in half:
-        terms = {e: v for e, v in enumerate(row) if v}
-        terms.update({-e: v for e, v in terms.items() if e})
-        rows.append(LaurentPoly(terms))
-    return TruncatedSeries(order, rows)
+    return half
 
 
 # -- Gauss's product and the theta series ----------------------------------
@@ -168,32 +165,13 @@ def psi_series(scale: int, order: int) -> TruncatedSeries:
 
 # -- eta quotients ---------------------------------------------------------
 
-def eta_prefactor(spec: tuple[tuple[int, int], ...]) -> int:
-    """The prefactor exponent sum(scale * exp) / 24 of the eta quotient
-    prod eta(scale * z)^exp given by spec = ((scale, exp), ...); raise
-    ValueError unless it is a nonnegative integer, so that the quotient
-    is a power series in t, and every scale is >= 1."""
-    weight = sum(s * e for s, e in spec)
-    pre, rem = divmod(weight, 24)
-    if rem or pre < 0:
-        raise ValueError(
-            f"eta quotient has no power-series expansion: prefactor "
-            f"exponent {weight}/24 is not a nonnegative integer")
-    for s, _ in spec:
-        if s < 1:
-            raise ValueError(f"eta scale must be >= 1, got {s}")
-    return pre
-
-
-# eta-quotient forms of the four root products, and of the
-# absolute-value variant of the d=4 sequence, as ((scale, exp), ...)
+# eta-quotient forms of the root products of orders 3 and 6, the only
+# other forms of those two products verify checks, as ((scale, exp), ...);
+# orders 2 and 4 have theta-series forms instead
 ROOT_ETA_SPECS = {
-    2: ((1, 4), (2, -2)),
     3: ((1, 3), (3, -1)),
-    4: ((1, 2), (2, 1), (4, -1)),
     6: ((1, 1), (2, 1), (3, 1), (6, -1)),
 }
-ABS_QUARTIC_ETA_SPEC = ((2, 3), (4, 3), (1, -2), (8, -2))
 
 
 def _pentagonal_terms(scale: int, order: int) -> list[tuple[int, int]]:
@@ -208,16 +186,15 @@ def _pentagonal_terms(scale: int, order: int) -> list[tuple[int, int]]:
 
 def eta_quotient_series(spec: tuple[tuple[int, int], ...],
                         order: int) -> TruncatedSeries:
-    """Expand the eta quotient spec = ((scale, exp), ...), that is
-    prod prod_{n>=1} (1 - t^(scale n))^exp shifted by the integer
-    prefactor exponent; eta_prefactor raises ValueError on a spec with no
-    power-series expansion.
+    """Expand prod prod_{n>=1} (1 - t^(scale n))^exp over
+    spec = ((scale, exp), ...), scale >= 1: the eta quotient
+    prod eta(scale * z)^exp without its prefactor t^(w/24), w = sum scale * exp.
+    Every spec verify expands has weight w = 0, where the two are equal.
 
     With P = 1 + sum_j p_j t^j a factor's pentagonal series (p_j = +-1),
     x * P adds or subtracts the old x, shifted by j, into x for each term,
     and x / P walks up by x[m] -= sum_j p_j x[m-j].
     """
-    pre = eta_prefactor(spec)
     n1 = order + 1
     x = [0] * n1
     x[0] = 1
@@ -235,4 +212,4 @@ def eta_quotient_series(spec: tuple[tuple[int, int], ...],
                         break
                     acc += p * x[m - j]
                 x[m] -= acc
-    return TruncatedSeries(order, x).shift(pre)
+    return TruncatedSeries(order, x)

@@ -1,9 +1,8 @@
 """Truncated power series with exact coefficients.
 
 A series is a tuple of coefficients for t^0 .. t^order (order inclusive);
-int 0 doubles as the zero pad.  The package does series arithmetic on int
-coefficients only: qseries.expand_master_product returns a series of
-LaurentPoly rows, and verify only reads those rows.
+int 0 doubles as the zero pad.  The package's series have int coefficients
+only; the tests also build series of polynomials.
 """
 
 from __future__ import annotations

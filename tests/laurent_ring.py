@@ -1,17 +1,20 @@
-"""Addition, subtraction and negation of Laurent polynomials, for tests.
+"""Addition, subtraction, negation and shifts of Laurent polynomials, for
+tests.
 
-The package's LaurentPoly multiplies but does not add: no command adds two
-polynomials.  The master-product references, series inversion and the
-fault injections do, so they build their polynomials as Poly.
+The package's LaurentPoly multiplies but does not add or shift: no command
+adds two polynomials or multiplies one by q^k.  The master-product
+references, series inversion, the root-value checks and the fault
+injections do, so they build their polynomials as Poly.
 """
 
 from hilbtorus.laurent import LaurentPoly
 
 
 class Poly(LaurentPoly):
-    """A LaurentPoly (or an int, as a constant) that also adds, subtracts
-    and negates; sums, differences and products are Polys again.  Any other
-    operand gets NotImplemented, so its reflected operation is tried."""
+    """A LaurentPoly (or an int, as a constant) that also adds, subtracts,
+    negates and shifts; sums, differences, products and shifts are Polys
+    again.  Any other operand gets NotImplemented, so its reflected
+    operation is tried."""
 
     __slots__ = ()
 
@@ -42,3 +45,7 @@ class Poly(LaurentPoly):
         return product if product is NotImplemented else Poly(product)
 
     __rmul__ = __mul__
+
+    def shift(self, k):
+        """Multiply by q^k (shift every exponent by k)."""
+        return Poly({e + k: c for e, c in self.items()})

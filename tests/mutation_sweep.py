@@ -26,7 +26,7 @@ The script prints each survivor with its listed reason, or UNLISTED, and
 exits 1 if the unmutated tree fails verify or any survivor is unlisted.
 It is not a Tier-1 test.
 
-    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py
+    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py qseries.py
     PYTHONPATH=src python tests/mutation_sweep.py --tier1 cyclotomic.py
 """
 

@@ -63,12 +63,13 @@ def test_poly_defers_other_operands():
 
 
 def test_monomial_and_shift():
-    m = LaurentPoly({-3: 5})
+    m = Poly({-3: 5})
     assert m.coeff(-3) == 5
     assert m.shift(3) == LaurentPoly({0: 5})
     assert m.shift(1) == LaurentPoly({-2: 5})
+    assert m.shift(0) == m and type(m.shift(0)) is Poly
     # recentering the n = 1 count polynomial
-    assert C1.shift(-1) == LaurentPoly({1: 1, 0: -2, -1: 1})
+    assert Poly(C1).shift(-1) == LaurentPoly({1: 1, 0: -2, -1: 1})
 
 
 def test_evaluate_int():

@@ -10,10 +10,14 @@ first by the row's identity, not by a check that runs before it.
 A recorder that counts the calls of expect and expect_rows (one check per
 call, one per position of a row) runs every suite at max_n=20, order=40:
 the identities it sees must be the table's, so an identity added to a
-suite without a row fails here, and the count of each is pinned.
+suite without a row fails here, and the count of each is pinned.  The
+number of identities README says verify certifies must be the number of
+rows, so that it cannot drift from the suites.
 """
 
+import re
 from collections import Counter
+from pathlib import Path
 from typing import Callable, NamedTuple
 
 import pytest
@@ -57,6 +61,18 @@ def bump_entry(monkeypatch, module, name, at, key, by=1):
 def extra_run_of_p5(monkeypatch):
     # one more q^4 in P_5, as one more divisor run (4, 4)
     bump(monkeypatch, coeffs, "reduced_runs", (5,), [(4, 4)])
+
+
+def master_entry_of_5(monkeypatch):
+    # one entry of the master product's half row n = 5 one too high
+    good = qseries.expand_master_product
+
+    def bumped(order):
+        half = good(order)
+        half[5][3] += 1
+        return half
+
+    monkeypatch.setattr(qseries, "expand_master_product", bumped)
 
 
 def linking_entry_of_9(monkeypatch):
@@ -116,16 +132,15 @@ class Row(NamedTuple):
 
 C5 = Poly({5: 1, 4: -1, 2: -1, 1: 1,  # C_5 / q^5
            -1: 1, -2: -1, -4: -1, -5: 1})
-SPECS = qseries.ROOT_ETA_SPECS
 ROWS = [
     # -- coeffs
     Row("c_(n,i): divisor enumerator vs per-i closed form", "n=7, i=3", -1, 0,
         suite("coeffs", 10),
         lambda mp: bump_entry(mp, coeffs, "closed_form_row", (7,), 3)),
-    Row("master product t^n vs closed-form C_n / q^n", "n=5", C5 + 1, C5,
-        suite("coeffs", 10),
-        lambda mp: bump_entry(mp, qseries, "expand_master_product", (10,), 5,
-                              Poly({0: 1}))),
+    # c_(5,3) = 0: the master product's half row of C_5 / q^5 is
+    # [0, 1, -1, 0, -1, 1]
+    Row("master product t^n vs closed-form C_n / q^n", "n=5, e=3", 1, 0,
+        suite("coeffs", 10), master_entry_of_5),
     # one more q^4 in P_5 adds (q - 1)^2 q^4
     Row("(q - 1)^2 P_n vs C_n", "n=5",
         C5.shift(5) + Poly({6: 1, 5: -2, 4: 1}), C5.shift(5),
@@ -166,13 +181,9 @@ ROWS = [
         lambda mp: bump_entry(mp, qseries, "expand_root_product", (2, 40), 9)),
     *(Row(f"eta quotient vs root product, d={d}", "t^17", got, got - 1,
           suite("qseries", 40),
-          lambda mp, d=d: bump_entry(mp, qseries, "eta_quotient_series",
-                                     (SPECS[d], 40), 17))
-      for d, got in zip(rootvalues.ROOT_ORDERS, (-7, 1, -3, 5))),
-    Row("eta quotient vs absolute order-4 sequence", "t^17", 5, 4,
-        suite("qseries", 40),
-        lambda mp: bump_entry(mp, qseries, "eta_quotient_series",
-                              (qseries.ABS_QUARTIC_ETA_SPEC, 40), 17)),
+          lambda mp, spec=spec: bump_entry(mp, qseries, "eta_quotient_series",
+                                           (spec, 40), 17))
+      for (d, spec), got in zip(qseries.ROOT_ETA_SPECS.items(), (1, 5))),
     Row("phi(-q) phi(-q^2) vs order-4 root product", "t^8", 3, 2,
         suite("qseries", 40),
         lambda mp: bump_entry(mp, qseries, "phi_series", (2, 40, True), 8)),
@@ -281,13 +292,14 @@ def test_every_identity_has_a_row(checks):
     assert set(checks) == set(ROW)
 
 
-# positions at max_n=20, order=40: one per n of a per-n law, 4 or 5 per n
-# of a row over the roots or the sections, order + 2 per series identity (its order and
-# t^0..t^order), one more for each table's first identity (its n column);
-# every suite checks every n up to its one size
+# positions at max_n=20, order=40: one per n of a per-n law, n + 1 per n of
+# a row over c_(n,0..n), 4 or 5 per n of a row over the roots or the
+# sections, order + 2 per series identity (its order and t^0..t^order), one
+# more for each table's first identity (its n column); every suite checks
+# every n up to its one size
 POSITIONS_AT_20_40 = {
     'c_(n,i): divisor enumerator vs per-i closed form': 230,
-    'master product t^n vs closed-form C_n / q^n': 20,
+    'master product t^n vs closed-form C_n / q^n': 230,
     '(q - 1)^2 P_n vs C_n': 20,
     'c_(n,i) vs second difference of a_(n,i)': 230,
     'reduced generating identity': 20,
@@ -298,11 +310,8 @@ POSITIONS_AT_20_40 = {
     'zeta log-derivative vs point count': 20,
     'Gauss product vs theta sum': 42,
     'theta-square vs order-2 root product': 42,
-    'eta quotient vs root product, d=2': 42,
     'eta quotient vs root product, d=3': 42,
-    'eta quotient vs root product, d=4': 42,
     'eta quotient vs root product, d=6': 42,
-    'eta quotient vs absolute order-4 sequence': 42,
     'phi(-q) phi(-q^2) vs order-4 root product': 42,
     'phi(q) phi(q^2) vs absolute order-4 sequence': 42,
     'phi(q^4) + 2q psi(q^8) vs phi(q)': 42,
@@ -329,3 +338,9 @@ POSITIONS_AT_20_40 = {
 
 def test_checked_positions_per_identity(checks):
     assert checks == POSITIONS_AT_20_40
+
+
+def test_readme_counts_one_identity_per_row():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    counts = re.findall(r"certifies (\d+) identities", readme)
+    assert counts == [str(len(ROWS))]

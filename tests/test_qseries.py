@@ -4,12 +4,17 @@ Small product coefficients are frozen by hand (the first few factors can be
 multiplied out on paper), every expander is cross-checked against naive
 TruncatedSeries arithmetic, and the eta-quotient expander is pinned to the
 classical discriminant series and to the sparse sums of Euler's and Jacobi's
-identities.  The master product runs the q-difference recurrence
-f[n][e] = f[n-1][e-1] + f[n-e][e] - f[n-e-1][e+1] (e >= 1) of
-(1 - 1/q) F(t, tq) = (1 - tq) F(t, q), which needs no division: the
-factor-by-factor product is checked to obey that recurrence, palindromy and
-F(t, 1) = 1, the three facts the kernel is built from, and the kernel is
-pinned to the log-derivative master kernel it replaced.  The log-derivative
+identities, each shifted here by its prefactor t^(w/24) (the package
+expands weight-0 quotients only, where w = 0).  The eta forms of the
+order-2 and order-4 root products and of the absolute order-4 sequence,
+which verify checks as theta series instead, are kept here as literals and
+pinned alongside the package's two.  The master product runs the
+q-difference recurrence f[n][e] = f[n-1][e-1] + f[n-e][e] - f[n-e-1][e+1]
+(e >= 1) of (1 - 1/q) F(t, tq) = (1 - tq) F(t, q), which needs no
+division, and returns half rows of ints, mirrored here into the series of
+C_n/q^n: the factor-by-factor product is checked to obey that recurrence,
+palindromy and F(t, 1) = 1, the three facts the kernel is built from, and
+the kernel is pinned to the log-derivative master kernel it replaced.  The log-derivative
 recurrence behind the root and Gauss products is checked against the
 literal factor-by-factor kernels it replaced, against the pull-style form
 of the same recurrence (a property test draws the root order and
@@ -33,10 +38,8 @@ from hilbtorus.laurent import LaurentPoly
 from hilbtorus.qseries import (
     _log_derivative_series,
     _pentagonal_terms,
-    ABS_QUARTIC_ETA_SPEC,
     ROOT_ETA_SPECS,
     ROOT_TRACE,
-    eta_prefactor,
     eta_quotient_series,
     expand_master_product,
     expand_root_product,
@@ -49,6 +52,22 @@ from hilbtorus.series import TruncatedSeries
 
 from laurent_ring import Poly
 from series_reference import invert
+
+# eta-quotient forms, ((scale, exp), ...), of all four root products and of
+# the absolute values of the order-4 one: verify expands the order-3 and
+# order-6 forms (ROOT_ETA_SPECS), and checks the other three products as
+# theta series, phi(-q)^2, phi(-q) phi(-q^2) and phi(q) phi(q^2)
+ETA_SPECS = {2: ((1, 4), (2, -2)), 4: ((1, 2), (2, 1), (4, -1)),
+             **ROOT_ETA_SPECS}
+ABS_QUARTIC_ETA_SPEC = ((2, 3), (4, 3), (1, -2), (8, -2))
+
+
+def _master_series(order):
+    """expand_master_product's half rows mirrored into the series of
+    C_n/q^n: the q^e and q^-e coefficients of row n are both half[n][e]."""
+    return TruncatedSeries(order, [
+        LaurentPoly({**{-e: c for e, c in enumerate(row)}, **dict(enumerate(row))})
+        for row in expand_master_product(order)])
 
 
 def _literal_feedback(u, one, order):
@@ -128,7 +147,6 @@ def _multiply_push(b, order):
 def _in_place_eta(spec, order):
     """eta_quotient_series as it was before its multiply passes became
     slice adds: x * P in place walking down, x / P walking up."""
-    pre = eta_prefactor(spec)
     n1 = order + 1
     x = [0] * n1
     x[0] = 1
@@ -144,7 +162,7 @@ def _in_place_eta(spec, order):
                         break
                     acc += p * x[m - j]
                 x[m] += sign * acc
-    return TruncatedSeries(order, x).shift(pre)
+    return TruncatedSeries(order, x)
 
 
 def _literal_gauss(order):
@@ -192,34 +210,39 @@ def _denominator_row(order: int, i: int, u: Poly) -> TruncatedSeries:
 
 
 def test_master_product_first_rows():
-    s = expand_master_product(6)
-    assert s.coeff(0) == LaurentPoly({0: 1})
-    assert s.coeff(1) == LaurentPoly({1: 1, 0: -2, -1: 1})
-    assert s.coeff(2) == LaurentPoly({2: 1, 1: -1, -1: -1, -2: 1})
+    half = expand_master_product(6)
+    assert half[:3] == [[1], [-2, 1], [0, -1, 1]]
+    assert _master_series(2).coeffs == (
+        LaurentPoly({0: 1}), LaurentPoly({1: 1, 0: -2, -1: 1}),
+        LaurentPoly({2: 1, 1: -1, -1: -1, -2: 1}))
 
 
 def test_master_product_rows_are_balanced():
-    s = expand_master_product(16)
-    for n in range(1, 17):
-        row = s.coeff(n)
-        assert row == LaurentPoly({-e: c for e, c in row.items()})
-        assert row.evaluate_int(1) == 0
-        assert max(e for e, _ in row.items()) == n
+    half = expand_master_product(16)
+    assert len(half) == 17
+    for n, row in enumerate(half):
+        assert type(row) is list and len(row) == n + 1, n
+        assert all(type(c) is int for c in row), n
+        # the q^n term of C_n/q^n is 1, and F(t, 1) = 1 makes each later
+        # row, mirrored, sum to 0
+        assert row[n] == 1, n
+        if n:
+            assert row[0] + 2 * sum(row[1:]) == 0, n
 
 
 def test_master_product_matches_reference():
-    assert expand_master_product(12) == expand_master_product_reference(12)
+    assert _master_series(12) == expand_master_product_reference(12)
 
 
 def test_master_product_matches_literal_feedback():
     order = 40
-    assert expand_master_product(order) == _literal_feedback(
+    assert _master_series(order) == _literal_feedback(
         Poly({1: 1, -1: 1}), Poly(1), order)
 
 
 @pytest.mark.parametrize("order", [0, 1, 2, 5, 50, 150])
 def test_master_product_matches_log_derivative_kernel(order):
-    assert expand_master_product(order) == _log_derivative_master(order)
+    assert _master_series(order) == _log_derivative_master(order)
 
 
 def test_literal_master_product_obeys_the_q_difference_facts():
@@ -327,7 +350,8 @@ def test_cached_rows_match_multiply_push():
     check()
 
 
-@pytest.mark.parametrize("spec", [*ROOT_ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC],
+@pytest.mark.parametrize("spec", [*(ETA_SPECS[d] for d in sorted(ETA_SPECS)),
+                                  ABS_QUARTIC_ETA_SPEC],
                          ids=["d=2", "d=3", "d=4", "d=6", "abs4"])
 def test_eta_quotient_matches_in_place_loop_to_2000(spec):
     assert eta_quotient_series(spec, 2000) == _in_place_eta(spec, 2000)
@@ -416,31 +440,25 @@ def test_phi_split_identity():
 
 
 def test_eta_spec_prefactors():
-    for spec in (*ROOT_ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC):
-        assert eta_prefactor(spec) == 0
-    assert eta_prefactor(((1, 24),)) == 1
-
-
-def test_eta_spec_rejects_bad_prefactor():
-    with pytest.raises(ValueError):
-        eta_prefactor(((1, 1),))
-    with pytest.raises(ValueError):
-        eta_prefactor(((1, -24),))
-    with pytest.raises(ValueError):
-        eta_prefactor(((0, 24),))
+    # sum scale * exp = 0: the eta quotient's prefactor t^(w/24) is 1, so
+    # eta_quotient_series, which omits it, is the quotient itself
+    assert sorted(ROOT_ETA_SPECS) == [3, 6]
+    for spec in (*ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC):
+        assert sum(scale * exp for scale, exp in spec) == 0, spec
+        assert all(scale >= 1 for scale, _ in spec), spec
 
 
 def test_eta_discriminant_series():
-    # eta(z)^24 expands to the discriminant series, whose first coefficients
-    # are the classical 1, -24, 252, -1472, 4830, -6048
-    s = eta_quotient_series(((1, 24),), 6)
+    # eta(z)^24 = t prod (1 - t^n)^24 expands to the discriminant series,
+    # whose first coefficients are the classical 1, -24, 252, -1472, 4830,
+    # -6048
+    s = eta_quotient_series(((1, 24),), 6).shift(1)
     assert s.coeffs == (0, 1, -24, 252, -1472, 4830, -6048)
 
 
 def test_eta_quotient_matches_naive_product():
     order = 40
-    for spec in (*ROOT_ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC,
-                 ((1, 24),)):
+    for spec in (*ETA_SPECS.values(), ABS_QUARTIC_ETA_SPEC, ((1, 24),)):
         acc = one = TruncatedSeries(order, [1])
         for scale, e in spec:
             for j in range(scale, order + 1, scale):
@@ -451,7 +469,7 @@ def test_eta_quotient_matches_naive_product():
                 else:
                     for _ in range(-e):
                         acc = acc * invert(factor)
-        assert acc.shift(eta_prefactor(spec)) == eta_quotient_series(spec, order), spec
+        assert acc == eta_quotient_series(spec, order), spec
 
 
 def test_eta_cubed_is_jacobi_sum():
@@ -463,7 +481,7 @@ def test_eta_cubed_is_jacobi_sum():
         want[(2 * k + 1) ** 2] = (-1) ** k * (2 * k + 1)
         k += 1
     spec = ((8, 3),)
-    assert eta_quotient_series(spec, order) == TruncatedSeries(order, want)
+    assert eta_quotient_series(spec, order).shift(1) == TruncatedSeries(order, want)
 
 
 def test_eta_is_euler_sum():
@@ -474,13 +492,13 @@ def test_eta_is_euler_sum():
         if (6 * k + 1) ** 2 <= order:
             want[(6 * k + 1) ** 2] += (-1) ** k
     spec = ((24, 1),)
-    assert eta_quotient_series(spec, order) == TruncatedSeries(order, want)
+    assert eta_quotient_series(spec, order).shift(1) == TruncatedSeries(order, want)
 
 
-@pytest.mark.parametrize("d", sorted(ROOT_ETA_SPECS))
+@pytest.mark.parametrize("d", sorted(ETA_SPECS))
 def test_root_products_equal_eta_quotients(d):
     order = 200
-    assert eta_quotient_series(ROOT_ETA_SPECS[d], order) == expand_root_product(d, order)
+    assert eta_quotient_series(ETA_SPECS[d], order) == expand_root_product(d, order)
 
 
 def test_abs_quartic_eta_series():
