@@ -14,16 +14,16 @@ q-difference recurrence f[n][e] = f[n-1][e-1] + f[n-e][e] - f[n-e-1][e+1]
 division, and returns half rows of ints, mirrored here into the series of
 C_n/q^n: the factor-by-factor product is checked to obey that recurrence,
 palindromy and F(t, 1) = 1, the three facts the kernel is built from, and
-the kernel is pinned to the log-derivative master kernel it replaced.  The log-derivative
-recurrence behind the root and Gauss products is checked against the
-literal factor-by-factor kernels it replaced, against the pull-style form
-of the same recurrence (a property test draws the root order and
-truncation) and, on drawn log-derivatives, against the push that
+the kernel is pinned to the log-derivative master kernel it replaced.  The
+log-derivative recurrence behind the root and Gauss products is checked
+against the literal factor-by-factor kernels it replaced, against the
+pull-style form of the same recurrence (a property test draws the root
+order and truncation) and, on drawn log-derivatives, against the push that
 multiplied afresh for every coefficient instead of reusing a row per
 distinct |c_n|; the eta expander is checked against its in-place loop at
-order 2000; a second property test draws (d, n <= 2000) against the closed
-form a_d(n), and qseries must import none of the closed-form modules it is
-an oracle for.
+order 2000 on all five eta forms; a second property test draws
+(d, n <= 2000) against the closed form a_d(n), and qseries must import
+none of the closed-form modules it is an oracle for.
 """
 
 import ast
