@@ -1,18 +1,17 @@
 """Command-line interface.
 
 Subcommands: compute (polynomials, zeta factorizations, root sequences,
-sections; pretty text or JSON), table (the four built-in tables), verify
-(the cross-verification suites), and oeis-compare (check a downloaded
-b-file against the matching generator).
+sections; pretty text or JSON), table (the four built-in tables) and verify
+(the cross-verification suites).
 
 A compute range prints each index as soon as it is computed, so its
 memory is that of one index and a reader gets the first line at once.
 
-Exit codes: 0 on success, 1 when a verification or comparison fails, an
-exact division in compute leaves a remainder (the indices of a range before
-it stay printed; a JSON range is left unclosed), or the reader closes stdout
-(no traceback), 2 on usage or input-parse errors, and for compute pn above
-PN_MAX_N (P_n has Theta(n) terms, so its cost and output grow linearly),
+Exit codes: 0 on success, 1 when a verification fails, an exact division
+in compute leaves a remainder (the indices of a range before it stay
+printed; a JSON range is left unclosed), or the reader closes stdout (no
+traceback), 2 on usage errors, and for compute pn above PN_MAX_N (P_n
+has Theta(n) terms, so its cost and output grow linearly),
 130 on Ctrl-C (KeyboardInterrupt: one stderr line, no traceback).
 Other compute kinds have no enforced limit: each index costs one cached
 trial-division factorization, of 2n or of n, O(sqrt n) at worst, n prime
@@ -25,8 +24,10 @@ valid) is read by _parse_compute without argparse, which it never imports;
 any other argv whose argv[0] names a subcommand is parsed by that
 subcommand's parser alone; everything else goes through the top-level
 parser.  build_parser builds the parsers on its first call, not at import,
-and verify, tables and bfile are imported only by the commands that run
-them.  --format json has three shapes, {"n", "coeffs" or "factors": [records]}
+and imports tables and verify (and with it qseries) for their choices, so a
+canonical compute imports none of argparse, json, tables, verify or
+qseries, and any other argv imports tables and verify with the parser.
+--format json has three shapes, {"n", "coeffs" or "factors": [records]}
 and {"n", "values": {k: v}}, whose every value is an int or its decimal
 string, so nothing needs escaping: _json fills one % template per record,
 built once per answer at its nesting depth, and compute never imports json.
@@ -43,7 +44,6 @@ import sys
 from types import SimpleNamespace
 
 from . import coeffs, rootvalues, zeta
-from .errors import BFileError
 
 COMPUTE_KINDS = ("cn", "pn", "zeta", "hasse-weil", "ad", "sections")
 # compute's options, as add_argument keywords; _parse_compute reads them too
@@ -183,24 +183,13 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _cmd_oeis_compare(args) -> int:
-    from . import bfile
-    try:
-        report = bfile.compare_bfile(args.sequence, args.bfile, args.max_terms)
-    except (BFileError, OSError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    print(report.summary())
-    return 0 if report.ok else 1
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The hilbtorus argument parser, built on the first call and the same
     object afterwards. It is never changed once built: parse_args returns
     a fresh Namespace each time and the append action copies its default."""
     import argparse
-    from . import bfile, tables, verify
+    from . import tables, verify
     parser = argparse.ArgumentParser(
         prog="hilbtorus",
         description="Point counts of the Hilbert schemes of the plane torus: "
@@ -236,14 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--order", type=_positive, default=None,
         help="sets order of qseries; the other suites ignore it")
     verify_cmd.set_defaults(func=_cmd_verify)
-
-    oeis = sub.add_parser("oeis-compare",
-                          help="compare a downloaded OEIS b-file against "
-                               "the matching generator")
-    oeis.add_argument("sequence", type=str.lower, choices=sorted(bfile.SEQUENCES))
-    oeis.add_argument("bfile", help="path to the b-file")
-    oeis.add_argument("--max-terms", type=_positive, default=None)
-    oeis.set_defaults(func=_cmd_oeis_compare)
     _COMMAND_PARSERS.update(sub.choices)
     return parser
 

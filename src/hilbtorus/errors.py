@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and expect and expect_rows,
-the checks behind every certified identity.
+"""VerificationError, the exception shared across the package, and expect
+and expect_rows, the checks behind every certified identity.
 
 Every identity the package certifies goes through expect(identity, index,
 got, want), or expect_rows for a row of values, so every failure is a
@@ -41,7 +41,3 @@ def expect_rows(identity: str, index, got, want) -> None:
             raise VerificationError(identity, index(p), a, b)
     if len(got) != len(want):
         raise VerificationError(identity, "length", len(got), len(want))
-
-
-class BFileError(ValueError):
-    """A b-file could not be parsed; message names the offending line."""

@@ -7,12 +7,19 @@ each mutant into the copy (never into this checkout) and runs
 
     python -m hilbtorus verify --max-n 120 --order 200
 
-on it in a fresh process, one process at a time, with a per-mutant
-timeout of ten times the unmutated run (at least 5 s).  The sizes are
-fixed: the survivor list holds at them and at no others.  A mutant that
-makes verify exit nonzero is killed; one that runs past the timeout is
-hung; one that passes survives.  With --tier1 each survivor is run again
-against Tier-1 (pytest in the copy).
+on it in a fresh process, one process at a time, and each mutant that
+passes once more at
+
+    python -m hilbtorus verify --suite qseries --order 169
+
+an order at which the top coefficients of the psi series and of the
+shifted phi/psi blocks are nonzero (at 200 and at the default 2000 they
+are zero).  Each run has a timeout of ten times the unmutated run of the
+same command (at least 5 s).  The two commands are fixed: the survivor list
+holds at them and at no others.  A mutant that makes either exit nonzero
+is killed; one that runs past a timeout is hung; one that passes both
+survives.  With --tier1 each survivor is run again against Tier-1 (pytest
+in the copy).
 
 Every survivor should have a line in mutation_survivors.txt, beside this
 script, that says why it lives, with one of these reasons:
@@ -26,7 +33,7 @@ The script prints each survivor with its listed reason, or UNLISTED, and
 exits 1 if the unmutated tree fails verify or any survivor is unlisted.
 It is not a Tier-1 test.
 
-    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py qseries.py
+    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py qseries.py zeta.py tables.py
     PYTHONPATH=src python tests/mutation_sweep.py --tier1 cyclotomic.py
 """
 
@@ -49,6 +56,9 @@ SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
 FLIP = {"+": "-", "-": "+", "*": "//", "//": "*", "/": "*", "<": "<=",
         "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 OUTCOME = {"fail": "killed", "hung": "hung", "pass": "survived"}
+# what each mutant runs, in turn, until one run fails or hangs
+CHECKS = (["verify", "--max-n", "120", "--order", "200"],
+          ["verify", "--suite", "qseries", "--order", "169"])
 MEMORY_LIMIT = 1 << 30  # bytes of address space per run
 
 
@@ -139,18 +149,20 @@ def main(argv=None) -> int:
     parser.add_argument("--tier1", action="store_true",
                         help="re-run each survivor against Tier-1")
     args = parser.parse_args(argv)
-    verify = [sys.executable, "-m", "hilbtorus", "verify", "--max-n", "120", "--order", "200"]
+    checks = [[sys.executable, "-m", "hilbtorus", *check] for check in CHECKS]
     tier1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     reasons = listed_reasons()
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
-        start = time.perf_counter()
-        if run(verify, tree, None) != "pass":
-            print("the unmutated tree fails verify")
-            return 1
-        timeout = max(5.0, 10 * (time.perf_counter() - start))
+        timeouts = []
+        for check in checks:
+            start = time.perf_counter()
+            if run(check, tree, None) != "pass":
+                print("the unmutated tree fails verify")
+                return 1
+            timeouts.append(max(5.0, 10 * (time.perf_counter() - start)))
         survivors, unlisted = [], 0
         for module in args.modules:
             path = tree / "src" / "hilbtorus" / module
@@ -158,7 +170,10 @@ def main(argv=None) -> int:
             tally = dict.fromkeys(OUTCOME, 0)
             for label, mutated in mutants(source, module):
                 path.write_text(mutated)
-                outcome = run(verify, tree, timeout)
+                for check, timeout in zip(checks, timeouts):
+                    outcome = run(check, tree, timeout)
+                    if outcome != "pass":
+                        break
                 tally[outcome] += 1
                 if outcome == "pass":
                     survivors.append((path, mutated, label))
@@ -174,7 +189,7 @@ def main(argv=None) -> int:
             if args.tier1:
                 source = path.read_text()
                 path.write_text(mutated)
-                print(f"          Tier-1: {OUTCOME[run(tier1, tree, 60 * timeout)]}")
+                print(f"          Tier-1: {OUTCOME[run(tier1, tree, 60 * timeouts[0])]}")
                 path.write_text(source)
     return 1 if unlisted else 0
 

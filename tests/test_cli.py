@@ -18,8 +18,8 @@ Four subprocess tests check that importing the cli builds no parser and
 loads neither fractions nor decimal, that importing every module loads
 neither dataclasses nor inspect (the package needs none of them, and each
 slows every start), and that canonical compute requests, pretty and JSON,
-import neither argparse, json nor verify, qseries, tables or bfile, while
-table imports argparse and those four modules.  At the end, a closed
+import neither argparse, json nor verify, qseries or tables, while
+table imports argparse and those three modules.  At the end, a closed
 stdout must give exit status 1 and an empty stderr, Ctrl-C
 (KeyboardInterrupt) exit status 130 and one stderr line, and two tests
 check the entry points:
@@ -44,7 +44,6 @@ import pytest
 import hilbtorus
 from hilbtorus import arith, cli, coeffs, rootvalues, verify, zeta
 from hilbtorus.arith import r2
-from hilbtorus.bfile import SEQUENCES
 from hilbtorus.cli import COMPUTE_KINDS, PN_MAX_N, main
 
 
@@ -414,8 +413,6 @@ GRAMMAR = {
     "verify": ([], {"--suite": [*verify.SUITES, "zeta,tables", ",", "", "bogus"],
                     "--max-n": ["5", "0", "x"], "--max": ["5"],
                     "--order": ["40", "-1", "1.5"]}),
-    "oeis-compare": ([[*sorted(SEQUENCES), "A004018", "a000001"], ["b.txt"]],
-                     {"--max-terms": ["5", "0", "x"]}),
 }
 
 
@@ -470,7 +467,7 @@ def test_direct_dispatch_parses_as_the_top_level_parser(command):
     assert outcomes == {None, 0, 2}  # parsed, help, usage error
 
 
-def test_known_subcommand_skips_the_top_level_parser(capsys, monkeypatch, tmp_path):
+def test_known_subcommand_skips_the_top_level_parser(capsys, monkeypatch):
     class TopLevelParse(Exception):
         pass
 
@@ -478,11 +475,8 @@ def test_known_subcommand_skips_the_top_level_parser(capsys, monkeypatch, tmp_pa
         raise TopLevelParse
 
     monkeypatch.setitem(vars(cli.build_parser()), "parse_known_args", refuse)
-    path = tmp_path / "b004018.txt"
-    path.write_text("0 1\n1 4\n")
     for argv in (["compute", "cn", "3"], ["table", "4", "--max-n", "3"],
-                 ["verify", "--suite", "tables", "--max-n", "5"],
-                 ["oeis-compare", "a004018", str(path)]):
+                 ["verify", "--suite", "tables", "--max-n", "5"]):
         assert run(capsys, *argv)[0] == 0, argv
     for argv in ([], ["--help"], ["bogus"], ["-h", "compute"]):
         with pytest.raises(TopLevelParse):
@@ -496,6 +490,15 @@ def test_unknown_argument_after_subcommand_gets_its_usage(capsys):
     # the usage lines above it wrap differently across Python versions
     assert ("hilbtorus compute: error: unrecognized arguments: --bogus"
             in capsys.readouterr().err.splitlines())
+
+
+def test_removed_oeis_compare_is_an_invalid_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oeis-compare", "a004018", "b004018.txt"])
+    assert exc.value.code == 2
+    # the list of choices after it is quoted differently across Python versions
+    assert capsys.readouterr().err.splitlines()[-1].startswith(
+        "hilbtorus: error: argument command: invalid choice: 'oeis-compare'")
 
 
 # words for generated compute argv: ["compute", *up to 4 of FRONT_WORDS],
@@ -586,7 +589,7 @@ def test_compute_imports_only_what_it_runs():
     probe = """if True:
         import contextlib, io, sys
         unwanted = {"argparse", "json", "hilbtorus.verify", "hilbtorus.qseries",
-                    "hilbtorus.tables", "hilbtorus.bfile"}
+                    "hilbtorus.tables"}
         bare = unwanted & set(sys.modules)
         from hilbtorus import cli
         with contextlib.redirect_stdout(io.StringIO()):
@@ -603,7 +606,7 @@ def test_compute_imports_only_what_it_runs():
                           capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(src)})
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == ("{0} []\n['argparse', 'hilbtorus.bfile', 'hilbtorus.qseries', "
+    assert proc.stdout == ("{0} []\n['argparse', 'hilbtorus.qseries', "
                            "'hilbtorus.tables', 'hilbtorus.verify']\n")
 
 
@@ -657,47 +660,6 @@ def test_consecutive_calls_do_not_share_options(capsys):
     code, second, _ = run(capsys, "verify", "--suite", "tables", "--max-n", "5")
     assert code == 0
     assert [line.split()[1] for line in second.splitlines()] == ["tables"]
-
-
-def test_oeis_compare_ok(capsys, tmp_path):
-    seq = SEQUENCES["a004018"]
-    path = tmp_path / "b004018.txt"
-    path.write_text("".join(f"{i} {seq.value(i)}\n" for i in range(25)))
-    code, out, _ = run(capsys, "oeis-compare", "a004018", str(path))
-    assert code == 0
-    assert "all agree" in out
-
-
-def test_oeis_compare_accepts_upper_case_id(capsys, tmp_path):
-    seq = SEQUENCES["a004018"]
-    path = tmp_path / "b004018.txt"
-    path.write_text("".join(f"{i} {seq.value(i)}\n" for i in range(25)))
-    code, out, _ = run(capsys, "oeis-compare", "A004018", str(path))
-    assert code == 0
-    assert "all agree" in out
-
-
-def test_oeis_compare_mismatch(capsys, tmp_path):
-    path = tmp_path / "b067742.txt"
-    path.write_text("1 1\n2 999\n")
-    code, out, _ = run(capsys, "oeis-compare", "a067742", str(path))
-    assert code == 1
-    assert "index 2: file has 999, computed 1" in out
-
-
-def test_oeis_compare_malformed(capsys, tmp_path):
-    path = tmp_path / "b067742.txt"
-    path.write_text("1 x\n")
-    code, out, err = run(capsys, "oeis-compare", "a067742", str(path))
-    assert code == 2
-    assert "non-integer" in err
-
-
-def test_oeis_compare_missing_file(capsys, tmp_path):
-    code, out, err = run(capsys, "oeis-compare", "a067742",
-                         str(tmp_path / "absent.txt"))
-    assert code == 2
-    assert err
 
 
 def test_console_script_installed():

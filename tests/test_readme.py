@@ -4,8 +4,7 @@ The Library block runs as a doctest: it documents the package's top-level
 names, so a re-export that goes missing or a value that changes fails here
 rather than in a reader's session.  Every `$ hilbtorus ...` shell example
 runs through cli.main and must print the block under it, with verify's
-seconds column masked; oeis-compare is left out, as its b-file is not in
-the repository.
+seconds column masked.
 """
 
 import doctest
@@ -72,7 +71,7 @@ def _mask(text):
 
 @pytest.mark.parametrize("argv, printed", [
     pytest.param(argv, printed, id=" ".join(argv))
-    for argv, printed in _shell_examples() if argv[0] != "oeis-compare"])
+    for argv, printed in _shell_examples()])
 def test_readme_shell_example_matches_cli(capsys, argv, printed):
     assert main(argv) == 0
     assert _mask(capsys.readouterr().out) == _mask(printed)
@@ -80,4 +79,4 @@ def test_readme_shell_example_matches_cli(capsys, argv, printed):
 
 def test_readme_has_shell_examples():
     kinds = [argv[0] for argv, _ in _shell_examples()]
-    assert {"compute", "table", "verify", "oeis-compare"} <= set(kinds)
+    assert {"compute", "table", "verify"} <= set(kinds)
