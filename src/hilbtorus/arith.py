@@ -28,8 +28,9 @@ def exact_div(num: int, den: int, what: str, *args) -> int:
 
 
 # Callers ask about one n a few times in a row (verify's arith suite six
-# times, compute about n and 2n) and seldom later; keeping every n of a
-# verify run (10^4) would hold 2.8 MB to save 5,866 trial divisions.
+# times, its sections suite eight or nine, compute about n alone) and
+# seldom later; keeping every n of a verify run (10^4) would hold 2.8 MB
+# to save 3,844 trial divisions.
 FACTORIZE_CACHE_SIZE = 16
 
 
@@ -66,13 +67,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 # Callers ask for one n several times in a row and rarely come back to it
 # later, so a few entries catch the repeats.  Per n, verify's arith suite
-# calls divisors four times, its sections suite once, its roots suite once
-# for 2n, its zeta suite once for 2n and once for n, its tables suite
-# twice for 2n and three times for n, one table at a time, and its coeffs
-# suite once for 2n and three times for n, the third in the reduced
-# generating identity's later pass, which misses.  A small bound also
-# keeps the footprint fixed, as an n near 10^14 can have thousands of
-# divisors.
+# calls divisors four times, its sections and roots suites once, its zeta
+# suite twice, its tables suite five times, one table at a time, and its
+# coeffs suite four times, the fourth in the reduced generating identity's
+# later pass, which misses.  A small bound also keeps the footprint fixed,
+# as an n near 10^14 can have thousands of divisors.
 DIVISORS_CACHE_SIZE = 16
 
 

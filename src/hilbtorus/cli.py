@@ -14,7 +14,7 @@ traceback), 2 on usage errors, and for compute pn above PN_MAX_N (P_n
 has Theta(n) terms, so its cost and output grow linearly),
 130 on Ctrl-C (KeyboardInterrupt: one stderr line, no traceback).
 Other compute kinds have no enforced limit: each index costs one cached
-trial-division factorization, of 2n or of n, O(sqrt n) at worst, n prime
+trial-division factorization of n, O(sqrt n) at worst, n prime
 (README's worst measured case: 6.3 s, compute cn at the prime 10^16 + 61).
 
 main(argv) may be called any number of times in one process, as the tests

@@ -6,10 +6,11 @@ about q^n with coefficients c_{n,i} at q^(n +- i).  P_n = C_n / (q-1)^2 has
 nonnegative coefficients a_{n,i} at q^(n-1 +- i): a_{n,i} is the number of
 divisors d of n with (i + sqrt(2n + i^2))/2 < d <= i + sqrt(2n + i^2).
 
-Each family comes from one divisor enumerator.  c_{n,i} is nonzero only
-where n = k(k + 2i +- 1)/2, that is where 2n = k m with m > k and m - k
-odd (Sylvester's count of the ways to write n as a sum of consecutive
-integers), so count_poly reads its O(d(2n)) terms off the divisors of 2n.
+Each family comes from one divisor enumerator of n.  c_{n,i} is nonzero
+only where n = k(k + 2i +- 1)/2, that is where 2n = k m with m > k and
+m - k odd, one factorization per odd divisor of n (Sylvester's count of
+the ways to write n as a sum of consecutive integers); count_poly reads
+its four terms per odd divisor, one fewer for triangular n, off them.
 Each divisor d of n counts towards a_{n,i} on one run lo <= i <= hi read
 off the pair (d, e = n/d), lo = max(0, ceil(d/2) - e) and
 hi = d - 1 - floor(e/2), which divisor_intervals returns, skipping the
@@ -139,7 +140,8 @@ def divisor_coeff_vector(n: int) -> list[int]:
 
 def count_poly(n: int) -> LaurentPoly:
     """C_n(q) = c_{n,0} q^n + sum_i c_{n,i} (q^(n+i) + q^(n-i)), from the
-    factorizations 2n = k m with m > k and m - k odd.
+    factorizations 2n = k m with m > k and m - k odd: each odd divisor o of
+    n gives the one with {k, m} = {o, 2n/o}, as 2n/o is even.
 
     Each one is n = k(k + 2u + 1)/2 with u = (m - k - 1)/2: it puts
     s = (-1)^k at i = u (2s at q^n when u = 0) and -s at i = u + 1.  No two
@@ -149,12 +151,12 @@ def count_poly(n: int) -> LaurentPoly:
     if n < 1:
         raise ValueError("need n >= 1")
     coeffs = {}
-    for k in arith.divisors(2 * n):
-        m = 2 * n // k
-        if m <= k:
-            break
-        if (m - k) % 2 == 0:
+    for o in arith.divisors(n):
+        if o % 2 == 0:
             continue
+        k, m = o, 2 * n // o
+        if m < k:
+            k, m = m, k
         up = (m - k - 1) // 2
         s = -1 if k % 2 else 1
         for i, c in ((up, 2 * s if up == 0 else s), (up + 1, -s)):
@@ -226,15 +228,13 @@ def check_reduced_generating_identity(order: int) -> None:
     this one check covers every column through t^order.
     """
     rhs: list[dict[int, int]] = [{} for _ in range(order + 1)]
-    k = 1
-    while k * (k + 1) // 2 <= order:
+    for k in range(1, (isqrt(8 * order + 1) - 1) // 2 + 1):
         base = k * (k + 1) // 2
         sgn = 1 if k % 2 == 1 else -1
         for j, at in enumerate(range(base, order + 1, k)):
             for row in rhs[at:at + k + 1:k]:  # t^at and t^(at + k)
                 row[-j] = row.get(-j, 0) + sgn
                 row[j + 2] = row.get(j + 2, 0) - sgn
-        k += 1
     for n in range(1, order + 1):
         lhs: dict[int, int] = {}
         for a, b in reduced_runs(n):

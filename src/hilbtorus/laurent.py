@@ -2,10 +2,10 @@
 
 The counting polynomials handled here are sparse (a handful of terms spread
 over a wide exponent range), so coefficients are stored as a dict from
-exponent to nonzero integer coefficient.  C_n has O(d(2n)) terms, and the
-checks read P_n as (q - 1)^2 P_n or (1 - q^2) P_n, four terms per divisor
-run (coeffs.reduced_runs); only the dense P_n of the linking check, the
-tables and compute pn has Theta(n) terms.
+exponent to nonzero integer coefficient.  C_n has 4 terms per odd divisor
+of n, 1 fewer if n is triangular; the checks read P_n as (q - 1)^2 P_n or
+(1 - q^2) P_n, four terms per run (coeffs.reduced_runs); only the dense P_n
+of the linking check, the tables and compute pn has Theta(n) terms.
 
 A LaurentPoly is a value: the commands build, read, compare, print and
 evaluate_int one, with no arithmetic; the product and evaluate stay

@@ -29,11 +29,13 @@ script, that says why it lives, with one of these reasons:
   printed text: only the text a command prints changes, and verify
     certifies values, not their layout (Tier-1 checks it);
   gap: a check is missing, and a ROADMAP item closes it.
-The script prints each survivor with its listed reason, or UNLISTED, and
-exits 1 if the unmutated tree fails verify or any survivor is unlisted.
-It is not a Tier-1 test.
+The script prints each survivor with its listed reason, or UNLISTED, then
+each line of a swept module whose label no survivor printed, as STALE (the
+mutant is killed now, or the line has moved), and exits 1 if the unmutated
+tree fails verify, any survivor is unlisted or any line is stale.  Lines
+of modules it did not sweep are ignored.  It is not a Tier-1 test.
 
-    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py qseries.py zeta.py tables.py
+    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py qseries.py zeta.py tables.py coeffs.py
     PYTHONPATH=src python tests/mutation_sweep.py --tier1 cyclotomic.py
 """
 
@@ -191,7 +193,12 @@ def main(argv=None) -> int:
                 path.write_text(mutated)
                 print(f"          Tier-1: {OUTCOME[run(tier1, tree, 60 * timeouts[0])]}")
                 path.write_text(source)
-    return 1 if unlisted else 0
+        printed = {label for _, _, label in survivors}
+        stale = [label for label in reasons if label not in printed
+                 and label.split(":", 1)[0] in args.modules]
+        for label in stale:
+            print(f"STALE     {label} | {reasons[label]}")
+    return 1 if unlisted or stale else 0
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from math import isqrt
 
 import pytest
 
-from hilbtorus import arith, coeffs
+from hilbtorus import arith, coeffs, zeta
 from hilbtorus.coeffs import (
     CoeffTables,
     check_reduced_generating_identity,
@@ -187,7 +187,7 @@ def test_divisor_coeff_vector_matches_scalar():
 def test_count_poly_matches_per_i_reference():
     for n in range(1, 1001):
         assert count_poly(n) == count_poly_per_i(n), n
-    # a prime, a round number and 3 * 2^16 (many even divisors of 2n)
+    # a prime, a round number and 3 * 2^16 (many even divisors, skipped)
     for n in (99991, 10 ** 5, 196608):
         assert count_poly(n) == count_poly_per_i(n), n
 
@@ -197,6 +197,28 @@ def test_count_poly_collision_guard(monkeypatch):
     monkeypatch.setattr(arith, "divisors", lambda n: (1,) + divisors(n))
     with pytest.raises(AssertionError, match="collided at n=6"):
         count_poly(6)
+
+
+def test_count_poly_reads_one_factorization(monkeypatch):
+    # C_n and its zeta function ask arith about n alone, never about 2n
+    asked = set()
+    for name in ("divisors", "factorize"):
+        cached = getattr(arith, name)
+        monkeypatch.setattr(arith, name,
+                            lambda m, cached=cached: asked.add(m) or cached(m))
+    for n in range(1, 301):
+        asked.clear()
+        count_poly(n)
+        zeta.build_local_zeta(n)
+        assert asked == {n}, (n, asked)
+
+
+def test_count_poly_has_four_terms_per_odd_divisor():
+    # one fewer when n is triangular, where k(k + 1) = 2n puts 2s at q^n
+    for n in range(1, 5001):
+        odd = sum(d % 2 for d in arith.divisors(n))
+        triangular = isqrt(8 * n + 1) ** 2 == 8 * n + 1
+        assert len(list(count_poly(n).items())) == 4 * odd - triangular, n
 
 
 def test_divisor_intervals_rebuild_vector():
@@ -251,8 +273,8 @@ def test_reduced_runs_rebuild_reduced_poly():
 
 
 def test_sparse_reduced_times_square_is_count():
-    # (q - 1)^2 P_n from the divisor runs of n against C_n from the
-    # factorizations of 2n: two enumerations of different divisors, at
+    # (q - 1)^2 P_n from the divisor runs of n against C_n from the odd
+    # divisors of n: two enumerations of different divisors, at
     # every n <= 2000 and at large n with many divisors or few
     for n in (*range(1, 2001), 10 ** 12, 2 ** 40, 720720 * 10 ** 6,
               3 ** 25, 5 ** 17):
