@@ -21,10 +21,10 @@ from them, and the reduced generating identity reads the runs times
 1 - q^2.  Only the linking check, the tables and compute pn read the
 dense P_n.
 Every route here reads the divisors from arith.divisors, whose small
-cache builds one n's list once however many routes ask.
-trapezoidal_k is the per-i scalar form, and closed_form_row is C_n's row
-read off it, one probe per i; it is kept as the independent check of
-count_poly's enumerator.
+cache builds one n's list once however many routes ask.  count_poly's
+independent checks are the master product (verify's coeffs suite) and
+(q - 1)^2 P_n from the runs; the per-i closed form, one trapezoidal probe
+per i, is a test reference.
 """
 
 from __future__ import annotations
@@ -37,38 +37,6 @@ from typing import NamedTuple
 from .errors import expect, expect_rows
 from .laurent import LaurentPoly, _raw
 from . import arith
-
-
-def trapezoidal_k(n: int, i: int) -> int | None:
-    """The k >= 1 with n = k(k + 2i + 1)/2, if one exists.
-
-    Such n are the sums (i+1) + (i+2) + ... + (i+k); at most one k fits.
-    """
-    if n < 1 or i < 0:
-        raise ValueError("need n >= 1 and i >= 0")
-    disc = 8 * n + (2 * i + 1) ** 2
-    s = isqrt(disc)
-    if s * s != disc:
-        return None
-    k = (s - 2 * i - 1) // 2
-    if k >= 1 and k * (k + 2 * i + 1) == 2 * n:
-        return k
-    return None
-
-
-def closed_form_row(n: int) -> list[int]:
-    """[c_{n,0}, ..., c_{n,n}] from the sign row s(j) = (-1)^k when
-    n = k(k + 2j + 1)/2, else 0, for j = 0..n: c_{n,0} = 2 s(0) and
-    c_{n,i} = s(i) - s(i - 1) for i >= 1.  The two terms of c_{n,i} never
-    fire together, which the code asserts rather than assumes.
-    """
-    ks = [trapezoidal_k(n, j) for j in range(n + 1)]
-    s = [0 if k is None else 1 - 2 * (k % 2) for k in ks]
-    for i in range(1, n + 1):
-        if s[i] and s[i - 1]:
-            raise AssertionError(f"trapezoidal cases collided at n={n}, "
-                                 f"i={i}: k={ks[i]} and k={ks[i - 1]}")
-    return [2 * s[0]] + [s[i] - s[i - 1] for i in range(1, n + 1)]
 
 
 def divisor_intervals(n: int) -> list[tuple[int, int]]:
@@ -146,7 +114,7 @@ def count_poly(n: int) -> LaurentPoly:
     Each one is n = k(k + 2u + 1)/2 with u = (m - k - 1)/2: it puts
     s = (-1)^k at i = u (2s at q^n when u = 0) and -s at i = u + 1.  No two
     factorizations may land on the same i, which the code asserts rather
-    than assumes, as closed_form_row does.
+    than assumes.
     """
     if n < 1:
         raise ValueError("need n >= 1")

@@ -36,12 +36,8 @@ class ZetaRational(NamedTuple):
 
     def pretty(self) -> str:
         """Display like (1 - q t)(1 - q^2 t) / ((1 - t)(1 - q^3 t)^2)."""
-        num, den = [], []
-        for e, m in self.factors:
-            base = ("(1 - t)" if e == 0 else "(1 - q t)" if e == 1
-                    else f"(1 - q^{e} t)")
-            text = base if abs(m) == 1 else f"{base}^{abs(m)}"
-            (den if m > 0 else num).append(text)
+        den, num = self._split(lambda e: ("(1 - t)" if e == 0 else "(1 - q t)"
+                                          if e == 1 else f"(1 - q^{e} t)"))
         top = "".join(num) or "1"
         if not den:
             return top
@@ -52,15 +48,20 @@ class ZetaRational(NamedTuple):
         """Display zeta_H(s) = prod_s0 zeta(s - s0)^m(s0), the product of
         shifted Riemann zetas with the local multiplicities (s0 = e), like
         zeta(s) zeta(s - 2) / zeta(s - 1)^2."""
-        num, den = [], []
-        for s0, m in self.factors:
-            base = "zeta(s)" if s0 == 0 else f"zeta(s - {s0})"
-            text = base if abs(m) == 1 else f"{base}^{abs(m)}"
-            (num if m > 0 else den).append(text)
+        num, den = self._split(
+            lambda s0: "zeta(s)" if s0 == 0 else f"zeta(s - {s0})")
         top = " ".join(num) or "1"
         if not den:
             return top
         return f"{top} / {' '.join(den)}"
+
+    def _split(self, base) -> tuple[list[str], list[str]]:
+        """Each factor as base(e) or base(e)^|m|, split into m > 0 and m < 0."""
+        positive, negative = [], []
+        for e, m in self.factors:
+            text = base(e) if abs(m) == 1 else f"{base(e)}^{abs(m)}"
+            (positive if m > 0 else negative).append(text)
+        return positive, negative
 
 
 def build_local_zeta(n: int) -> ZetaRational:

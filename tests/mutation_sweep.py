@@ -1,25 +1,29 @@
-"""Mutation sweep: which code in src/hilbtorus can change and no check notice?
+"""Mutation sweep: which code in src/hilbtorus can change and no check notice,
+and which identities of verify catch the rest?
 
 Each mutant makes one change in one module: it flips one operator (+ and -,
 * and //, / to *, < and <=, > and >=, == and !=) or adds 1 to one int
 constant.  The sweep copies the tree to a temporary directory once, writes
 each mutant into the copy (never into this checkout) and runs
 
-    python -m hilbtorus verify --max-n 120 --order 200
+    hilbtorus verify --max-n 120 --order 200
+    hilbtorus verify --suite qseries --order 169
+    hilbtorus verify --suite arith --max-n 400
 
-on it in a fresh process, one process at a time, and each mutant that
-passes once more at
-
-    python -m hilbtorus verify --suite qseries --order 169
-
-an order at which the top coefficients of the psi series and of the
-shifted phi/psi blocks are nonzero (at 200 and at the default 2000 they
-are zero).  Each run has a timeout of ten times the unmutated run of the
-same command (at least 5 s).  The two commands are fixed: the survivor list
-holds at them and at no others.  A mutant that makes either exit nonzero
-is killed; one that runs past a timeout is hung; one that passes both
-survives.  With --tier1 each survivor is run again against Tier-1 (pytest
-in the copy).
+on it through cli.main, all three in one fresh process per mutant, one
+process at a time: 169 is an order at which the top coefficients of the psi
+series and of the shifted phi/psi blocks are nonzero (at 200 and at the
+default 2000 they are zero), and below 400 trial division reaches the
+primes 11, 13, 17 and 19, whose squares 121 to 361 exceed 120.  In that
+process expect and expect_rows are wrapped where errors, verify, coeffs and
+zeta bind them, so that a failed identity is recorded and the suite goes
+on, and run_suites is wrapped to record the type of any other exception
+per suite.  The run has a timeout of ten times the unmutated run (at least
+5 s).  The three commands are fixed: the survivor list and the kill table
+hold at them and at no others.  A mutant that fails an identity or raises
+is killed, and the script prints what caught it; one that runs past the
+timeout is hung; one that passes survives.  With --tier1 each survivor is
+run again against Tier-1 (pytest in the copy).
 
 Every survivor should have a line in mutation_survivors.txt, beside this
 script, that says why it lives, with one of these reasons:
@@ -31,16 +35,28 @@ script, that says why it lives, with one of these reasons:
   gap: a check is missing, and a ROADMAP item closes it.
 The script prints each survivor with its listed reason, or UNLISTED, then
 each line of a swept module whose label no survivor printed, as STALE (the
-mutant is killed now, or the line has moved), and exits 1 if the unmutated
-tree fails verify, any survivor is unlisted or any line is stale.  Lines
-of modules it did not sweep are ignored.  It is not a Tier-1 test.
+mutant is killed now, or the line has moved).  Lines of modules it did not
+sweep are ignored.
 
-    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py qseries.py zeta.py tables.py coeffs.py
+Then it prints the kill table, one line per identity:
+
+    identity | kills | unique kills | where the unique kills are
+
+where a kill is a mutant that the identity fails on, and a unique kill is
+one that no other identity and no exception catches.  The table counts the
+mutants of all nine modules, so only a sweep of all nine compares it with
+identity_kills.txt, beside this script, which adds why each identity
+stays; a line that differs is printed as DIFFERS.  The script exits 1 if
+the unmutated tree fails verify, or if any survivor is unlisted, any line
+is stale or any table line differs.  It is not a Tier-1 test.
+
+    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py qseries.py zeta.py tables.py coeffs.py arith.py rootvalues.py
     PYTHONPATH=src python tests/mutation_sweep.py --tier1 cyclotomic.py
 """
 
 import argparse
 import ast
+import json
 import os
 import resource
 import shutil
@@ -52,16 +68,59 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SURVIVORS = Path(__file__).with_name("mutation_survivors.txt")
+KILLS = Path(__file__).with_name("identity_kills.txt")
+# the modules that identity_kills.txt counts the mutants of
+MODULES = {"laurent.py", "series.py", "cyclotomic.py", "qseries.py", "zeta.py",
+           "tables.py", "coeffs.py", "arith.py", "rootvalues.py"}
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
           ast.Div: "/", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
           ast.Eq: "==", ast.NotEq: "!="}
 FLIP = {"+": "-", "-": "+", "*": "//", "//": "*", "/": "*", "<": "<=",
         "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "=="}
 OUTCOME = {"fail": "killed", "hung": "hung", "pass": "survived"}
-# what each mutant runs, in turn, until one run fails or hangs
+# the verify commands that each mutant runs
 CHECKS = (["verify", "--max-n", "120", "--order", "200"],
-          ["verify", "--suite", "qseries", "--order", "169"])
+          ["verify", "--suite", "qseries", "--order", "169"],
+          ["verify", "--suite", "arith", "--max-n", "400"])
 MEMORY_LIMIT = 1 << 30  # bytes of address space per run
+# run the argv lists of sys.argv[1] through cli.main, recording every
+# identity checked, every identity failed and, per suite, the type of any
+# other exception; print the three as one JSON list
+CHILD = """
+import contextlib, io, json, sys
+seen, failed, raised = set(), set(), set()
+
+def recording(check):
+    def recorded(identity, *args):
+        seen.add(identity)
+        try:
+            check(identity, *args)
+        except errors.VerificationError:
+            failed.add(identity)
+    return recorded
+
+def recording_suites(run_suites):
+    def recorded(*args, **kwargs):
+        results = run_suites(*args, **kwargs)
+        raised.update(f"{r.name}: {r.detail.split(':', 1)[0]}"
+                      for r in results if not r.ok)
+        return results
+    return recorded
+
+try:
+    from hilbtorus import cli, coeffs, errors, verify, zeta
+    for module in (errors, verify, coeffs, zeta):
+        for name in ("expect", "expect_rows"):
+            if hasattr(module, name):
+                setattr(module, name, recording(getattr(module, name)))
+    verify.run_suites = recording_suites(verify.run_suites)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for argv in json.loads(sys.argv[1]):
+            cli.main(argv)
+except Exception as exc:
+    raised.add(f"verify: {type(exc).__name__}")
+print(json.dumps([sorted(seen), sorted(failed), sorted(raised)]))
+"""
 
 
 def _edits(tree, offset):
@@ -125,15 +184,54 @@ def _limit_memory():
 
 
 def run(cmd, tree, timeout):
-    """'pass', 'fail' or 'hung' for cmd run in tree with tree/src on the path."""
+    """('pass', 'fail' or 'hung', stdout) for cmd run in tree with tree/src
+    on the path."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     try:
-        done = subprocess.run(cmd, cwd=tree, env=env, timeout=timeout,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        done = subprocess.run(cmd, cwd=tree, env=env, timeout=timeout, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
                               preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
-        return "hung"
-    return "pass" if done.returncode == 0 else "fail"
+        return "hung", ""
+    return ("pass" if done.returncode == 0 else "fail"), done.stdout
+
+
+def run_checks(tree, timeout):
+    """(outcome, identities seen, what caught the mutant) for CHILD run on
+    CHECKS: the failed identities, then the exceptions as "suite: type"."""
+    cmd = [sys.executable, "-c", CHILD, json.dumps(CHECKS)]
+    outcome, out = run(cmd, tree, timeout)
+    if outcome == "hung":
+        return outcome, [], []
+    try:
+        seen, failed, raised = json.loads(out)
+    except ValueError:
+        return "fail", [], ["child: no report"]
+    return ("fail" if failed or raised else "pass"), seen, failed + raised
+
+
+def kill_table(caught, identities):
+    """{identity: "kills | unique kills | where"} from caught, a list of
+    (label, what caught it): a unique kill is caught by the identity alone,
+    and "where" lists the module:line of each, "-" if none."""
+    table = {}
+    for identity in identities:
+        kills = [label for label, catchers in caught if identity in catchers]
+        unique = [label for label, catchers in caught if catchers == [identity]]
+        lines = sorted({tuple(label.split(":")[:2]) for label in unique},
+                       key=lambda at: (at[0], int(at[1])))
+        where = " ".join(f"{module}:{line}" for module, line in lines) or "-"
+        table[identity] = f"{len(kills)} | {len(unique)} | {where}"
+    return table
+
+
+def committed_kills():
+    """identity -> "kills | unique kills | where" from identity_kills.txt,
+    whose lines add " | reason"."""
+    lines = KILLS.read_text().splitlines() if KILLS.exists() else []
+    rows = (line.split(" | ") for line in lines
+            if line.strip() and not line.startswith("#"))
+    return {identity: " | ".join(counts) for identity, *counts, _reason in rows}
 
 
 def listed_reasons():
@@ -151,36 +249,33 @@ def main(argv=None) -> int:
     parser.add_argument("--tier1", action="store_true",
                         help="re-run each survivor against Tier-1")
     args = parser.parse_args(argv)
-    checks = [[sys.executable, "-m", "hilbtorus", *check] for check in CHECKS]
     tier1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
     reasons = listed_reasons()
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=shutil.ignore_patterns(
             ".git", "__pycache__", ".pytest_cache", ".hypothesis"))
-        timeouts = []
-        for check in checks:
-            start = time.perf_counter()
-            if run(check, tree, None) != "pass":
-                print("the unmutated tree fails verify")
-                return 1
-            timeouts.append(max(5.0, 10 * (time.perf_counter() - start)))
-        survivors, unlisted = [], 0
+        start = time.perf_counter()
+        outcome, identities, _ = run_checks(tree, None)
+        if outcome != "pass":
+            print("the unmutated tree fails verify")
+            return 1
+        timeout = max(5.0, 10 * (time.perf_counter() - start))
+        survivors, caught, unlisted = [], [], 0
         for module in args.modules:
             path = tree / "src" / "hilbtorus" / module
             source = path.read_text()
             tally = dict.fromkeys(OUTCOME, 0)
             for label, mutated in mutants(source, module):
                 path.write_text(mutated)
-                for check, timeout in zip(checks, timeouts):
-                    outcome = run(check, tree, timeout)
-                    if outcome != "pass":
-                        break
+                outcome, _, catchers = run_checks(tree, timeout)
                 tally[outcome] += 1
                 if outcome == "pass":
                     survivors.append((path, mutated, label))
                 else:
-                    print(f"{OUTCOME[outcome]:<9} {label}")
+                    caught.append((label, catchers))
+                    by = f" | {'; '.join(catchers)}" if catchers else ""
+                    print(f"{OUTCOME[outcome]:<9} {label}{by}")
             path.write_text(source)
             print(f"{module}: {sum(tally.values())} mutants, {tally['fail']} killed, "
                   f"{tally['hung']} hung, {tally['pass']} survived")
@@ -191,15 +286,26 @@ def main(argv=None) -> int:
             if args.tier1:
                 source = path.read_text()
                 path.write_text(mutated)
-                print(f"          Tier-1: {OUTCOME[run(tier1, tree, 60 * timeouts[0])]}")
+                print(f"          Tier-1: {OUTCOME[run(tier1, tree, 60 * timeout)[0]]}")
                 path.write_text(source)
         printed = {label for _, _, label in survivors}
         stale = [label for label in reasons if label not in printed
                  and label.split(":", 1)[0] in args.modules]
         for label in stale:
             print(f"STALE     {label} | {reasons[label]}")
-    return 1 if unlisted or stale else 0
-
+    table = kill_table(caught, identities)
+    for identity, counts in table.items():
+        print(f"{identity} | {counts}")
+    differs = []
+    if set(args.modules) == MODULES:
+        committed = committed_kills()
+        differs = [identity for identity in {*table, *committed}
+                   if table.get(identity) != committed.get(identity)]
+        for identity in sorted(differs):
+            print(f"DIFFERS   {identity} | {committed.get(identity, 'no line')}")
+    else:
+        print("kill table not compared: identity_kills.txt counts all nine modules")
+    return 1 if unlisted or stale or differs else 0
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -11,6 +11,7 @@ import time
 from hilbtorus import coeffs, rootvalues, tables, verify, zeta
 from hilbtorus.laurent import LaurentPoly
 
+from coeffs_reference import closed_form_row, trapezoidal_k
 from test_coeffs import FROZEN_C, FROZEN_P
 from test_tables import ABS_ROOT_ROWS, C_AT_MINUS_ONE, REDUCED_COLUMNS, SECTION_ROWS
 from zeta_reference import denominator_exponents, numerator_exponents
@@ -100,7 +101,7 @@ def test_criterion_7_property_suite():
         for n in range(1, 1001):
             vec = coeffs.divisor_coeff_vector(n)
             assert all(v >= 0 for v in vec), n
-            table = coeffs.CoeffTables(n, tuple(coeffs.closed_form_row(n)),
+            table = coeffs.CoeffTables(n, tuple(closed_form_row(n)),
                                        tuple(vec))
             assert abs(table.c[0]) in (0, 2), n
             assert all(abs(c) <= 1 for c in table.c[1:]), n
@@ -111,7 +112,7 @@ def test_criterion_7_property_suite():
 
         # the two trapezoidal cases never coincide (the closed form asserts)
         for n in range(1, 10001):
-            ks = [coeffs.trapezoidal_k(n, j) for j in range(101)]
+            ks = [trapezoidal_k(n, j) for j in range(101)]
             for i in range(1, 101):
                 assert ks[i] is None or ks[i - 1] is None, (n, i)
 

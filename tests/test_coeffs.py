@@ -3,33 +3,33 @@
 The twelve smallest count polynomials and their reduced forms are frozen
 here verbatim; everything else (the divisor enumerators, the generating
 identity, linking relations) is checked against those or against the
-closed-form row, which also builds the per-i reference polynomial below.
-divisor_intervals is also checked against the clipped loop it replaced, its
-a_(n,i) against the per-i interval count of coeffs_reference, and C_n(p)
-against the number of ideals counted by linear algebra over F_p.
+closed-form row of coeffs_reference, which also builds the per-i reference
+polynomial below.  divisor_intervals is also checked against the clipped
+loop it replaced, its a_(n,i) against the per-i interval count of
+coeffs_reference, and C_n(p) against the number of ideals counted by
+linear algebra over F_p.
 """
 
 from math import isqrt
 
 import pytest
 
-from hilbtorus import arith, coeffs, zeta
+from hilbtorus import arith, zeta
 from hilbtorus.coeffs import (
     CoeffTables,
     check_reduced_generating_identity,
-    closed_form_row,
     count_poly,
     divisor_coeff_vector,
     divisor_intervals,
     reduced_poly,
     reduced_runs,
     reduced_times_square,
-    trapezoidal_k,
 )
 from hilbtorus.errors import VerificationError
 from hilbtorus.laurent import LaurentPoly
 
-from coeffs_reference import divisor_coeff
+import coeffs_reference
+from coeffs_reference import closed_form_row, divisor_coeff, trapezoidal_k
 from ideal_count_reference import ideal_count
 from test_mutations import check_row
 
@@ -155,8 +155,8 @@ def test_offcentral_cases_never_collide():
 def test_closed_form_row_collision_guard(monkeypatch):
     # 6 = 1 + 2 + 3 puts k = 3 at j = 0; a false k = 1 at j = 1 sits next
     # to it, so both terms of c_(6,1) fire
-    real = coeffs.trapezoidal_k
-    monkeypatch.setattr(coeffs, "trapezoidal_k",
+    real = coeffs_reference.trapezoidal_k
+    monkeypatch.setattr(coeffs_reference, "trapezoidal_k",
                         lambda n, j: 1 if (n, j) == (6, 1) else real(n, j))
     with pytest.raises(AssertionError,
                        match="collided at n=6, i=1: k=1 and k=3"):

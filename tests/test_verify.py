@@ -79,21 +79,6 @@ def test_expect_rows_fails_rows_of_different_lengths():
     assert (info.value.index, info.value.got, info.value.want) == ("t^1", 9, 2)
 
 
-def test_offcentral_coeff_mid_row_fails_coeffs(monkeypatch):
-    check_row(monkeypatch, "c_(n,i): divisor enumerator vs per-i closed form")
-
-
-def test_coeffs_probes_each_trapezoid_once(monkeypatch):
-    # closed_form_row probes trapezoidal_k once per 0 <= i <= n, so the
-    # rows of n <= 12 make 2 + 3 + ... + 13 = 90 calls
-    calls = []
-    real = coeffs.trapezoidal_k
-    monkeypatch.setattr(coeffs, "trapezoidal_k",
-                        lambda n, i: calls.append(n) or real(n, i))
-    verify.verify_coeffs(12)
-    assert len(calls) == 90
-
-
 def test_linking_entry_fails_coeffs(monkeypatch):
     check_row(monkeypatch, "c_(n,i) vs second difference of a_(n,i)")
 
