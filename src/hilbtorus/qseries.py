@@ -166,8 +166,7 @@ def psi_series(scale: int, order: int) -> TruncatedSeries:
 # -- eta quotients ---------------------------------------------------------
 
 # eta-quotient forms of the root products of orders 3 and 6, the only
-# other forms of those two products verify checks, as ((scale, exp), ...);
-# orders 2 and 4 have theta-series forms instead
+# other forms of those two products verify checks, as ((scale, exp), ...)
 ROOT_ETA_SPECS = {
     3: ((1, 3), (3, -1)),
     6: ((1, 1), (2, 1), (3, 1), (6, -1)),

@@ -24,12 +24,6 @@ from .errors import VerificationError, expect, expect_rows
 from .series import TruncatedSeries
 
 
-def _require_series_equal(got: TruncatedSeries, want: TruncatedSeries,
-                          what: str) -> None:
-    expect(what, "order", got.order, want.order)
-    expect_rows(what, lambda n: f"t^{n}", got.coeffs, want.coeffs)
-
-
 # -- suites ----------------------------------------------------------------
 
 def verify_coeffs(max_n: int = 300) -> str:
@@ -95,41 +89,41 @@ def verify_zeta(max_n: int = 100) -> str:
 
 
 def verify_qseries(order: int = 2000) -> str:
-    """The generating-function identities: Gauss's product against the
-    theta series phi(-q), and phi(-q)^2 against the order-2 root product,
-    the eta-quotient forms of the order-3 and order-6 root products, the
-    phi/psi expressions for the order-4 sequence and its absolute values,
-    and the four-way multisection of the order-4 sequence as a series identity,
+    """The generating-function identities, each one row of coefficients
+    t^0..t^order: Gauss's product against the theta series phi(-q), the
+    eta-quotient forms of the order-3 and order-6 root products, phi(q)
+    phi(q^2) against the absolute values of the order-4 sequence, and the
+    four-way multisection of the order-4 sequence as a series identity,
     B_0 - 2t B_1 - 2t^2 B_2 + 4t^3 B_3, each block B_j a product of phi and
     psi at t^4, t^8 and t^16, so nonnegative and supported on the exponents
-    4k by construction.  phi(q) = phi(q^4) + 2q psi(q^8), its split into
-    even and odd squares, is not checked on its own: a fault in phi or psi
-    at t^4, t^8 or t^16 fails the recombination."""
+    4k by construction.  The order-2 and order-4 root products' theta forms
+    phi(-q)^2 and phi(-q) phi(-q^2) are the lattice counts r(n) and r'(n)
+    with signs, which the roots suite and the arith sweeps certify, so they
+    are not checked again here; nor is phi(q) = phi(q^4) + 2q psi(q^8): a
+    fault in phi or psi at t^4, t^8 or t^16 fails the recombination."""
+    def at(n):
+        return f"t^{n}"
+
     phi, psi = qseries.phi_series, qseries.psi_series
-    theta = phi(1, order, True)
-    _require_series_equal(qseries.gauss_series(order), theta,
-                          "Gauss product vs theta sum")
-    rp = {d: qseries.expand_root_product(d, order)
-          for d in rootvalues.ROOT_ORDERS}
-    _require_series_equal(theta * theta, rp[2],
-                          "theta-square vs order-2 root product")
+    expect_rows("Gauss product vs theta sum", at,
+                qseries.gauss_series(order).coeffs, phi(1, order, True).coeffs)
+    rp = {d: qseries.expand_root_product(d, order).coeffs for d in (3, 4, 6)}
     for d, spec in qseries.ROOT_ETA_SPECS.items():
-        _require_series_equal(qseries.eta_quotient_series(spec, order),
-                              rp[d], f"eta quotient vs root product, d={d}")
-    abs4 = TruncatedSeries(order, [abs(c) for c in rp[4].coeffs])
-    _require_series_equal(theta * phi(2, order, True), rp[4],
-                          "phi(-q) phi(-q^2) vs order-4 root product")
-    _require_series_equal(phi(1, order) * phi(2, order), abs4,
-                          "phi(q) phi(q^2) vs absolute order-4 sequence")
+        expect_rows(f"eta quotient vs root product, d={d}", at,
+                    qseries.eta_quotient_series(spec, order).coeffs, rp[d])
+    # built as a series, so that the constructor's padding is checked too
+    abs4 = TruncatedSeries(order, [abs(c) for c in rp[4]])
+    expect_rows("phi(q) phi(q^2) vs absolute order-4 sequence", at,
+                (phi(1, order) * phi(2, order)).coeffs, abs4.coeffs)
     blocks = (
         phi(4, order) * phi(8, order),
         psi(8, order) * phi(8, order),
         psi(16, order) * phi(4, order),
         psi(8, order) * psi(16, order),
     )
-    _require_series_equal(
-        blocks[0] - 2 * blocks[1].shift(1) - 2 * blocks[2].shift(2)
-        + 4 * blocks[3].shift(3), rp[4], "multisection recombination, signed")
+    expect_rows("multisection recombination, signed", at,
+                (blocks[0] - 2 * blocks[1].shift(1) - 2 * blocks[2].shift(2)
+                 + 4 * blocks[3].shift(3)).coeffs, rp[4])
     return (f"order {order}: Gauss identity, eta quotients, phi/psi "
             f"identities and multisection recombination all hold")
 
@@ -183,7 +177,7 @@ def verify_sections(max_n: int = 1000) -> str:
     n on its divisor runs: its values at the roots of unity against a_d(n)
     through the reduced-polynomial relation, then its section sums against
     the closed section formulas in sigma, r, r', r'' and lambda."""
-    ds, ks = rootvalues.ROOT_ORDERS, rootvalues.SECTION_KS
+    ds = rootvalues.ROOT_ORDERS
     factors = [qseries.ROOT_TRACE[d] - 2 for d in ds]  # w + 1/w - 2
     for n in range(1, max_n + 1):
         by12 = coeffs.reduced_residue_sums(n)
@@ -193,11 +187,13 @@ def verify_sections(max_n: int = 1000) -> str:
                     lambda p: f"n={n}, d={ds[p]}",
                     [f * pn_at[d] for f, d in zip(factors, ds)],
                     [seqs[d] for d in ds])
-        direct = rootvalues.section_direct(by12)
+        # whole rows: section_formulas writes its keys literally, and
+        # section_direct reads them off SECTION_KS
         formulas = rootvalues.section_formulas(n)
         expect_rows("s_k(n): divisor runs vs closed formula",
-                    lambda p: f"n={n}, k={ks[p]}",
-                    [direct[k] for k in ks], [formulas[k] for k in ks])
+                    lambda p: f"n={n}, k={list(formulas)[p]}",
+                    list(rootvalues.section_direct(by12).values()),
+                    list(formulas.values()))
     return (f"n <= {max_n}: reduced-polynomial relation holds for d in 2, 3, "
             "4, 6; direct and closed-form sections agree for k in 1, 2, 3, 4, 6")
 

@@ -44,13 +44,14 @@ Then it prints the kill table, one line per identity:
 
 where a kill is a mutant that the identity fails on, and a unique kill is
 one that no other identity and no exception catches.  The table counts the
-mutants of all nine modules, so only a sweep of all nine compares it with
-identity_kills.txt, beside this script, which adds why each identity
-stays; a line that differs is printed as DIFFERS.  The script exits 1 if
-the unmutated tree fails verify, or if any survivor is unlisted, any line
-is stale or any table line differs.  It is not a Tier-1 test.
+mutants of all nine modules in MODULES, which the script sweeps when it is
+named no module, so only such a sweep compares it with identity_kills.txt,
+beside this script, which adds why each identity stays; a line that
+differs is printed as DIFFERS.  The script exits 1 if the unmutated tree
+fails verify, or if any survivor is unlisted, any line is stale or any
+table line differs.  It is not a Tier-1 test.
 
-    PYTHONPATH=src python tests/mutation_sweep.py laurent.py series.py cyclotomic.py qseries.py zeta.py tables.py coeffs.py arith.py rootvalues.py
+    PYTHONPATH=src python tests/mutation_sweep.py
     PYTHONPATH=src python tests/mutation_sweep.py --tier1 cyclotomic.py
 """
 
@@ -69,9 +70,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 SURVIVORS = Path(__file__).with_name("mutation_survivors.txt")
 KILLS = Path(__file__).with_name("identity_kills.txt")
-# the modules that identity_kills.txt counts the mutants of
-MODULES = {"laurent.py", "series.py", "cyclotomic.py", "qseries.py", "zeta.py",
-           "tables.py", "coeffs.py", "arith.py", "rootvalues.py"}
+# the modules swept by default, whose mutants identity_kills.txt counts
+MODULES = ("laurent.py", "series.py", "cyclotomic.py", "qseries.py", "zeta.py",
+           "tables.py", "coeffs.py", "arith.py", "rootvalues.py")
 SYMBOL = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.FloorDiv: "//",
           ast.Div: "/", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=",
           ast.Eq: "==", ast.NotEq: "!="}
@@ -245,7 +246,8 @@ def listed_reasons():
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("modules", nargs="+", help="file names under src/hilbtorus")
+    parser.add_argument("modules", nargs="*", default=MODULES,
+                        help="file names under src/hilbtorus (default: all nine)")
     parser.add_argument("--tier1", action="store_true",
                         help="re-run each survivor against Tier-1")
     args = parser.parse_args(argv)
@@ -297,7 +299,7 @@ def main(argv=None) -> int:
     for identity, counts in table.items():
         print(f"{identity} | {counts}")
     differs = []
-    if set(args.modules) == MODULES:
+    if set(args.modules) == set(MODULES):
         committed = committed_kills()
         differs = [identity for identity in {*table, *committed}
                    if table.get(identity) != committed.get(identity)]

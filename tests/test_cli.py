@@ -14,7 +14,8 @@ that compute prints, for single indices and a range of every kind, is
 checked byte for byte against json.dumps(..., indent=2) of the Python that
 runs the tests, and its decoded values against the library's answers; the
 writer is also checked that way on synthetic rows of every record shape.
-Four subprocess tests check that importing the cli builds no parser and
+compute pn's limit is checked on both sides of 10^6, written out, and
+table and verify must accept --max-n 1.  Four subprocess tests check that importing the cli builds no parser and
 loads neither fractions nor decimal, that importing every module loads
 neither dataclasses nor inspect (the package needs none of them, and each
 slows every start), and that canonical compute requests, pretty and JSON,
@@ -44,7 +45,8 @@ import pytest
 import hilbtorus
 from hilbtorus import arith, cli, coeffs, rootvalues, verify, zeta
 from hilbtorus.arith import r2
-from hilbtorus.cli import COMPUTE_KINDS, PN_MAX_N, main
+from hilbtorus.cli import COMPUTE_KINDS, main
+from hilbtorus.laurent import LaurentPoly
 
 
 def run(capsys, *argv):
@@ -186,7 +188,8 @@ def test_compute_range_error_keeps_the_indices_before_it(capsys, monkeypatch, fm
     assert err == "compute ad: a_6(7): 5 is not divisible by 4\n"
 
 
-@pytest.mark.parametrize("n", [str(PN_MAX_N + 1), f"1..{PN_MAX_N + 1}"])
+# the limit is written out, so that a change to PN_MAX_N fails here
+@pytest.mark.parametrize("n", ["1000001", "1..1000001"])
 def test_compute_pn_above_limit_exits_2(capsys, monkeypatch, n):
     def never(n):
         raise AssertionError("compute pn built P_n above its limit")
@@ -195,8 +198,21 @@ def test_compute_pn_above_limit_exits_2(capsys, monkeypatch, n):
     code, out, err = run(capsys, "compute", "pn", n)
     assert code == 2
     assert out == ""
-    assert err == (f"compute pn: n = {PN_MAX_N + 1} is above the limit "
-                   f"{PN_MAX_N}: P_n has 2n - 1 coefficients\n")
+    assert err == ("compute pn: n = 1000001 is above the limit 1000000: P_n "
+                   "has 2n - 1 coefficients\n")
+
+
+def test_compute_pn_at_the_limit_passes_its_check(capsys, monkeypatch):
+    # P_n is not built: a one-term stand-in takes its place
+    monkeypatch.setattr(coeffs, "reduced_poly", lambda n: LaurentPoly({n - 1: 1}))
+    assert run(capsys, "compute", "pn", "1000000") == (0, "q^999999\n", "")
+
+
+@pytest.mark.parametrize("argv", [["table", "1", "--max-n", "1"],
+                                  ["verify", "--suite", "arith", "--max-n", "1"]])
+def test_max_n_of_one_is_accepted(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
 
 
 def test_compute_cn_at_a_billion(capsys):

@@ -14,12 +14,13 @@ suite without a row fails here, and the count of each is pinned.  The
 number of identities README says verify certifies must be the number of
 rows, so that it cannot drift from the suites, and identity_kills.txt, the
 kill table of tests/mutation_sweep.py, must give each identity its line
-and a reason to stay; only the five identities named in CANDIDATES may
-stay as candidates.
+and a reason to stay; one that stays only because perfbench/spans.py
+wraps the code it alone runs ("goes with item 4") must name that code.
 
 RETIRED keeps the rows of the identities that verify no longer certifies,
 because the kill matrix showed that another check catches every fault
-they caught outside their own checking code: each row's fault must now be
+they caught outside their own checking code: each row's fault, in code
+the retired identity read and a remaining one still reads, must now be
 caught first by the identity that took it over.
 """
 
@@ -36,6 +37,7 @@ from hilbtorus.errors import VerificationError, expect, expect_rows
 from hilbtorus.series import TruncatedSeries
 
 from laurent_ring import Poly
+from test_perfbench_spans import spans
 
 
 def bump(monkeypatch, module, name, at, by=1):
@@ -181,17 +183,11 @@ ROWS = [
     # -- qseries
     Row("Gauss product vs theta sum", "t^7", 1, 0, suite("qseries", 40),
         lambda mp: bump_entry(mp, qseries, "gauss_series", (40,), 7)),
-    Row("theta-square vs order-2 root product", "t^9", -4, -3,
-        suite("qseries", 40),
-        lambda mp: bump_entry(mp, qseries, "expand_root_product", (2, 40), 9)),
     *(Row(f"eta quotient vs root product, d={d}", "t^17", got, got - 1,
           suite("qseries", 40),
           lambda mp, spec=spec: bump_entry(mp, qseries, "eta_quotient_series",
                                            (spec, 40), 17))
       for (d, spec), got in zip(qseries.ROOT_ETA_SPECS.items(), (1, 5))),
-    Row("phi(-q) phi(-q^2) vs order-4 root product", "t^8", 3, 2,
-        suite("qseries", 40),
-        lambda mp: bump_entry(mp, qseries, "phi_series", (2, 40, True), 8)),
     Row("phi(q) phi(q^2) vs absolute order-4 sequence", "t^8", 3, 2,
         suite("qseries", 40),
         lambda mp: bump_entry(mp, qseries, "phi_series", (2, 40), 8)),
@@ -261,6 +257,18 @@ RETIRED = {
         "multisection recombination, signed", "t^16", 3, 2,
         suite("qseries", 40),
         lambda mp: bump_entry(mp, qseries, "phi_series", (4, 40), 16)),
+    # a_2(9) = -r(9) = -4 moved to -3 in the order-2 root product, which the
+    # retired identity compared with phi(-q)^2
+    "theta-square vs order-2 root product": Row(
+        "a_d(n): product expansion vs closed form", "n=9, d=2", -3, -4,
+        suite("roots", 40),
+        lambda mp: bump_entry(mp, qseries, "expand_root_product", (2, 40), 9)),
+    # a_4(8) = r'(8) = 2 moved to 3 in the order-4 root product, which the
+    # retired identity compared with phi(-q) phi(-q^2)
+    "phi(-q) phi(-q^2) vs order-4 root product": Row(
+        "phi(q) phi(q^2) vs absolute order-4 sequence", "t^8", 2, 3,
+        suite("qseries", 40),
+        lambda mp: bump_entry(mp, qseries, "expand_root_product", (4, 40), 8)),
 }
 
 
@@ -320,7 +328,7 @@ def test_every_identity_has_a_row(checks):
 
 # positions at max_n=20, order=40: one per n of a per-n law, n + 1 per n of
 # a row over c_(n,0..n), 4 or 5 per n of a row over the roots or the
-# sections, order + 2 per series identity (its order and t^0..t^order), one
+# sections, order + 1 per series identity (t^0..t^order), one
 # more for each table's first identity (its n column); every suite checks
 # every n up to its one size
 POSITIONS_AT_20_40 = {
@@ -333,13 +341,11 @@ POSITIONS_AT_20_40 = {
     '(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)': 80,
     'functional-equation certificate (palindromic, sum m(e), m(n) mod 2)': 20,
     'zeta log-derivative vs point count': 20,
-    'Gauss product vs theta sum': 42,
-    'theta-square vs order-2 root product': 42,
-    'eta quotient vs root product, d=3': 42,
-    'eta quotient vs root product, d=6': 42,
-    'phi(-q) phi(-q^2) vs order-4 root product': 42,
-    'phi(q) phi(q^2) vs absolute order-4 sequence': 42,
-    'multisection recombination, signed': 42,
+    'Gauss product vs theta sum': 41,
+    'eta quotient vs root product, d=3': 41,
+    'eta quotient vs root product, d=6': 41,
+    'phi(q) phi(q^2) vs absolute order-4 sequence': 41,
+    'multisection recombination, signed': 41,
     'lambda(n) vs E_1(n) - 3 E_1(n/3)': 20,
     'r(n): product form vs lattice sweep': 20,
     "r'(n): product form vs lattice sweep": 20,
@@ -372,15 +378,7 @@ def test_readme_counts_one_identity_per_row():
 # the kinds of reason an identity in identity_kills.txt stays for
 KEPT_FOR = ("unique kills", "the paper's claim",
             "covers sizes the sweep does not reach", "own route by item 14",
-            "candidate")
-# the identities that stay only until ROADMAP item 17 decides each: another
-# identity catches every fault they catch, or their unique kills are all in
-# code that only they run; no other identity may stay as a candidate
-CANDIDATES = {"Gauss product vs theta sum",
-              "eta quotient vs root product, d=3",
-              "eta quotient vs root product, d=6",
-              "theta-square vs order-2 root product",
-              "phi(-q) phi(-q^2) vs order-4 root product"}
+            "goes with item 4")
 
 
 def test_kill_matrix_has_one_line_with_a_reason_per_row():
@@ -391,5 +389,8 @@ def test_kill_matrix_has_one_line_with_a_reason_per_row():
     assert all(len(fields) == 5 for fields in lines)
     kinds = {fields[0]: fields[4].split(": ", 1) for fields in lines}
     assert all(kind[0] in KEPT_FOR and kind[1:] for kind in kinds.values())
-    assert {name for name, kind in kinds.items() if kind[0] == "candidate"} == CANDIDATES
+    # an identity that goes with item 4 names the code it alone runs that
+    # perfbench/spans.py wraps, which is why it waits for that change
+    assert all(any(name in kind[1] for name in spans.QSERIES)
+               for kind in kinds.values() if kind[0] == "goes with item 4")
     assert sorted(fields[0] for fields in lines) == sorted(ROW)

@@ -7,8 +7,8 @@ classical discriminant series and to the sparse sums of Euler's and Jacobi's
 identities, each shifted here by its prefactor t^(w/24) (the package
 expands weight-0 quotients only, where w = 0).  The eta forms of the
 order-2 and order-4 root products and of the absolute order-4 sequence,
-which verify checks as theta series instead, are kept here as literals and
-pinned alongside the package's two.  The master product runs the
+which verify does not expand, are kept here as literals and pinned
+alongside the package's two.  The master product runs the
 q-difference recurrence f[n][e] = f[n-1][e-1] + f[n-e][e] - f[n-e-1][e+1]
 (e >= 1) of (1 - 1/q) F(t, tq) = (1 - tq) F(t, q), which needs no
 division, and returns half rows of ints, mirrored here into the series of
@@ -55,8 +55,8 @@ from series_reference import invert
 
 # eta-quotient forms, ((scale, exp), ...), of all four root products and of
 # the absolute values of the order-4 one: verify expands the order-3 and
-# order-6 forms (ROOT_ETA_SPECS), and checks the other three products as
-# theta series, phi(-q)^2, phi(-q) phi(-q^2) and phi(q) phi(q^2)
+# order-6 forms (ROOT_ETA_SPECS), checks the order-2 and order-4 products
+# against a_2(n) and a_4(n), and the absolute values as phi(q) phi(q^2)
 ETA_SPECS = {2: ((1, 4), (2, -2)), 4: ((1, 2), (2, 1), (4, -1)),
              **ROOT_ETA_SPECS}
 ABS_QUARTIC_ETA_SPEC = ((2, 3), (4, 3), (1, -2), (8, -2))

@@ -3,19 +3,20 @@
 expect and expect_rows are the only places a VerificationError is raised,
 so a failed identity always carries its name, index and both values; a row
 check reports the first differing position, as a check per position would,
-and formats no index unless a check fails.  Each mutation test below runs
-one row of the mutation table (tests/test_mutations.py), which puts one
-route off by one, some in the middle of a row, and checks the witness the
-suite raises; a failed suite's detail is that witness.  The harness must
-reject unknown suite names before running any suite, every suite must take
-exactly one size keyword (order for qseries, max_n for the rest) and check
-every n up to it, and the roots suite must expand its root products to its
-own max_n, which at equal sizes qseries then reuses.  The tables suite
-must check which rows each table has, and the zeta suite must build each
-local zeta once.
+and formats no index unless a check fails.  The mutation table
+(tests/test_mutations.py) checks each identity's witness; here one of its
+rows checks that a failed suite's detail is that witness.  The harness
+must reject unknown suite names before running any suite, every suite must
+take exactly one size keyword (order for qseries, max_n for the rest) with
+the default that README's counts hold at, and check every n up to it, the
+suites' seconds must fit in the wall time around them, and the roots suite
+must expand its root products to its own max_n, which at equal sizes
+qseries then reuses.  The tables suite must check which rows each table
+has, and the zeta suite must build each local zeta once.
 """
 
 import inspect
+import time
 
 import pytest
 
@@ -79,48 +80,12 @@ def test_expect_rows_fails_rows_of_different_lengths():
     assert (info.value.index, info.value.got, info.value.want) == ("t^1", 9, 2)
 
 
-def test_linking_entry_fails_coeffs(monkeypatch):
-    check_row(monkeypatch, "c_(n,i) vs second difference of a_(n,i)")
-
-
-def test_eta_quotient_coefficient_mid_row_fails_qseries(monkeypatch):
-    check_row(monkeypatch, "eta quotient vs root product, d=3")
-
-
-def test_psi_coefficient_off_by_one_fails_the_signed_recombination(monkeypatch):
-    check_row(monkeypatch, "multisection recombination, signed")
-
-
 def test_sigma_off_by_one_fails_arith(monkeypatch):
     # run_suites reports the witness of a failed suite as its detail
     check_row(monkeypatch, "P_n(1) over divisor runs vs sigma(n)")
     [result] = verify.run_suites(["arith"], max_n=10)
     assert not result.ok
     assert result.detail == "P_n(1) over divisor runs vs sigma(n) at n=7: 8 != 9"
-
-
-def test_product_form_off_by_one_fails_arith(monkeypatch):
-    check_row(monkeypatch, "r'(n): product form vs lattice sweep")
-
-
-def test_dropped_divisor_fails_arith(monkeypatch):
-    check_row(monkeypatch, "divisors(n): count and sum vs divisor sieve")
-
-
-def test_table_cell_off_by_one_fails_tables(monkeypatch):
-    check_row(monkeypatch, "table 4 s_k(n) vs divisor runs")
-
-
-def test_count_value_off_at_a_cube_root_fails_roots(monkeypatch):
-    check_row(monkeypatch, "C_n(w)/w^n evaluated vs a_d(n)")
-
-
-def test_product_coefficient_off_by_one_fails_roots(monkeypatch):
-    check_row(monkeypatch, "a_d(n): product expansion vs closed form")
-
-
-def test_reduced_value_off_at_i_fails_sections(monkeypatch):
-    check_row(monkeypatch, "(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)")
 
 
 # each suite checks every n up to its one size, so a fault at any such n,
@@ -207,6 +172,24 @@ def test_flag_keywords_are_suite_parameters():
         params = inspect.signature(getattr(verify, f"verify_{name}")).parameters
         assert list(params) == [keyword], (name, list(params))
         assert keyword == ("order" if name == "qseries" else "max_n"), name
+
+
+def test_default_sizes():
+    # README's count of identities and checked positions holds at these
+    defaults = {name: inspect.signature(suite).parameters[
+                    verify._SIZE_KEYWORD[name]].default
+                for name, suite in verify.SUITES.items()}
+    assert defaults == {"coeffs": 300, "roots": 2000, "zeta": 100,
+                        "qseries": 2000, "arith": 10000, "sections": 1000,
+                        "tables": 18}
+
+
+def test_suite_seconds_fit_in_the_wall_time():
+    start = time.perf_counter()
+    results = verify.run_suites(max_n=20, order=40)
+    wall = time.perf_counter() - start
+    assert all(r.ok and r.seconds >= 0 for r in results), results
+    assert sum(r.seconds for r in results) <= wall
 
 
 def test_roots_expands_its_products_to_max_n_only(monkeypatch):
