@@ -61,15 +61,17 @@ def verify_roots(max_n: int = 2000) -> str:
     ds = rootvalues.ROOT_ORDERS
     products = [qseries.expand_root_product(d, max_n) for d in ds]
     for n in range(1, max_n + 1):
+        # whole rows in root_sequences' literal key order: the products are
+        # built off ROOT_ORDERS, the values at the roots read by those keys
         seqs = rootvalues.root_sequences(n)
-        want = [seqs[d] for d in ds]
+        want = list(seqs.values())
 
         def at(p):
-            return f"n={n}, d={ds[p]}"
+            return f"n={n}, d={list(seqs)[p]}"
 
         cn_at = rootvalues.evaluate_at_roots(coeffs.count_poly(n), shift=n)
         expect_rows("C_n(w)/w^n evaluated vs a_d(n)", at,
-                    [cn_at[d] for d in ds], want)
+                    [cn_at[d] for d in seqs], want)
         expect_rows("a_d(n): product expansion vs closed form", at,
                     [product.coeff(n) for product in products], want)
     return (f"n <= {max_n}: closed forms, cyclotomic evaluation and product "
@@ -181,12 +183,13 @@ def verify_sections(max_n: int = 1000) -> str:
     factors = [qseries.ROOT_TRACE[d] - 2 for d in ds]  # w + 1/w - 2
     for n in range(1, max_n + 1):
         by12 = coeffs.reduced_residue_sums(n)
+        # as in verify_roots, with the factors built off ROOT_ORDERS
         seqs = rootvalues.root_sequences(n)
         pn_at = rootvalues.fold_at_roots(by12, shift=n - 1)
         expect_rows("(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)",
-                    lambda p: f"n={n}, d={ds[p]}",
-                    [f * pn_at[d] for f, d in zip(factors, ds)],
-                    [seqs[d] for d in ds])
+                    lambda p: f"n={n}, d={list(seqs)[p]}",
+                    [f * pn_at[d] for f, d in zip(factors, seqs)],
+                    list(seqs.values()))
         # whole rows: section_formulas writes its keys literally, and
         # section_direct reads them off SECTION_KS
         formulas = rootvalues.section_formulas(n)

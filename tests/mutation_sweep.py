@@ -32,6 +32,8 @@ script, that says why it lives, with one of these reasons:
   only tests reach it: no command runs the mutated code;
   printed text: only the text a command prints changes, and verify
     certifies values, not their layout (Tier-1 checks it);
+  fewer checks: an identity is checked at fewer positions, all of which
+    hold, so no verdict changes (Tier-1 counts the positions);
   gap: a check is missing, and a ROADMAP item closes it.
 The script prints each survivor with its listed reason, or UNLISTED, then
 each line of a swept module whose label no survivor printed, as STALE (the

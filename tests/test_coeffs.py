@@ -2,12 +2,13 @@
 
 The twelve smallest count polynomials and their reduced forms are frozen
 here verbatim; everything else (the divisor enumerators, the generating
-identity, linking relations) is checked against those or against the
-closed-form row of coeffs_reference, which also builds the per-i reference
-polynomial below.  divisor_intervals is also checked against the clipped
-loop it replaced, its a_(n,i) against the per-i interval count of
-coeffs_reference, and C_n(p) against the number of ideals counted by
-linear algebra over F_p.
+identity, linking relations) is checked against those or against
+coeffs_reference: C_n's coefficients against its trapezoidal cases, one i
+at a time, at drawn n up to 10^6.  C_n from the odd divisors is also
+checked against (q - 1)^2 P_n from the divisor runs at every n <= 2000 and
+at large n, divisor_intervals against the clipped loop it replaced, its
+a_(n,i) against the per-i interval count of coeffs_reference, and C_n(p)
+against the number of ideals counted by linear algebra over F_p.
 """
 
 from math import isqrt
@@ -31,16 +32,6 @@ from hilbtorus.laurent import LaurentPoly
 import coeffs_reference
 from coeffs_reference import closed_form_row, divisor_coeff, trapezoidal_k
 from ideal_count_reference import ideal_count
-
-
-def count_poly_per_i(n):
-    """C_n from the closed-form row: one isqrt probe for every i <= n."""
-    coeffs = {}
-    for i, c in enumerate(closed_form_row(n)):
-        if c:
-            coeffs[n + i] = c
-            coeffs[n - i] = c
-    return LaurentPoly(coeffs)
 
 
 def sign_at(n, j):
@@ -183,14 +174,6 @@ def test_divisor_coeff_vector_matches_scalar():
         assert divisor_coeff(n, n + 1) == 0
 
 
-def test_count_poly_matches_per_i_reference():
-    for n in range(1, 1001):
-        assert count_poly(n) == count_poly_per_i(n), n
-    # a prime, a round number and 3 * 2^16 (many even divisors, skipped)
-    for n in (99991, 10 ** 5, 196608):
-        assert count_poly(n) == count_poly_per_i(n), n
-
-
 def test_count_poly_collision_guard(monkeypatch):
     divisors = arith.divisors
     monkeypatch.setattr(arith, "divisors", lambda n: (1,) + divisors(n))
@@ -234,15 +217,6 @@ def test_divisor_intervals_rebuild_vector():
         divisor_intervals(0)
 
 
-def test_divisor_intervals_one_run_per_large_divisor():
-    # every divisor above isqrt(n // 2) has a run, and none is empty
-    for n in range(1, 10001):
-        runs = divisor_intervals(n)
-        large = [d for d in arith.divisors(n) if d > isqrt(n // 2)]
-        assert len(runs) == len(large), n
-        assert all(lo <= hi for lo, hi in runs), n
-
-
 def test_divisor_intervals_match_clipped_loop():
     # the large n have divisor pairs d, n/d far apart, which the run bounds
     # from (d, n/d) must handle as the squared comparisons do
@@ -274,9 +248,10 @@ def test_reduced_runs_rebuild_reduced_poly():
 def test_sparse_reduced_times_square_is_count():
     # (q - 1)^2 P_n from the divisor runs of n against C_n from the odd
     # divisors of n: two enumerations of different divisors, at
-    # every n <= 2000 and at large n with many divisors or few
-    for n in (*range(1, 2001), 10 ** 12, 2 ** 40, 720720 * 10 ** 6,
-              3 ** 25, 5 ** 17):
+    # every n <= 2000 and at large n with many divisors or few: a prime, a
+    # round number and 3 * 2^16, whose many even divisors C_n skips
+    for n in (*range(1, 2001), 99991, 10 ** 5, 196608, 10 ** 12, 2 ** 40,
+              720720 * 10 ** 6, 3 ** 25, 5 ** 17):
         assert reduced_times_square(n) == count_poly(n), n
 
 

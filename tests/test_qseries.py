@@ -1,33 +1,43 @@
 """Tests for the exact product expansions.
 
-Small product coefficients are frozen by hand (the first few factors can be
-multiplied out on paper), every expander is cross-checked against naive
-TruncatedSeries arithmetic, and the eta-quotient expander is pinned to the
-classical discriminant series and to the sparse sums of Euler's and Jacobi's
-identities, each shifted here by its prefactor t^(w/24) (the package
-expands weight-0 quotients only, where w = 0).  The eta forms of the
-order-2 and order-4 root products and of the absolute order-4 sequence,
-which verify does not expand, are kept here as literals and pinned
-alongside the package's two.  The master product runs the
-q-difference recurrence f[n][e] = f[n-1][e-1] + f[n-e][e] - f[n-e-1][e+1]
-(e >= 1) of (1 - 1/q) F(t, tq) = (1 - tq) F(t, q), which needs no
-division, and returns half rows of ints, mirrored here into the series of
-C_n/q^n: the factor-by-factor product is checked to obey that recurrence,
-palindromy and F(t, 1) = 1, the three facts the kernel is built from, and
-the kernel is pinned to the log-derivative master kernel it replaced.  The
-log-derivative recurrence behind the root and Gauss products is checked
-against the literal factor-by-factor kernels it replaced, against the
-pull-style form of the same recurrence (a property test draws the root
-order and truncation) and, on drawn log-derivatives, against the push that
-multiplied afresh for every coefficient instead of reusing a row per
-distinct |c_n|; the eta expander is checked against its in-place loop at
-order 2000 on all five eta forms; a second property test draws
-(d, n <= 2000) against the closed form a_d(n), and qseries must import
-none of the closed-form modules it is an oracle for.
+Every expander is checked against references written here, none of which
+reads the package's closed forms:
+- coefficients frozen by hand: the root products to t^10 (the first few
+  factors multiplied out on paper), phi and psi to t^10, and the classical
+  discriminant series;
+- naive TruncatedSeries arithmetic, each factor multiplied in or inverted
+  (series_reference.invert): the four root products, Gauss's product and
+  the eta quotients to order 40, and the master product to order 12;
+- the literal factor-by-factor kernels that the log-derivative recurrence
+  replaced: the root products to order 300 and at drawn orders up to 400,
+  and the master product to order 40, whose q-difference facts (below)
+  are checked on it;
+- the recurrences the kernels replaced: the master product's
+  log-derivative kernel to order 150, the push that multiplied afresh for
+  every coefficient instead of reusing a row per distinct |c_n| (on drawn
+  log-derivatives), and the eta expander's in-place loop, at order 2000 on
+  all five eta forms;
+- theta and eta identities: Gauss's product is phi(-q) to order 2000,
+  phi(q^4) + 2q psi(q^8) is phi(q), and the sparse sums of Euler's and
+  Jacobi's identities, each shifted here by its prefactor t^(w/24) (the
+  package expands weight-0 quotients only, where w = 0); the eta forms of
+  the order-2 and order-4 root products and of the absolute order-4
+  sequence, which verify does not expand, are kept here as literals and
+  pinned alongside the package's two.
+
+The master product runs the q-difference recurrence f[n][e] = f[n-1][e-1]
++ f[n-e][e] - f[n-e-1][e+1] (e >= 1) of (1 - 1/q) F(t, tq) = (1 - tq)
+F(t, q), which needs no division, and returns half rows of ints, mirrored
+here into the series of C_n/q^n; the factor-by-factor product is checked
+to obey that recurrence, palindromy and F(t, 1) = 1, the three facts the
+kernel is built from.  A property test draws (d, order <= 400) against the
+literal kernel and the closed form a_d(n) (tests/test_rootvalues.py checks
+every n <= 2000), and qseries must import none of the closed-form modules
+it is an oracle for.
 """
 
 import ast
-from operator import add, mul
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -113,24 +123,6 @@ def _log_derivative_master(order):
     return TruncatedSeries(order, [LaurentPoly(dict(row)) for row in rows])
 
 
-def _pull_root_product(d, order):
-    """The root product by the pull-style recurrence: each c_n is one dot
-    product of b_1..b_n with c_(n-1)..c_0."""
-    u = ROOT_TRACE[d]
-    p = [2, u]
-    for _ in range(2, order + 1):
-        p.append(u * p[-1] - p[-2])
-    b = [0] * (order + 1)
-    for i in range(1, order + 1):
-        for j in range(1, order // i + 1):
-            b[i * j] += i * (p[j] - 2)
-    c = [1]
-    for n in range(1, order + 1):
-        c.append(exact_div(sum(map(mul, b[1:n + 1], reversed(c))), n,
-                           "log-derivative recurrence"))
-    return TruncatedSeries(order, c)
-
-
 def _multiply_push(b, order):
     """The push-style recurrence as it was before rows were cached:
     c_n times b_1..b_(order-n), multiplied afresh for every nonzero c_n."""
@@ -163,20 +155,6 @@ def _in_place_eta(spec, order):
                     acc += p * x[m - j]
                 x[m] += sign * acc
     return TruncatedSeries(order, x)
-
-
-def _literal_gauss(order):
-    """prod_{i>=1} (1 - t^i)/(1 + t^i) factor by factor: multiply by
-    (1 - t^i) walking down, then divide by (1 + t^i) walking up."""
-    n1 = order + 1
-    c = [0] * n1
-    c[0] = 1
-    for i in range(1, n1):
-        for m in range(order, i - 1, -1):
-            c[m] -= c[m - i]
-        for m in range(i, n1):
-            c[m] -= c[m - i]
-    return TruncatedSeries(order, c)
 
 
 def expand_master_product_reference(order: int) -> TruncatedSeries:
@@ -304,11 +282,6 @@ def test_recurrence_division_is_checked():
         exact_div(7, 2, "recurrence")
 
 
-@pytest.mark.parametrize("d", sorted(ROOT_TRACE))
-def test_root_product_matches_pull_recurrence_to_2000(d):
-    assert expand_root_product(d, 2000) == _pull_root_product(d, 2000)
-
-
 def test_recurrence_rejects_corrupted_divisor_sums():
     # Gauss's b_k with b_2 off by one: 2 c_2 = b_1 c_1 + b_2 = 4 - 3 is odd
     b = [0, -2, -3, -8]
@@ -378,26 +351,9 @@ def test_root_product_property():
     check()
 
 
-def test_root_product_matches_closed_form_to_2000():
-    hypothesis = pytest.importorskip("hypothesis")
-    st = hypothesis.strategies
-
-    @hypothesis.settings(derandomize=True, max_examples=100, deadline=None)
-    @hypothesis.given(d=st.sampled_from(sorted(ROOT_TRACE)),
-                      n=st.integers(1, 2000))
-    def check(d, n):
-        assert expand_root_product(d, 2000).coeff(n) == root_sequence(n, d)
-
-    check()
-
-
 def test_gauss_series_is_signed_square_theta():
-    order = 300
+    order = 2000
     assert gauss_series(order) == phi_series(1, order, negate_arg=True)
-
-
-def test_gauss_series_matches_literal_product_to_2000():
-    assert gauss_series(2000) == _literal_gauss(2000)
 
 
 def test_gauss_theta_prefix():

@@ -54,6 +54,7 @@ def test_invert_quadratic_denominator_gives_balanced_sums():
 def test_shift():
     s = TruncatedSeries(4, [1, 2, 3])
     assert s.shift(2).coeffs == (0, 0, 1, 2, 3)
+    assert s.shift(0) == s
     with pytest.raises(ValueError):
         s.shift(-1)
 

@@ -11,8 +11,10 @@ take exactly one size keyword (order for qseries, max_n for the rest) with
 the default that README's counts hold at, and check every n up to it, the
 suites' seconds must fit in the wall time around them, and the roots suite
 must expand its root products to its own max_n, which at equal sizes
-qseries then reuses.  The tables suite must check which rows each table
-has, and the zeta suite must build each local zeta once.
+qseries then reuses.  The roots suite and the sections relation must pin
+their root orders: with one order in ROOT_ORDERS checked twice in place of
+another, both fail at n = 1.  The tables suite must check which rows each
+table has, and the zeta suite must build each local zeta once.
 """
 
 import inspect
@@ -182,6 +184,19 @@ def test_default_sizes():
     assert defaults == {"coeffs": 300, "roots": 2000, "zeta": 100,
                         "qseries": 2000, "arith": 10000, "sections": 1000,
                         "tables": 18}
+
+
+@pytest.mark.parametrize("suite, identity", [
+    ("roots", "a_d(n): product expansion vs closed form"),
+    ("sections", "(w + 1/w - 2) P_n(w)/w^(n-1) vs a_d(n)"),
+])
+def test_root_orders_are_pinned(monkeypatch, suite, identity):
+    # root_sequences writes its d literally, so a root order checked twice
+    # in place of another fails at n = 1
+    monkeypatch.setattr(rootvalues, "ROOT_ORDERS", (3, 3, 4, 6))
+    with pytest.raises(VerificationError) as info:
+        verify.SUITES[suite](max_n=1)
+    assert_witness(info.value, identity, "n=1, d=2")
 
 
 def test_suite_seconds_fit_in_the_wall_time():

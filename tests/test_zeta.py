@@ -1,10 +1,12 @@
 """Tests for the local zeta factorizations.
 
 The four worked factorizations (n = 1, 3, 5, 6) are frozen as exponent
-multisets and one rendered string; the log-derivative series check pins
-the factored form to the point counts at every prime power, one identity
-of Laurent polynomials against the divisor route, and fails when one
-coefficient of the factored form is off.
+multisets, and n = 1 also as its rational function and its Hasse-Weil
+product; the log-derivative series check pins the factored form to the
+point counts at every prime power, one identity of Laurent polynomials
+against the divisor route, and fails when one coefficient of the factored
+form is off.  The functional-equation certificate fails on each of its
+three conditions, also for an exponent whose partner is missing.
 """
 
 import pytest
@@ -28,6 +30,11 @@ def test_one_point_factorization():
     assert numerator_exponents(z) == [1, 1]
     assert denominator_exponents(z) == [0, 2]
     assert z.pretty() == "(1 - q t)^2 / ((1 - t)(1 - q^2 t))"
+
+
+def test_hasse_weil_one_point():
+    assert build_local_zeta(1).hasse_weil() == (
+        "zeta(s) zeta(s - 2) / zeta(s - 1)^2")
 
 
 def test_frozen_exponent_multisets():
@@ -98,6 +105,7 @@ def test_series_check_detects_corruption(monkeypatch):
 def test_certificate_fails_on_asymmetry():
     cases = (
         (((0, 1), (1, -1)), (False, 0, 0)),         # m(0) != m(4)
+        (((0, 1),), (False, 1, 0)),                  # m(0) = 1, no m(4)
         (((0, 1), (4, 1)), (True, 2, 0)),            # total degree 2
         (((0, 1), (2, -3), (4, 1)), (True, -1, 1)),  # odd central multiplicity
     )
@@ -107,12 +115,6 @@ def test_certificate_fails_on_asymmetry():
         exc = info.value
         assert exc.index == "n=2"
         assert (exc.got, exc.want) == (got, (True, 0, 0))
-
-
-def test_hasse_weil_one_point():
-    z = build_local_zeta(1)
-    assert z.factors == ((0, 1), (1, -2), (2, 1))
-    assert z.hasse_weil() == "zeta(s) zeta(s - 2) / zeta(s - 1)^2"
 
 
 def test_hasse_weil_symmetry():
