@@ -68,10 +68,10 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 # Callers ask for one n several times in a row and rarely come back to it
 # later, so a few entries catch the repeats.  Per n, verify's arith suite
 # calls divisors four times, its sections and roots suites once, its zeta
-# suite twice, its tables suite five times, one table at a time, and its
-# coeffs suite four times, the fourth in the reduced generating identity's
-# later pass, which misses.  A small bound also keeps the footprint fixed,
-# as an n near 10^14 can have thousands of divisors.
+# suite twice and its coeffs suite four times, the fourth (a later pass)
+# a miss.  Its tables suite misses all 90 calls: it builds 18 n one table
+# at a time, more than the 16 entries hold.  A small bound also keeps the
+# footprint fixed, as an n near 10^14 can have thousands of divisors.
 DIVISORS_CACHE_SIZE = 16
 
 

@@ -26,33 +26,6 @@ from hilbtorus.arith import (
 )
 
 
-def brute_r2(n):
-    m = 0
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if x * x + y * y == n:
-                m += 1
-    return m
-
-
-def brute_r_prime(n):
-    m = 0
-    for x in range(-n, n + 1):
-        for y in range(-n, n + 1):
-            if x * x + 2 * y * y == n:
-                m += 1
-    return m
-
-
-def brute_r_hex(n):
-    m = 0
-    for x in range(-2 * n, 2 * n + 1):
-        for y in range(-2 * n, 2 * n + 1):
-            if x * x + x * y + y * y == n:
-                m += 1
-    return m
-
-
 def brute_form_counts(b, c, limit):
     """#{(x, y) : x^2 + bxy + cy^2 = m} for m <= limit, over a box that
     holds the whole ellipse (the forms tested are >= (x^2 + y^2) / 2)."""
@@ -107,13 +80,6 @@ def test_factorize_recomposes():
             assert sieve[p]
             prod *= p ** e
         assert prod == n
-
-
-def test_is_prime_matches_sieve():
-    # n is prime exactly when factorize(n) is the single factor (n, 1).
-    sieve = _sieve(1000)
-    for n in range(1, 1001):
-        assert (factorize(n) == ((n, 1),)) == sieve[n]
 
 
 def test_divisors():
@@ -182,13 +148,6 @@ def test_r_prime_frozen(n, want):
 )
 def test_r_hex_frozen(n, want):
     assert r_hex(n) == want
-
-
-def test_representation_counts_match_brute_force():
-    for n in range(0, 60):
-        assert r2(n) == brute_r2(n)
-        assert r_prime(n) == brute_r_prime(n)
-        assert r_hex(n) == brute_r_hex(n)
 
 
 @pytest.mark.parametrize("b, c", [(0, 1), (0, 2), (1, 1)])

@@ -345,7 +345,7 @@ def test_verify_runs_each_named_suite_once(capsys, monkeypatch):
                          "--suite", "tables", "--suite", "zeta", "--max-n", "30")
     assert code == 0
     lines = out.strip().split("\n")
-    assert [line.split()[1] for line in lines] == ["zeta", "tables"]
+    assert [line[:14] for line in lines] == ["ok   zeta     ", "ok   tables   "]
     assert ran == ["zeta"]
 
 
