@@ -16,12 +16,13 @@ off the pair (d, e = n/d), lo = max(0, ceil(d/2) - e) and
 hi = d - 1 - floor(e/2), which divisor_intervals returns, skipping the
 d <= sqrt(n/2) whose run is empty; P_n's dense vector, exponent runs,
 residue sums mod 12 (its sum, sections and values at roots of unity) and
-sparse (q - 1)^2 P_n (its point counts, read by zeta_series_check) derive
-from them, and the reduced generating identity reads the runs times
-1 - q^2.  Only the linking check, the tables and compute pn read the
-dense P_n.
+sparse (q - 1)^2 P_n (its point counts, which verify's zeta suite reads)
+derive from them, and reduced_generating_sides reads the runs times
+1 - q^2.  Only the linking relation (second_difference), the tables and
+compute pn read the dense P_n.
 Every route here reads the divisors from arith.divisors, whose small
-cache builds one n's list once however many routes ask.  count_poly's
+cache builds one n's list once however many routes ask.  This module only
+computes: verify names each identity and compares its sides.  count_poly's
 independent checks are the master product (verify's coeffs suite) and
 (q - 1)^2 P_n from the runs; the per-i closed form, one trapezoidal probe
 per i, is a test reference.
@@ -32,9 +33,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 from math import isqrt
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
-from .errors import expect, expect_rows
 from .laurent import LaurentPoly, _raw
 from . import arith
 
@@ -148,7 +148,7 @@ def reduced_poly(n: int) -> LaurentPoly:
 
 
 class CoeffTables(NamedTuple):
-    """Both coefficient families of a single n, with the linking relations.
+    """Both coefficient families of a single n.
 
     c[i] = c_{n,i} for 0 <= i <= n;  a[i] = a_{n,i} for 0 <= i <= n-1.
     """
@@ -166,34 +166,34 @@ class CoeffTables(NamedTuple):
                 c[e - n] = value
         return cls(n, tuple(c), tuple(divisor_coeff_vector(n)))
 
-    def a_at(self, i: int) -> int:
-        """a_{n,i} with the boundary convention a_{n,n} = a_{n,n+1} = 0."""
-        return self.a[i] if 0 <= i < self.n else 0
 
-    def check_linking(self) -> None:
-        """c_{n,0} = -2a_{n,0} + 2a_{n,1} and
-        c_{n,i} = a_{n,i+1} - 2a_{n,i} + a_{n,i-1} for 1 <= i <= n; the
-        first is the second at i = 0, since a_{n,-1} = a_{n,1} (P_n is
-        palindromic about its central coefficient a_{n,0})."""
-        padded = (self.a_at(1), *self.a, 0, 0)  # a_{n,j-1}, j = 0..n+2
-        second = tuple(x - 2 * y + z for x, y, z
-                       in zip(padded, padded[1:], padded[2:]))
-        expect_rows("c_(n,i) vs second difference of a_(n,i)",
-                    lambda i: f"n={self.n}, i={i}", self.c, second)
+def second_difference(a: tuple[int, ...]) -> tuple[int, ...]:
+    """(a_{n,j+1} - 2a_{n,j} + a_{n,j-1} for j = 0..n) of the row
+    a = (a_{n,0}, ..., a_{n,n-1}), with a_{n,n} = a_{n,n+1} = 0 and
+    a_{n,-1} = a_{n,1} (P_n is palindromic about its central coefficient
+    a_{n,0}).  The linking relation says it is C_n's row c_{n,0..n}: at
+    j = 0 it reads c_{n,0} = -2a_{n,0} + 2a_{n,1}."""
+    padded = (a[1] if len(a) > 1 else 0, *a, 0, 0)  # a_{n,j-1}, j = 0..n+2
+    return tuple(x - 2 * y + z for x, y, z
+                 in zip(padded, padded[1:], padded[2:]))
 
 
-def check_reduced_generating_identity(order: int) -> None:
-    """Verify  sum_n (P_n(q)/q^(n-1)) t^n  =
-    sum_{k>=1} (-1)^(k-1) t^(k(k+1)/2) (1 + t^k) / ((1 - q t^k)(1 - q^(-1) t^k))
-    as series over Laurent polynomials, through t^order, both sides times
-    1 - q^2 (injective on Laurent polynomials), where both are sparse.
+def reduced_generating_sides(order: int) -> Iterator[tuple[LaurentPoly, LaurentPoly]]:
+    """Yield (left, right) at t^n for n = 1..order of the reduced
+    generating identity
+
+      sum_n (P_n(q)/q^(n-1)) t^n  =
+      sum_{k>=1} (-1)^(k-1) t^(k(k+1)/2) (1 + t^k) / ((1 - q t^k)(1 - q^(-1) t^k))
+
+    as series over Laurent polynomials, both sides times 1 - q^2
+    (injective on Laurent polynomials), where both are sparse.
 
     1/((1-qs)(1-s/q)) expands to sum_j (q^j + q^(j-2) + ... + q^(-j)) s^j,
     and 1 - q^2 times that block is q^(-j) - q^(j+2); 1 - q^2 times a run
     q^A + ... + q^B of P_n is q^A + q^(A+1) - q^(B+1) - q^(B+2).
     The q^i slice of the right side, sum_k (-1)^(k-1) t^(k(k+1)/2 + k|i|)
     / (1 - t^k), is the generating series of the column a_(n,|i|), so
-    this one check covers every column through t^order.
+    the identity covers every column through t^order.
     """
     rhs: list[dict[int, int]] = [{} for _ in range(order + 1)]
     for k in range(1, (isqrt(8 * order + 1) - 1) // 2 + 1):
@@ -208,5 +208,4 @@ def check_reduced_generating_identity(order: int) -> None:
         for a, b in reduced_runs(n):
             for e, c in ((a, 1), (a + 1, 1), (b + 1, -1), (b + 2, -1)):
                 lhs[e + 1 - n] = lhs.get(e + 1 - n, 0) + c
-        expect("reduced generating identity", f"t^{n}",
-               LaurentPoly(lhs), LaurentPoly(rhs[n]))
+        yield LaurentPoly(lhs), LaurentPoly(rhs[n])

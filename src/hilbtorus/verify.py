@@ -1,9 +1,10 @@
-"""Cross-verification harness.
+"""Cross-verification harness, the one module that checks.
 
 Each suite checks one family of identities by computing the same numbers
 along genuinely different routes (closed form, polynomial evaluation,
 product expansion, number-theoretic formula) and insisting on exact
-agreement.  Every check is errors.expect(identity, index, got, want), or
+agreement.  The other modules compute; each identity is named and its
+sides compared here, by errors.expect(identity, index, got, want), or
 errors.expect_rows for one n's, one i's or one series' row of values: a
 suite stops at the first failure with a VerificationError whose message,
 "identity at index: got != want", names the identity, where it failed and
@@ -21,6 +22,7 @@ from typing import Callable, NamedTuple
 
 from . import arith, coeffs, qseries, rootvalues, tables, zeta
 from .errors import VerificationError, expect, expect_rows
+from .laurent import LaurentPoly
 from .series import TruncatedSeries
 
 
@@ -30,15 +32,13 @@ def verify_coeffs(max_n: int = 300) -> str:
     """C_n's odd-divisor route (count_poly) against two oracles: the master
     product expansion, read as its half rows c_(n,0), ..., c_(n,n), and
     (q - 1)^2 P_n from P_n's divisor runs; the linking relation of the c
-    and a rows; and the reduced-side generating identity to order max_n,
-    whose q^i slices are the generating series of every coefficient column
-    a_(n,i).  That identity is never the first witness of a fault here (a
-    fault in P_n's runs fails "(q - 1)^2 P_n vs C_n" at the same n first);
-    it stays because it certifies the paper's generating function for the
-    a-columns, and its row in the mutation table calls
-    check_reduced_generating_identity alone.  A fault in count_poly fails
-    the master product at the same n, so the per-i closed form, one
-    trapezoidal probe per i, is a test reference, not a check here."""
+    and a rows; and the reduced generating identity to order max_n, never
+    the first witness of a fault here (a fault in P_n's runs fails
+    "(q - 1)^2 P_n vs C_n" at the same n first), so its row in the
+    mutation table calls check_reduced_generating_identity alone; it stays
+    as the paper's generating function for the a-columns.  A fault in
+    count_poly fails the master product at the same n, so the per-i closed
+    form, one trapezoidal probe per i, is a test reference, not a check."""
     master = qseries.expand_master_product(max_n)
     for n in range(1, max_n + 1):
         cn = coeffs.count_poly(n)
@@ -47,11 +47,20 @@ def verify_coeffs(max_n: int = 300) -> str:
                     lambda e: f"n={n}, e={e}", master[n], list(table.c))
         expect("(q - 1)^2 P_n vs C_n", f"n={n}",
                coeffs.reduced_times_square(n), cn)
-        table.check_linking()
-    coeffs.check_reduced_generating_identity(max_n)
+        expect_rows("c_(n,i) vs second difference of a_(n,i)",
+                    lambda i: f"n={n}, i={i}", table.c,
+                    coeffs.second_difference(table.a))
+    check_reduced_generating_identity(max_n)
     return (f"n <= {max_n}: master product, C_n's odd divisors and P_n's "
             f"divisor runs agree; reduced generating identity holds to order "
             f"{max_n}")
+
+
+def check_reduced_generating_identity(order: int) -> None:
+    """coeffs.reduced_generating_sides at t^1..t^order: the q^i slices are
+    the generating series of every coefficient column a_(n,i)."""
+    for n, (lhs, rhs) in enumerate(coeffs.reduced_generating_sides(order), 1):
+        expect("reduced generating identity", f"t^{n}", lhs, rhs)
 
 
 def verify_roots(max_n: int = 2000) -> str:
@@ -79,13 +88,22 @@ def verify_roots(max_n: int = 2000) -> str:
 
 
 def verify_zeta(max_n: int = 100) -> str:
-    """Functional-equation certificates, and the log-derivative series of
-    the factored zeta against the point counts at every prime power, one
-    identity of Laurent polynomials per n; both read one factored zeta."""
+    """Functional-equation certificates, which hold by construction of
+    count_poly and stay as the paper's claim, and the log-derivative series
+    of the factored zeta against the point counts at every prime power;
+    both read one factored zeta.  t Z'/Z = sum_e m(e) q^e t / (1 - q^e t)
+    has t^m coefficient sum_e m(e) X^e at X = q^m, so the series match the
+    point counts at every q and m exactly when that polynomial is
+    (X - 1)^2 P_n(X) from P_n's runs.  The factored side is count_poly
+    itself, so until it gets a route of its own this checks the same two
+    polynomials as the coeffs suite's "(q - 1)^2 P_n vs C_n"."""
     for n in range(1, max_n + 1):
         z = zeta.build_local_zeta(n)
-        zeta.functional_equation_check(z)
-        zeta.zeta_series_check(z)
+        expect("functional-equation certificate (palindromic, sum m(e), "
+               "m(n) mod 2)", f"n={n}", zeta.functional_equation_certificate(z),
+               (True, 0, 0))
+        expect("zeta log-derivative vs point count", f"n={n}",
+               LaurentPoly(dict(z.factors)), coeffs.reduced_times_square(n))
     return (f"n <= {max_n}: functional-equation certificates pass; "
             "log-derivative series match point counts at every prime power")
 
@@ -255,19 +273,15 @@ SUITES: dict[str, Callable[..., str]] = {
     "tables": verify_tables,
 }
 
-# the one size keyword of each suite, read before anything wraps SUITES:
-# --order sets it for qseries and --max-n for every other suite
-_SIZE_KEYWORD = {name: suite.__code__.co_varnames[0]
-                 for name, suite in SUITES.items()}
-
 
 def run_suites(names: list[str] | None = None,
                max_n: int | None = None,
                order: int | None = None) -> list[SuiteResult]:
     """Run the named suites (all by default), each once in the order it is
     first named, and collect results; a suite that raises fails alone and
-    the rest still run.  Raises ValueError, naming every unknown suite,
-    before any suite runs."""
+    the rest still run.  Each suite takes its one size positionally: order
+    for qseries and max_n for the rest, its default if that is None.
+    Raises ValueError, naming every unknown suite, before any suite runs."""
     chosen = list(dict.fromkeys(SUITES if names is None else names))
     unknown = [name for name in chosen if name not in SUITES]
     if unknown:
@@ -275,12 +289,10 @@ def run_suites(names: list[str] | None = None,
                          f"known: {', '.join(SUITES)}")
     results = []
     for name in chosen:
-        keyword = _SIZE_KEYWORD[name]
-        size = order if keyword == "order" else max_n
-        kwargs = {} if size is None else {keyword: size}
+        size = order if name == "qseries" else max_n
         start = time.perf_counter()
         try:
-            detail = SUITES[name](**kwargs)
+            detail = SUITES[name](*(() if size is None else (size,)))
             ok = True
         except VerificationError as exc:
             detail = str(exc)

@@ -15,9 +15,9 @@ process at a time: 169 is an order at which the top coefficients of the psi
 series and of the shifted phi/psi blocks are nonzero (at 200 and at the
 default 2000 they are zero), and below 400 trial division reaches the
 primes 11, 13, 17 and 19, whose squares 121 to 361 exceed 120.  In that
-process expect and expect_rows are wrapped where errors, verify, coeffs and
-zeta bind them, so that a failed identity is recorded and the suite goes
-on, and run_suites is wrapped to record the type of any other exception
+process verify's expect and expect_rows are wrapped (verify is the one
+module that checks), so that a failed identity is recorded and the suite
+goes on, and run_suites is wrapped to record the type of any other exception
 per suite.  The run has a timeout of ten times the unmutated run (at least
 5 s).  The three commands are fixed: the survivor list and the kill table
 hold at them and at no others.  A mutant that fails an identity or raises
@@ -111,11 +111,9 @@ def recording_suites(run_suites):
     return recorded
 
 try:
-    from hilbtorus import cli, coeffs, errors, verify, zeta
-    for module in (errors, verify, coeffs, zeta):
-        for name in ("expect", "expect_rows"):
-            if hasattr(module, name):
-                setattr(module, name, recording(getattr(module, name)))
+    from hilbtorus import cli, errors, verify
+    for name in ("expect", "expect_rows"):
+        setattr(verify, name, recording(getattr(verify, name)))
     verify.run_suites = recording_suites(verify.run_suites)
     with contextlib.redirect_stdout(io.StringIO()):
         for argv in json.loads(sys.argv[1]):

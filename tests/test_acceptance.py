@@ -95,20 +95,24 @@ def test_criterion_6_arithmetic_laws():
               lambda: verify.verify_arith(max_n=10000))
 
 
+def a_at(vec, i):
+    """a_(n,i) from vec = [a_(n,0), ..., a_(n,n-1)], with a_(n,n) = a_(n,n+1) = 0."""
+    return vec[i] if 0 <= i < len(vec) else 0
+
+
 def test_criterion_7_property_suite():
     def work():
         # coefficient nonnegativity, size bounds, smoothness, and C_n(1) = 0
         for n in range(1, 1001):
             vec = coeffs.divisor_coeff_vector(n)
             assert all(v >= 0 for v in vec), n
-            table = coeffs.CoeffTables(n, tuple(closed_form_row(n)),
-                                       tuple(vec))
-            assert abs(table.c[0]) in (0, 2), n
-            assert all(abs(c) <= 1 for c in table.c[1:]), n
+            c = closed_form_row(n)
+            assert abs(c[0]) in (0, 2), n
+            assert all(abs(ci) <= 1 for ci in c[1:]), n
             for i in range(n + 1):
-                prev = table.a_at(1) if i == 0 else table.a_at(i - 1)
-                assert abs(2 * table.a_at(i) - prev - table.a_at(i + 1)) <= 2, (n, i)
-            assert table.c[0] + 2 * sum(table.c[1:]) == 0, n  # C_n(1) = 0
+                prev = a_at(vec, 1) if i == 0 else a_at(vec, i - 1)
+                assert abs(2 * a_at(vec, i) - prev - a_at(vec, i + 1)) <= 2, (n, i)
+            assert c[0] + 2 * sum(c[1:]) == 0, n  # C_n(1) = 0
 
         # the two trapezoidal cases never coincide (the closed form asserts)
         for n in range(1, 10001):

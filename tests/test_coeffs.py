@@ -17,16 +17,15 @@ import pytest
 
 from hilbtorus import arith, zeta
 from hilbtorus.coeffs import (
-    CoeffTables,
-    check_reduced_generating_identity,
     count_poly,
     divisor_coeff_vector,
     divisor_intervals,
+    reduced_generating_sides,
     reduced_poly,
     reduced_runs,
     reduced_times_square,
+    second_difference,
 )
-from hilbtorus.errors import VerificationError
 from hilbtorus.laurent import LaurentPoly
 
 import coeffs_reference
@@ -279,27 +278,18 @@ def test_frozen_numeric_columns():
         assert divisor_coeff(n, 0) == a_zero[n - 1]
 
 
-def test_coeff_tables_boundaries():
-    t = CoeffTables.build(5, count_poly(5))
-    assert t.a_at(-1) == 0
-    assert t.a_at(5) == 0
-    assert t.a_at(6) == 0
-    assert t.a_at(0) == t.a[0]
-
-
-def test_corrupted_linking_detected():
-    t = CoeffTables.build(6, count_poly(6))
-    for i in (0, 3):  # the boundary form at i = 0, the interior form at i >= 1
-        bad = CoeffTables(6, t.c[:i] + (t.c[i] + 1,) + t.c[i + 1:], t.a)
-        with pytest.raises(VerificationError) as info:
-            bad.check_linking()
-        exc = info.value
-        assert (exc.index, exc.got, exc.want) == (f"n=6, i={i}", t.c[i] + 1, t.c[i])
-        assert str(exc) == f"{exc.identity} at n=6, i={i}: {t.c[i] + 1} != {t.c[i]}"
+def test_second_difference_boundaries():
+    # a_(n,-1) = a_(n,1), or 0 when n = 1 leaves no a_(n,1); a_(n,n) =
+    # a_(n,n+1) = 0; one entry per i = 0..n
+    assert second_difference((1,)) == (-2, 1)
+    assert second_difference((1, 2, 0)) == (2, -3, 2, 0)
 
 
 def test_reduced_generating_identity():
-    check_reduced_generating_identity(40)
+    sides = list(reduced_generating_sides(40))
+    assert len(sides) == 40
+    for n, (lhs, rhs) in enumerate(sides, 1):
+        assert lhs == rhs, n
 
 
 def test_enumerators_property_at_large_n():

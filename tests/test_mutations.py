@@ -7,8 +7,9 @@ one run of P_n), and the witness that the fault must raise, the identity
 and index that catch it first and both values.  The fault must be caught
 first by the row's identity, not by a check that runs before it.
 
-A recorder that counts the calls of expect and expect_rows (one check per
-call, one per position of a row) runs every suite at max_n=20, order=40:
+A recorder that counts verify's calls of expect and expect_rows (one check
+per call, one per position of a row; every identity is named and compared
+in verify alone) runs every suite at max_n=20, order=40:
 the identities it sees must be the table's, so an identity added to a
 suite without a row fails here, and the count of each is pinned.  The
 number of identities README says verify certifies must be the number of
@@ -31,7 +32,7 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from hilbtorus import arith, coeffs, qseries, rootvalues, verify, zeta
+from hilbtorus import arith, coeffs, qseries, rootvalues, verify
 from hilbtorus.cyclotomic import CycInt
 from hilbtorus.errors import VerificationError, expect, expect_rows
 from hilbtorus.series import TruncatedSeries
@@ -160,7 +161,7 @@ ROWS = [
     Row("reduced generating identity", "t^5",
         Poly({6: -1, 5: -1, 3: 1, -1: -1, -3: 1, -4: 1}),
         Poly({6: -1, 5: -1, 3: 1, -1: -1, -3: 1, -4: 1, 2: 1, 0: -1}),
-        lambda: coeffs.check_reduced_generating_identity(10), extra_run_of_p5),
+        lambda: verify.check_reduced_generating_identity(10), extra_run_of_p5),
     # -- roots
     # q^7 (1 + q) vanishes at w = -1 but not at the cube root v, where C_7
     # moves by v^7 (1 + v) = v + v^2 = -1: the evaluated row fails at d = 3
@@ -311,11 +312,8 @@ def checks():
         expect_rows(identity, index, got, want)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (verify, coeffs, zeta):  # each imports them by name
-            for name, check in (("expect", counted),
-                                ("expect_rows", counted_rows)):
-                if hasattr(module, name):
-                    mp.setattr(module, name, check)
+        mp.setattr(verify, "expect", counted)  # the one module that checks
+        mp.setattr(verify, "expect_rows", counted_rows)
         results = verify.run_suites(max_n=20, order=40)
     assert all(r.ok for r in results), results
     return counts

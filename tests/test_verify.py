@@ -7,7 +7,7 @@ and formats no index unless a check fails.  The mutation table
 (tests/test_mutations.py) checks each identity's witness; here one of its
 rows checks that a failed suite's detail is that witness.  The harness
 must reject unknown suite names before running any suite, every suite must
-take exactly one size keyword (order for qseries, max_n for the rest) with
+take exactly one size parameter (order for qseries, max_n for the rest) with
 the default that README's counts hold at, and check every n up to it, the
 suites' seconds must fit in the wall time around them, and the roots suite
 must expand its root products to its own max_n, which at equal sizes
@@ -162,24 +162,23 @@ def test_tables_check_table_2_at_every_n(monkeypatch, n):
 
 def test_run_suites_rejects_unknown_names_before_running(monkeypatch):
     ran = []
-    monkeypatch.setitem(verify.SUITES, "zeta", lambda **kwargs: ran.append("zeta"))
+    monkeypatch.setitem(verify.SUITES, "zeta", lambda *args: ran.append("zeta"))
     with pytest.raises(ValueError, match=r"^unknown suite\(s\): nope, bad; known: "):
         verify.run_suites(["zeta", "nope", "tables", "bad"])
     assert ran == []
 
 
 def test_flag_keywords_are_suite_parameters():
-    assert list(verify._SIZE_KEYWORD) == list(verify.SUITES)
-    for name, keyword in verify._SIZE_KEYWORD.items():
-        params = inspect.signature(getattr(verify, f"verify_{name}")).parameters
-        assert list(params) == [keyword], (name, list(params))
-        assert keyword == ("order" if name == "qseries" else "max_n"), name
+    # run_suites passes --order to qseries and --max-n to the rest
+    for name, suite in verify.SUITES.items():
+        params = list(inspect.signature(suite).parameters)
+        assert params == ["order" if name == "qseries" else "max_n"], name
+        assert suite is getattr(verify, f"verify_{name}"), name
 
 
 def test_default_sizes():
     # README's count of identities and checked positions holds at these
-    defaults = {name: inspect.signature(suite).parameters[
-                    verify._SIZE_KEYWORD[name]].default
+    defaults = {name: [*inspect.signature(suite).parameters.values()][0].default
                 for name, suite in verify.SUITES.items()}
     assert defaults == {"coeffs": 300, "roots": 2000, "zeta": 100,
                         "qseries": 2000, "arith": 10000, "sections": 1000,
@@ -220,7 +219,7 @@ def test_roots_expands_its_products_to_max_n_only(monkeypatch):
 @pytest.mark.parametrize("max_n", [10, 100])
 def test_coeffs_checks_the_reduced_identity_to_max_n(monkeypatch, max_n):
     orders = []
-    monkeypatch.setattr(coeffs, "check_reduced_generating_identity",
+    monkeypatch.setattr(verify, "check_reduced_generating_identity",
                         orders.append)
     detail = verify.verify_coeffs(max_n=max_n)
     assert orders == [max_n]

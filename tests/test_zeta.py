@@ -2,22 +2,22 @@
 
 The four worked factorizations (n = 1, 3, 5, 6) are frozen as exponent
 multisets, and n = 1 also as its rational function and its Hasse-Weil
-product; the log-derivative series check pins the factored form to the
-point counts at every prime power, one identity of Laurent polynomials
-against the divisor route, and fails when one coefficient of the factored
-form is off.  The functional-equation certificate fails on each of its
-three conditions, also for an exponent whose partner is missing.
+product; the factored form matches the point counts at every prime
+power, one identity of Laurent polynomials against the divisor route, and
+the zeta suite fails when one coefficient of the factored form is off.
+The functional-equation certificate reads off each of its three
+conditions, also for an exponent whose partner is missing.
 """
 
 import pytest
 
-from hilbtorus import zeta
+from hilbtorus import verify, zeta
 from hilbtorus.errors import VerificationError
+from hilbtorus.laurent import LaurentPoly
 from hilbtorus.zeta import (
     ZetaRational,
     build_local_zeta,
-    functional_equation_check,
-    zeta_series_check,
+    functional_equation_certificate,
 )
 
 from laurent_ring import Poly
@@ -74,7 +74,7 @@ def test_series_check_small():
     assert [c2.evaluate_int(v) for v in (2, 4)] == [7, 189]
     for n in range(1, 12):
         z = build_local_zeta(n)
-        zeta_series_check(z)
+        assert LaurentPoly(dict(z.factors)) == reduced_times_square(n), n
         # the identity it checks, read as series: the t^m coefficient of
         # t Z'/Z is the point count over F_(q0^m)
         for q0 in (2, 3):
@@ -85,20 +85,21 @@ def test_series_check_small():
 
 
 def test_series_check_detects_corruption(monkeypatch):
-    # one c_{n,i} off by one in the factored form must fail the point counts
+    # c_(5,1) off by one in the factored form, with c_(5,0) moved so that
+    # the certificate still holds, must fail the point counts
     good = zeta.coeffs.count_poly
 
     def corrupted(n):
-        return good(n) + Poly({n + 1: 1, n - 1: 1})
+        return good(n) + Poly({6: 1, 5: -2, 4: 1} if n == 5 else {})
 
     monkeypatch.setattr(zeta.coeffs, "count_poly", corrupted)
     with pytest.raises(VerificationError) as info:
-        zeta_series_check(build_local_zeta(5))
+        verify.verify_zeta(max_n=5)
     exc = info.value
     assert (exc.identity, exc.index) == ("zeta log-derivative vs point count",
                                          "n=5")
-    # the two corrupted factors
-    assert Poly(exc.got) - exc.want == Poly({6: 1, 4: 1})
+    # the three corrupted factors
+    assert Poly(exc.got) - exc.want == Poly({6: 1, 5: -2, 4: 1})
     assert str(exc) == f"{exc.identity} at {exc.index}: {exc.got!r} != {exc.want!r}"
 
 
@@ -108,13 +109,10 @@ def test_certificate_fails_on_asymmetry():
         (((0, 1),), (False, 1, 0)),                  # m(0) = 1, no m(4)
         (((0, 1), (4, 1)), (True, 2, 0)),            # total degree 2
         (((0, 1), (2, -3), (4, 1)), (True, -1, 1)),  # odd central multiplicity
+        (((0, 1), (2, -2), (4, 1)), (True, 0, 0)),   # all three hold
     )
     for factors, got in cases:
-        with pytest.raises(VerificationError) as info:
-            functional_equation_check(ZetaRational(2, factors))
-        exc = info.value
-        assert exc.index == "n=2"
-        assert (exc.got, exc.want) == (got, (True, 0, 0))
+        assert functional_equation_certificate(ZetaRational(2, factors)) == got
 
 
 def test_hasse_weil_symmetry():
